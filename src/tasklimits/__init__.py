@@ -53,7 +53,6 @@ from .prediction import (
     predictive_utility,
     tail_mixture,
     truncated_mixture,
-    tv_distance,
     tv_dual,
     tv_half,
     verify_prediction_bounds,

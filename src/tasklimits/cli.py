@@ -16,14 +16,26 @@ Exit code 0 iff every check in every scenario passes.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from pathlib import Path
 
-from .errors import TaskLimitsError
+from .errors import ScenarioError, TaskLimitsError
 from .modal import gl_decide, model_check, parse_formula, print_formula
 from .report import FORMATS, Report, emit_report
 from .runner import DEFAULT_SLACK, run_experiment
 from .scenario import Scenario, parse_scenario
+
+#: The scenario kind each run command accepts; ``verify`` and ``emit`` take any.
+COMMAND_KINDS = {"simulate": "trajectory", "predict": "prediction", "logic": "logic"}
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("must be a number, not NaN")
+    return value
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -32,14 +44,18 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None, help="override the scenario epsilon")
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_SLACK,
         help="additive slack for inequality checks (default 1e-9)",
     )
 
 
 def _load(path: str, args: argparse.Namespace) -> Scenario:
-    return parse_scenario(path, seed=args.seed, n_max=args.n_max, epsilon=args.epsilon)
+    scenario = parse_scenario(path, seed=args.seed, n_max=args.n_max, epsilon=args.epsilon)
+    kind = COMMAND_KINDS.get(args.command)
+    if kind is not None and scenario.kind != kind:
+        raise ScenarioError(f"{path}: '{args.command}' runs {kind} scenarios, not {scenario.kind}")
+    return scenario
 
 
 def _print_report(report: Report) -> None:
@@ -86,7 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_logic(args: argparse.Namespace) -> int:
     target = args.target
-    if Path(target).exists():
+    if os.path.exists(target):
         report = run_experiment(_load(target, args), slack_tolerance=args.tolerance)
         _print_report(report)
         return 0 if report.passed else 1

@@ -21,6 +21,7 @@ from itertools import permutations
 
 from ..errors import ResourceLimitError
 from .formula import (
+    DEFAULT_MAX_NODES,
     And,
     Atom,
     Box,
@@ -34,7 +35,6 @@ from .formula import (
 )
 from .kripke import MAX_ENUM_WORLDS, KripkeModel, successor_mask_orders
 
-DEFAULT_MAX_NODES = 200
 MAX_ATOMS = 8
 #: atoms * worlds may not exceed this; the valuation space has 2**(atoms*worlds) points.
 MAX_VALUATION_BITS = 24

@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ..errors import FormulaSyntaxError, ValidationError
+from ..errors import FormulaSyntaxError, ResourceLimitError, ValidationError
+
+#: Largest formula the decision procedure takes, in AST nodes; also the deepest
+#: nesting the parser follows.
+DEFAULT_MAX_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, int, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, int, int]:
         return self.tokens[self.pos]
@@ -214,11 +219,23 @@ class _Parser:
         self.pos += 1
         return token
 
+    def descend(self, position: int) -> None:
+        """Enter one more level of nesting; refuse before the call stack runs out."""
+        self.depth += 1
+        if self.depth > DEFAULT_MAX_NODES:
+            raise ResourceLimitError(
+                f"formula nests deeper than {DEFAULT_MAX_NODES} levels (position {position})"
+            )
+
     def implication(self) -> ModalFormula:
         left = self.disjunction()
-        if self.peek()[0] == _TOKEN_IMPLIES:
+        kind, position, _ = self.peek()
+        if kind == _TOKEN_IMPLIES:
             self.advance()
-            return Implies(left, self.implication())
+            self.descend(position)
+            node = Implies(left, self.implication())
+            self.depth -= 1
+            return node
         return left
 
     def disjunction(self) -> ModalFormula:
@@ -237,24 +254,25 @@ class _Parser:
 
     def unary(self) -> ModalFormula:
         kind, position, atom = self.peek()
-        if kind == _TOKEN_NOT:
-            self.advance()
-            return Not(self.unary())
-        if kind == _TOKEN_BOX:
-            self.advance()
-            return Box(self.unary())
         if kind == _TOKEN_ATOM:
             self.advance()
             return Atom(atom)
-        if kind == _TOKEN_LPAREN:
-            self.advance()
+        if kind not in (_TOKEN_NOT, _TOKEN_BOX, _TOKEN_LPAREN):
+            raise FormulaSyntaxError("expected a formula", position)
+        self.advance()
+        self.descend(position)
+        if kind == _TOKEN_NOT:
+            node = Not(self.unary())
+        elif kind == _TOKEN_BOX:
+            node = Box(self.unary())
+        else:
             node = self.implication()
             closing, close_pos, _ = self.peek()
             if closing != _TOKEN_RPAREN:
                 raise FormulaSyntaxError("expected ')'", close_pos)
             self.advance()
-            return node
-        raise FormulaSyntaxError("expected a formula", position)
+        self.depth -= 1
+        return node
 
 
 def parse_formula(text: str) -> ModalFormula:

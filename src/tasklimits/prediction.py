@@ -286,10 +286,6 @@ def tv_half(rho, rho_prime) -> float:
     return 0.5 * tv_dual(rho, rho_prime)
 
 
-# The dual form is the primary reported value; bound checks use tv_half.
-tv_distance = tv_dual
-
-
 def bayes_risk(rho_row, loss: LossTable) -> BayesRisk:
     """Minimum expected loss over actions for one predictive row.
 

@@ -10,7 +10,7 @@ every inequality record and every logic witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 from .errors import ConfigurationError
 from .prediction import BoundRecord
@@ -77,57 +77,33 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _report_to_dict(report: Report) -> dict:
-    return {
-        "scenario": report.scenario,
-        "kind": report.kind,
-        "passed": report.passed,
-        "steps": [
-            {
-                "n": s.n,
-                "utility": s.utility,
-                "delta": s.delta,
-                "tau": s.tau,
-                "bound_lhs": s.bound_lhs,
-                "bound_rhs": s.bound_rhs,
-                "slack": s.slack,
-                "passed": s.passed,
-            }
-            for s in report.steps
-        ],
-        "bounds": [
-            {
-                "name": b.name,
-                "level": b.level,
-                "lhs": b.lhs,
-                "rhs": b.rhs,
-                "slack": b.slack,
-                "passed": b.passed,
-            }
-            for b in report.bounds
-        ],
-        "verdicts": [
-            {
-                "index": v.index,
-                "formula": v.formula,
-                "verdict": v.verdict,
-                "witness_ok": v.witness_ok,
-                "countermodel": None
-                if v.countermodel is None
-                else {
-                    "worlds": list(v.countermodel.worlds),
-                    "relation": [list(pair) for pair in v.countermodel.relation],
-                    "valuation": [[w, list(atoms)] for w, atoms in v.countermodel.valuation],
-                    "refuting_world": v.countermodel.refuting_world,
-                },
-                "search_levels": None
-                if v.search_levels is None
-                else [list(level) for level in v.search_levels],
-            }
-            for v in report.verdicts
-        ],
-        "notes": list(report.notes),
-    }
+#: The record type held by each field that holds records, to rebuild them from JSON.
+_RECORD_FIELDS = {
+    "steps": StepRecord,
+    "bounds": BoundRecord,
+    "verdicts": VerdictRecord,
+    "countermodel": CountermodelRecord,
+}
+
+
+def _to_json(value):
+    """Records become objects of their fields and tuples become lists; the rest stays."""
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if is_dataclass(value):
+        return {name: _to_json(item) for name, item in vars(value).items()}
+    return value
+
+
+def _from_json(value, record=None):
+    """Invert :func:`_to_json`: lists become tuples and objects become ``record``."""
+    if isinstance(value, list):
+        return tuple(_from_json(item, record) for item in value)
+    if isinstance(value, dict):
+        return record(
+            **{name: _from_json(item, _RECORD_FIELDS.get(name)) for name, item in value.items()}
+        )
+    return value
 
 
 def emit_report(report: Report, format: str) -> bytes:
@@ -152,7 +128,7 @@ def emit_report(report: Report, format: str) -> bytes:
             )
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "structured":
-        text = json.dumps(_report_to_dict(report), sort_keys=True, indent=2, ensure_ascii=False)
+        text = json.dumps(_to_json(report), sort_keys=True, indent=2, ensure_ascii=False)
         return (text + "\n").encode("utf-8")
     raise ConfigurationError(f"unknown report format {format!r}; expected one of {FORMATS}")
 
@@ -161,63 +137,4 @@ def report_from_json(data: bytes | str) -> Report:
     """Rebuild a :class:`Report` from its structured emission (lossless)."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    raw = json.loads(data)
-    steps = tuple(
-        StepRecord(
-            n=s["n"],
-            utility=s["utility"],
-            delta=s["delta"],
-            tau=s["tau"],
-            bound_lhs=s["bound_lhs"],
-            bound_rhs=s["bound_rhs"],
-            slack=s["slack"],
-            passed=s["passed"],
-        )
-        for s in raw["steps"]
-    )
-    bounds = tuple(
-        BoundRecord(
-            name=b["name"],
-            level=b["level"],
-            lhs=b["lhs"],
-            rhs=b["rhs"],
-            slack=b["slack"],
-            passed=b["passed"],
-        )
-        for b in raw["bounds"]
-    )
-    verdicts = []
-    for v in raw["verdicts"]:
-        countermodel = None
-        if v["countermodel"] is not None:
-            cm = v["countermodel"]
-            countermodel = CountermodelRecord(
-                worlds=tuple(cm["worlds"]),
-                relation=tuple(tuple(pair) for pair in cm["relation"]),
-                valuation=tuple((w, tuple(atoms)) for w, atoms in cm["valuation"]),
-                refuting_world=cm["refuting_world"],
-            )
-        search_levels = (
-            None
-            if v["search_levels"] is None
-            else tuple(tuple(level) for level in v["search_levels"])
-        )
-        verdicts.append(
-            VerdictRecord(
-                index=v["index"],
-                formula=v["formula"],
-                verdict=v["verdict"],
-                witness_ok=v["witness_ok"],
-                countermodel=countermodel,
-                search_levels=search_levels,
-            )
-        )
-    return Report(
-        scenario=raw["scenario"],
-        kind=raw["kind"],
-        passed=raw["passed"],
-        steps=steps,
-        bounds=bounds,
-        verdicts=tuple(verdicts),
-        notes=tuple(raw["notes"]),
-    )
+    return _from_json(json.loads(data), Report)

@@ -16,6 +16,7 @@ parses is a scenario that runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
@@ -108,7 +109,7 @@ def _build_prediction_payload(payload: dict, source: str) -> PredictionPayload:
         descriptors.append(
             HypothesisDescriptor(
                 id=_require(entry, "id", source),
-                code_length=_require(entry, "code_length", source),
+                code_length=_require_int(entry, "code_length", source, minimum=0),
                 kernel_ref=str(_require(entry, "kernel", source)),
             )
         )
@@ -152,7 +153,10 @@ def scenario_from_dict(
     if n_max is None and "n_max" in data:
         n_max = _require_int(data, "n_max", source, minimum=0)
     if epsilon is None and "epsilon" in data:
-        epsilon = float(data["epsilon"])
+        try:
+            epsilon = float(data["epsilon"])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{source}: field 'epsilon' must be a number") from exc
     payload_data = _require(data, "payload", source)
     if not isinstance(payload_data, dict):
         raise ScenarioError(f"{source}: 'payload' must be an object")
@@ -161,8 +165,10 @@ def scenario_from_dict(
         if kind == "trajectory":
             if n_max is None or n_max < 1:
                 raise ScenarioError(f"{source}: trajectory scenarios need n_max >= 1")
-            if epsilon is None or epsilon <= 0:
-                raise ScenarioError(f"{source}: trajectory scenarios need epsilon > 0")
+            if epsilon is None or not (math.isfinite(epsilon) and epsilon > 0):
+                raise ScenarioError(
+                    f"{source}: trajectory scenarios need a finite field 'epsilon' > 0"
+                )
             payload: Payload = _build_trajectory_payload(payload_data, seed, source)
         elif kind == "prediction":
             if n_max is None or n_max < 0:

@@ -1,10 +1,13 @@
 """Expanding solved-task trajectories and their utility dynamics.
 
-A trajectory is a nested chain of solved-task sets indexed by capacity
-n = 1..N. Utilities are the measure masses of the sets; marginal gains are
-the masses of the novelty sets between consecutive levels. Nestedness is
-enforced everywhere: rule-built chains accumulate by construction, and
-explicitly supplied chains are rejected if any level drops a task.
+A trajectory over capacity levels n = 1..N is stored as the level at which
+each task is first solved: ``first_level[t]`` is in 1..N, or 0 if task t is
+never solved. Level n solves the tasks with ``0 < first_level[t] <= n``, so
+the solved sets are nested by construction. Utilities are the measure masses
+of those sets; marginal gains are the masses of the tasks first solved at
+each level. A chain given as explicit sets goes through one conversion to
+first levels; that conversion is the only nestedness check, and it rejects a
+chain if any level drops a task.
 """
 
 from __future__ import annotations
@@ -12,10 +15,28 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import ConfigurationError, NestednessError, ValidationError
-from .taskspace import TaskMeasure, TaskSet, measure_of, novelty
+from .taskspace import TaskId, TaskMeasure, TaskSet
+
+
+def _first_solved_levels(sets: Sequence[TaskSet]) -> dict[TaskId, int]:
+    """The level (1-based) at which each task of a chain of sets is first solved.
+
+    Raises :class:`NestednessError` at the first level that drops a task.
+    """
+    first: dict[TaskId, int] = {}
+    for n, solved in enumerate(sets, 1):
+        for t in solved.members:
+            first.setdefault(t, n)
+        # Every task seen so far is in ``first``; the level keeps them all iff it is as large.
+        if len(first) != len(solved):
+            dropped = sorted(t for t in first if t not in solved.members)
+            raise NestednessError(
+                f"solved set at level {n} drops previously solved tasks {dropped}"
+            )
+    return first
 
 
 @dataclass(frozen=True)
@@ -64,42 +85,53 @@ class ExplicitSets:
         sets = tuple(self.sets)
         if not sets:
             raise ConfigurationError("explicit chain needs at least one set")
-        for i in range(len(sets) - 1):
-            if not sets[i].issubset(sets[i + 1]):
-                dropped = sorted(sets[i].members - sets[i + 1].members)
-                raise NestednessError(
-                    f"solved set at level {i + 2} drops previously solved tasks {dropped}"
-                )
+        _first_solved_levels(sets)
         object.__setattr__(self, "sets", sets)
 
 
 SolverRule = Union[DifficultyThreshold, RandomCoverage, ExplicitSets]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SystemTrajectory:
-    """Nested chain of solved-task sets over a fixed task measure."""
+    """A nested chain over ``levels`` levels, as the level each task is first solved.
 
-    solved_sets: tuple[TaskSet, ...]
+    ``first_level`` holds one entry per task of ``mu``: the level in
+    1..``levels`` at which the task joins the solved set, or 0 if it never
+    does. ``SystemTrajectory(sets, mu)`` converts an explicit chain of sets.
+    """
+
+    first_level: tuple[int, ...]
+    levels: int
     mu: TaskMeasure
 
-    def __post_init__(self) -> None:
-        sets = tuple(self.solved_sets)
-        if not sets:
+    def __init__(self, solved_sets: Sequence[TaskSet], mu: TaskMeasure) -> None:
+        if not solved_sets:
             raise ValidationError("trajectory needs at least one level")
-        for s in sets:
-            for t in s.members:
-                if t >= self.mu.size:
-                    raise ValidationError(
-                        f"task {t} outside the measure's space of size {self.mu.size}"
-                    )
-        for i in range(len(sets) - 1):
-            if not sets[i].issubset(sets[i + 1]):
-                raise NestednessError(f"solved sets not nested between levels {i + 1} and {i + 2}")
-        object.__setattr__(self, "solved_sets", sets)
+        first = _first_solved_levels(solved_sets)
+        for t in first:
+            if t >= mu.size:
+                raise ValidationError(f"task {t} outside the measure's space of size {mu.size}")
+        _fill(self, tuple(first.get(t, 0) for t in range(mu.size)), len(solved_sets), mu)
 
     def __len__(self) -> int:
-        return len(self.solved_sets)
+        return self.levels
+
+    @property
+    def solved_sets(self) -> tuple[TaskSet, ...]:
+        """The solved set of each level, derived from ``first_level``."""
+        return tuple(
+            TaskSet.of(t for t, level in enumerate(self.first_level) if 0 < level <= n)
+            for n in range(1, self.levels + 1)
+        )
+
+
+def _fill(
+    traj: SystemTrajectory, first_level: tuple[int, ...], levels: int, mu: TaskMeasure
+) -> None:
+    object.__setattr__(traj, "first_level", first_level)
+    object.__setattr__(traj, "levels", levels)
+    object.__setattr__(traj, "mu", mu)
 
 
 @dataclass(frozen=True)
@@ -118,7 +150,7 @@ class LimitDiagnostics:
 
 
 def build_trajectory(rule: SolverRule, n_max: int, mu: TaskMeasure) -> SystemTrajectory:
-    """Build the nested solved-set chain of length ``n_max`` under ``rule``."""
+    """Build the first-solved levels of the ``n_max``-level chain under ``rule``."""
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
 
@@ -126,41 +158,56 @@ def build_trajectory(rule: SolverRule, n_max: int, mu: TaskMeasure) -> SystemTra
         missing = [t for t in sorted(mu.support) if t >= len(rule.difficulties)]
         if missing:
             raise ConfigurationError(f"no difficulty declared for tasks {missing} in the support")
-        sets = tuple(
-            TaskSet.of(
-                t for t, d in enumerate(rule.difficulties) if d <= n and t < mu.size
-            )
-            for n in range(1, n_max + 1)
-        )
+        padded = rule.difficulties[: mu.size] + (0,) * (mu.size - len(rule.difficulties))
+        first_level = tuple(d if d <= n_max else 0 for d in padded)
     elif isinstance(rule, RandomCoverage):
+        # Drawing only for unsolved tasks, in task order, keeps the set-by-set RNG stream.
         rng = random.Random(rule.seed)
-        solved: set[int] = set()
-        chain: list[TaskSet] = []
-        for _ in range(n_max):
-            for t in range(mu.size):
-                if t not in solved and rng.random() < rule.step_probability:
-                    solved.add(t)
-            chain.append(TaskSet.of(solved))
-        sets = tuple(chain)
+        levels = [0] * mu.size
+        unsolved = range(mu.size)
+        for n in range(1, n_max + 1):
+            still = []
+            for t in unsolved:
+                if rng.random() < rule.step_probability:
+                    levels[t] = n
+                else:
+                    still.append(t)
+            unsolved = still
+        first_level = tuple(levels)
     elif isinstance(rule, ExplicitSets):
         if len(rule.sets) < n_max:
             raise ConfigurationError(
                 f"explicit chain supplies {len(rule.sets)} sets but n_max is {n_max}"
             )
-        sets = rule.sets[:n_max]
+        return SystemTrajectory(rule.sets[:n_max], mu)
     else:
         raise ConfigurationError(f"unknown solver rule {type(rule).__name__}")
 
-    return SystemTrajectory(solved_sets=sets, mu=mu)
+    traj = object.__new__(SystemTrajectory)
+    _fill(traj, first_level, n_max, mu)
+    return traj
+
+
+def _weights_first_solved(traj: SystemTrajectory) -> list[list[float]]:
+    """The weights of the tasks first solved at each level 1..N."""
+    runs: list[list[float]] = [[] for _ in range(traj.levels + 1)]
+    for weight, level in zip(traj.mu.weights, traj.first_level):
+        runs[level].append(weight)
+    return runs[1:]
 
 
 def utility_sequence(traj: SystemTrajectory) -> list[float]:
-    """U(n) for n = 1..N: the measure mass of each solved set."""
-    return [measure_of(s, traj.mu) for s in traj.solved_sets]
+    """U(n) for n = 1..N: the ``fsum`` of the weights of the tasks with first level <= n."""
+    solved: list[float] = []
+    utilities = []
+    for run in _weights_first_solved(traj):
+        solved += run
+        utilities.append(math.fsum(solved))
+    return utilities
 
 
 def marginal_gains(traj: SystemTrajectory) -> list[float]:
-    """Gains as novelty-set masses, one per consecutive pair of levels.
+    """Gains as novelty-set masses: the ``fsum`` of the tasks first solved at n + 1.
 
     Returned as the mass of the newly solved tasks, which is exactly
     non-negative; equality with the utility differences is a tested
@@ -168,10 +215,7 @@ def marginal_gains(traj: SystemTrajectory) -> list[float]:
     """
     if len(traj) < 2:
         raise ConfigurationError("marginal gains need a trajectory of length >= 2")
-    return [
-        measure_of(novelty(traj.solved_sets[i + 1], traj.solved_sets[i]), traj.mu)
-        for i in range(len(traj) - 1)
-    ]
+    return [math.fsum(run) for run in _weights_first_solved(traj)[1:]]
 
 
 def telescoping_residual(traj: SystemTrajectory) -> float:
@@ -185,7 +229,7 @@ def telescoping_residual(traj: SystemTrajectory) -> float:
 
 def limit_diagnostics(traj: SystemTrajectory, epsilon: float) -> LimitDiagnostics:
     """Report the last utility, the first sub-epsilon gain, and the tail gain peak."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     utilities = utility_sequence(traj)
     if len(traj) < 2:

@@ -5,7 +5,9 @@ Everything here is seeded and deterministic. The oracles deliberately avoid
 the implementation paths they check: the frame-validity oracle evaluates
 with numpy boolean arrays over the full labeled frame enumeration, while
 the decision procedure uses bigint masks over canonical representatives;
-the Bayes-risk oracle is a plain double loop.
+the Bayes-risk oracle is a plain double loop; the reference trajectory
+chain builds every level as a whole set, where the library stores the level
+at which each task is first solved.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from tasklimits.modal import (
 )
 from tasklimits.prediction import ConditionalKernel, ContextDistribution, LossTable
 from tasklimits.prior import HypothesisClass, HypothesisDescriptor
+from tasklimits.taskspace import TaskMeasure, TaskSet
+from tasklimits.trajectory import DifficultyThreshold, ExplicitSets, RandomCoverage, SolverRule
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -181,3 +185,52 @@ def frame_validity_oracle(phi: ModalFormula, world_bound: int) -> bool:
             if not evaluate(phi).all():
                 return False
     return True
+
+
+def reference_chain(rule: SolverRule, n_max: int, mu: TaskMeasure) -> tuple[TaskSet, ...]:
+    """The solved set of every level 1..n_max under ``rule``, each built whole."""
+    if isinstance(rule, DifficultyThreshold):
+        return tuple(
+            TaskSet.of(t for t, d in enumerate(rule.difficulties) if d <= n and t < mu.size)
+            for n in range(1, n_max + 1)
+        )
+    if isinstance(rule, RandomCoverage):
+        rng = random.Random(rule.seed)
+        solved: set[int] = set()
+        chain = []
+        for _ in range(n_max):
+            for t in range(mu.size):
+                if t not in solved and rng.random() < rule.step_probability:
+                    solved.add(t)
+            chain.append(TaskSet.of(solved))
+        return tuple(chain)
+    return tuple(rule.sets[:n_max])
+
+
+def random_trajectory_case(seed: int) -> tuple[SolverRule, int, TaskMeasure]:
+    """A rule, n_max and measure of up to 40 tasks, some with zero weight."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 40)
+    n_max = rng.randint(1, 30)
+    raw = [rng.random() if rng.random() < 0.8 else 0.0 for _ in range(size)]
+    raw[rng.randrange(size)] = 1.0
+    total = sum(raw)
+    mu = TaskMeasure(tuple(w / total for w in raw))
+    kind = seed % 3
+    if kind == 0:
+        # Difficulties may run past n_max, past the space, or stop short of zero-weight tasks.
+        declared = max(max(mu.support) + 1, size + rng.randint(-3, 3))
+        rule: SolverRule = DifficultyThreshold(
+            tuple(rng.randint(1, n_max + 5) for _ in range(declared))
+        )
+    elif kind == 1:
+        probability = rng.choice([0.0, 1.0, rng.random() * 0.4])
+        rule = RandomCoverage(step_probability=probability, seed=seed)
+    else:
+        solved: set[int] = set()
+        sets = []
+        for _ in range(n_max + rng.randint(0, 3)):
+            solved |= {t for t in range(size) if rng.random() < 0.1}
+            sets.append(TaskSet.of(solved))
+        rule = ExplicitSets(tuple(sets))
+    return rule, n_max, mu

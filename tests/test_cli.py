@@ -3,6 +3,8 @@
 import json
 import shutil
 
+import pytest
+
 from tasklimits.cli import main
 from support import SCENARIO_DIR
 
@@ -42,6 +44,45 @@ class TestRunCommands:
         code = main(["predict", str(SCENARIO_DIR / "bernoulli_pair.json"), "--tolerance", "-1"])
         assert code == 1
         assert "result: FAIL" in capsys.readouterr().out
+
+
+class TestUnusableInput:
+    """Each case exits 2 with a message that names the problem, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, scenario",
+        [
+            ("simulate", "bernoulli_pair.json"),
+            ("predict", "uniform_threshold.json"),
+            ("logic", "random_coverage.json"),
+        ],
+    )
+    def test_run_command_rejects_another_kind(self, command, scenario, capsys):
+        assert main([command, str(SCENARIO_DIR / scenario)]) == 2
+        captured = capsys.readouterr()
+        assert f"'{command}' runs" in captured.err and captured.out == ""
+
+    def test_nan_epsilon_override_exits_2(self, capsys):
+        target = str(SCENARIO_DIR / "uniform_threshold.json")
+        assert main(["simulate", target, "--epsilon", "nan"]) == 2
+        assert "'epsilon'" in capsys.readouterr().err
+
+    def test_nan_tolerance_exits_2(self, capsys):
+        target = str(SCENARIO_DIR / "bernoulli_pair.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", target, "--tolerance", "nan"])
+        assert exit_info.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_formula_longer_than_a_file_name_is_decided(self, capsys):
+        text = " & ".join(["p0"] * 100)
+        assert len(text.encode()) > 255
+        assert main(["logic", text]) == 0
+        assert "verdict: invalid" in capsys.readouterr().out
+
+    def test_deeply_nested_formula_exits_2(self, capsys):
+        assert main(["logic", "~" * 600 + "p0"]) == 2
+        assert "nests deeper than" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -1,0 +1,48 @@
+"""Byte-identical outputs for the bundled scenarios.
+
+``tests/golden/`` holds, for every bundled scenario, the stdout of the run
+command for its kind, and the file that ``emit`` writes in each format; it
+also holds the stdout of ``logic`` on two bare formulas. A change that moves
+any of these bytes must re-record the file and say why.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tasklimits.cli import COMMAND_KINDS, main
+from support import SCENARIO_DIR
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
+
+COMMAND_FOR_KIND = {kind: command for command, kind in COMMAND_KINDS.items()}
+
+
+def golden(name: str) -> bytes:
+    return (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_run_command_stdout(path, capsys):
+    kind = json.loads(path.read_text(encoding="utf-8"))["kind"]
+    assert main([COMMAND_FOR_KIND[kind], str(path)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden(f"{path.stem}.stdout.txt")
+
+
+@pytest.mark.parametrize("format, suffix", [("csv", "csv"), ("structured", "json")])
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_emitted_report(path, format, suffix, tmp_path):
+    out = tmp_path / f"report.{suffix}"
+    assert main(["emit", str(path), "--format", format, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden(f"{path.stem}.{suffix}")
+
+
+@pytest.mark.parametrize(
+    "name, text", [("formula_valid", "[]([]p0 -> p0) -> []p0"), ("formula_invalid", "[]p0 -> p0")]
+)
+def test_bare_formula_stdout(name, text, capsys):
+    assert main(["logic", text]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden(f"{name}.stdout.txt")

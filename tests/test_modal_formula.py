@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tasklimits.errors import FormulaSyntaxError
+from tasklimits.errors import FormulaSyntaxError, ResourceLimitError
 from tasklimits.modal import (
     And,
     Atom,
@@ -19,6 +19,7 @@ from tasklimits.modal import (
     print_formula,
     subformulas,
 )
+from tasklimits.modal.formula import DEFAULT_MAX_NODES
 from support import random_formula
 
 
@@ -78,6 +79,22 @@ class TestSyntaxErrors:
     def test_dash_without_arrow(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p0 - p1")
+
+
+class TestNestingLimit:
+    """Nesting stops at DEFAULT_MAX_NODES levels, well before the call stack runs out."""
+
+    @pytest.mark.parametrize(
+        "opening, closing, levels",
+        [("~", "", 1), ("[]", "", 1), ("(", ")", 1), ("p0 -> ", "", 1), ("~(", ")", 2)],
+    )
+    def test_nesting_at_the_limit_parses_and_past_it_is_refused(self, opening, closing, levels):
+        repeats = DEFAULT_MAX_NODES // levels
+        parse_formula(opening * repeats + "p0" + closing * repeats)
+        with pytest.raises(ResourceLimitError, match="nests deeper than"):
+            parse_formula(opening * (repeats + 1) + "p0" + closing * (repeats + 1))
+        with pytest.raises(ResourceLimitError, match="nests deeper than"):
+            parse_formula(opening * 600 + "p0" + closing * 600)
 
 
 class TestPrinting:

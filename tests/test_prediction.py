@@ -24,7 +24,6 @@ from tasklimits.prediction import (
     predictive_utility,
     tail_mixture,
     truncated_mixture,
-    tv_distance,
     tv_dual,
     tv_half,
     verify_prediction_bounds,
@@ -191,9 +190,6 @@ class TestTotalVariation:
     def test_bernoulli_pair(self):
         assert tv_dual([0.9, 0.1], [0.1, 0.9]) == pytest.approx(1.6, abs=IDENTITY_TOL)
         assert tv_half([0.9, 0.1], [0.1, 0.9]) == pytest.approx(0.8, abs=IDENTITY_TOL)
-
-    def test_dual_form_is_the_default_convention(self):
-        assert tv_distance is tv_dual
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):

@@ -121,6 +121,19 @@ class TestParseScenario:
                 {"name": "l", "kind": "logic", "seed": 0, "payload": {"formulas": ["[]("]}}
             )
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), "many"])
+    def test_unusable_epsilon_rejected(self, epsilon):
+        data = minimal_trajectory_dict()
+        data["epsilon"] = epsilon
+        with pytest.raises(ScenarioError, match="'epsilon'"):
+            scenario_from_dict(data)
+
+    def test_fractional_code_length_rejected(self, tmp_path):
+        data = json.loads((SCENARIO_DIR / "bernoulli_pair.json").read_text(encoding="utf-8"))
+        data["payload"]["hypotheses"][0]["code_length"] = 1.5
+        with pytest.raises(ScenarioError, match="'code_length' must be an integer"):
+            parse_scenario(write_scenario(tmp_path, data))
+
     def test_trajectory_requires_epsilon(self):
         data = minimal_trajectory_dict()
         del data["epsilon"]

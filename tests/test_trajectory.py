@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tasklimits.errors import ConfigurationError, NestednessError
-from tasklimits.taskspace import TaskMeasure, TaskSet
+from tasklimits.taskspace import TaskMeasure, TaskSet, measure_of, novelty
 from tasklimits.trajectory import (
     DifficultyThreshold,
     ExplicitSets,
@@ -18,6 +18,7 @@ from tasklimits.trajectory import (
     telescoping_residual,
     utility_sequence,
 )
+from support import random_trajectory_case, reference_chain
 
 IDENTITY_TOL = 1e-12
 
@@ -67,6 +68,44 @@ class TestBuildTrajectory:
         mu = TaskMeasure.uniform(3)
         with pytest.raises(NestednessError):
             SystemTrajectory((TaskSet.of([0, 1]), TaskSet.of([1])), mu)
+
+
+class TestAgainstReferenceChain:
+    """The first-level form against chains built whole, level by level, as sets."""
+
+    def test_sets_utilities_and_gains_match_the_reference(self):
+        for seed in range(150):
+            rule, n_max, mu = random_trajectory_case(seed)
+            chain = reference_chain(rule, n_max, mu)
+            traj = build_trajectory(rule, n_max, mu)
+            assert traj.solved_sets == chain
+            assert utility_sequence(traj) == [measure_of(s, mu) for s in chain]
+            if n_max >= 2:
+                expected = [measure_of(novelty(b, a), mu) for a, b in zip(chain, chain[1:])]
+                assert marginal_gains(traj) == expected
+            assert SystemTrajectory(chain, mu).solved_sets == chain
+            assert SystemTrajectory(chain, mu) == traj
+
+    def test_a_level_that_drops_a_task_is_rejected(self):
+        rng = random.Random(7)
+        drops = 0
+        for seed in range(150):
+            rule, n_max, mu = random_trajectory_case(seed)
+            chain = reference_chain(rule, n_max, mu)
+            for level in range(2, len(chain) + 1):
+                earlier = sorted(chain[level - 2].members)
+                if not earlier:
+                    continue
+                dropped = rng.choice(earlier)
+                broken = list(chain)
+                broken[level - 1] = TaskSet(chain[level - 1].members - {dropped})
+                message = f"level {level} drops previously solved tasks \\[{dropped}\\]"
+                with pytest.raises(NestednessError, match=message):
+                    SystemTrajectory(tuple(broken), mu)
+                with pytest.raises(NestednessError, match=message):
+                    ExplicitSets(tuple(broken))
+                drops += 1
+        assert drops > 1000
 
 
 class TestUtilityAndGains:
