@@ -42,13 +42,11 @@ from .prediction import (
     BoundRecord,
     ConditionalKernel,
     ContextDistribution,
-    DecompositionCheck,
     LossTable,
     PredictionBoundsReport,
     PredictiveDistribution,
     averaged_risk,
     bayes_risk,
-    decomposition_residual,
     full_mixture,
     predictive_utility,
     tail_mixture,

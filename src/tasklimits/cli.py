@@ -22,10 +22,10 @@ import sys
 from pathlib import Path
 
 from .errors import ScenarioError, TaskLimitsError
-from .modal import gl_decide, model_check, parse_formula, print_formula
-from .report import FORMATS, Report, emit_report
+from .modal import parse_formula, print_formula
+from .report import FORMATS, Report, VerdictRecord, emit_report
 from .runner import DEFAULT_SLACK, run_experiment
-from .scenario import Scenario, parse_scenario
+from .scenario import LogicPayload, Scenario, parse_scenario
 
 #: The scenario kind each run command accepts; ``verify`` and ``emit`` take any.
 COMMAND_KINDS = {"simulate": "trajectory", "predict": "prediction", "logic": "logic"}
@@ -100,31 +100,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _print_bare_verdict(v: VerdictRecord) -> None:
+    print(f"formula: {v.formula}")
+    print(f"verdict: {v.verdict}")
+    if v.countermodel is None:
+        for m, frames, vals in v.search_levels:
+            print(f"  searched {m} worlds: {frames} frames x {vals} valuations")
+        return
+    cm = v.countermodel
+    print(f"  worlds: {list(cm.worlds)}")
+    print(f"  relation: {list(cm.relation)}")
+    print(f"  true atoms: {[(w, list(a)) for w, a in cm.valuation]}")
+    status = "witness ok" if v.witness_ok else "WITNESS BAD"
+    print(f"  refuting world: {cm.refuting_world} ({status})")
+
+
 def _cmd_logic(args: argparse.Namespace) -> int:
-    target = args.target
-    if os.path.exists(target):
-        report = run_experiment(_load(target, args), slack_tolerance=args.tolerance)
-        _print_report(report)
-        return 0 if report.passed else 1
-    # Bare formula text: decide it directly.
-    phi = parse_formula(target)
-    result = gl_decide(phi)
-    print(f"formula: {print_formula(phi)}")
-    print(f"verdict: {result.verdict}")
-    if result.is_valid:
-        for lvl in result.trace.levels:
-            print(
-                f"  searched {lvl.world_count} worlds: {lvl.frames_checked} frames x "
-                f"{lvl.valuations_per_frame} valuations"
-            )
-        return 0
-    cm = result.countermodel
-    ok = model_check(phi, cm.model, cm.world) is False
-    print(f"  worlds: {sorted(cm.model.worlds)}")
-    print(f"  relation: {sorted(cm.model.relation)}")
-    print(f"  true atoms: {[(w, sorted(a)) for w, a in cm.model.valuation]}")
-    print(f"  refuting world: {cm.world} ({'witness ok' if ok else 'WITNESS BAD'})")
-    return 0 if ok else 1
+    if os.path.exists(args.scenario):
+        return _cmd_run(args)
+    # Bare formula text runs as a one-formula logic scenario.
+    phi = parse_formula(args.scenario)
+    payload = LogicPayload(texts=(print_formula(phi),), formulas=(phi,))
+    report = run_experiment(Scenario(name="formula", kind="logic", seed=0, payload=payload))
+    _print_bare_verdict(report.verdicts[0])
+    return 0 if report.passed else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -173,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(func=_cmd_run)
 
     p_logic = sub.add_parser("logic", help="decide formulas from a scenario file or direct text")
-    p_logic.add_argument("target")
+    p_logic.add_argument("scenario", metavar="target")
     _add_common_flags(p_logic)
     p_logic.set_defaults(func=_cmd_logic)
 

@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .prior import HypothesisClass, normalize_prior, truncate
+from .prior import HypothesisClass, TruncatedPrior, normalize_prior, truncate
 
 ROW_SUM_TOLERANCE = 1e-12
 ENTRY_TOLERANCE = 1e-12
@@ -38,8 +38,11 @@ ENTRY_TOLERANCE = 1e-12
 #: Half-convention TV between probability distributions is at most 1.
 TV_CAP = 1.0
 
-#: Default additive slack for inequality checks (identities get 1e-12).
+#: Default additive slack for inequality checks.
 BOUND_SLACK = 1e-9
+
+#: Algebraic identities must hold to this tolerance.
+IDENTITY_TOLERANCE = 1e-12
 
 
 def _as_matrix(table, name: str) -> np.ndarray:
@@ -67,10 +70,11 @@ class ConditionalKernel:
     """Contexts-by-outcomes matrix of conditional outcome probabilities."""
 
     table: np.ndarray
+    _label = "kernel"
 
     def __post_init__(self) -> None:
-        arr = _as_matrix(self.table, "kernel")
-        _check_rows_stochastic(arr, "kernel")
+        arr = _as_matrix(self.table, self._label)
+        _check_rows_stochastic(arr, self._label)
         object.__setattr__(self, "table", arr)
 
     @property
@@ -83,23 +87,10 @@ class ConditionalKernel:
 
 
 @dataclass(frozen=True, eq=False)
-class PredictiveDistribution:
+class PredictiveDistribution(ConditionalKernel):
     """Per-context outcome distribution (a mixture or a single kernel)."""
 
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _as_matrix(self.table, "predictive distribution")
-        _check_rows_stochastic(arr, "predictive distribution")
-        object.__setattr__(self, "table", arr)
-
-    @property
-    def n_contexts(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.table.shape[1]
+    _label = "predictive distribution"
 
     def row(self, context: int) -> np.ndarray:
         return self.table[context]
@@ -115,8 +106,8 @@ class ContextDistribution:
         arr = np.array(self.weights, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError("context weights must be a non-empty 1-D vector")
-        if (arr < 0.0).any():
-            raise ValidationError("context weights must be non-negative")
+        if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
+            raise ValidationError("context weights must be finite and non-negative")
         total = math.fsum(arr.tolist())
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise ValidationError(f"context weights sum to {total!r}, expected 1")
@@ -159,15 +150,6 @@ class BayesRisk:
 
 
 @dataclass(frozen=True)
-class DecompositionCheck:
-    """Entrywise residual of the head/tail mixture identity, or why it was skipped."""
-
-    level: int
-    residual: float | None
-    skipped_reason: str | None = None
-
-
-@dataclass(frozen=True)
 class BoundRecord:
     """One verified inequality: lhs <= rhs up to the configured slack."""
 
@@ -177,6 +159,13 @@ class BoundRecord:
     rhs: float
     slack: float
     passed: bool
+
+    @classmethod
+    def check(
+        cls, name: str, level: int, lhs: float, rhs: float, tolerance: float = 0.0
+    ) -> BoundRecord:
+        """The record of ``lhs <= rhs + tolerance``, with ``slack = rhs - lhs``."""
+        return cls(name, level, lhs, rhs, rhs - lhs, lhs <= rhs + tolerance)
 
 
 @dataclass(frozen=True)
@@ -194,16 +183,15 @@ class PredictionBoundsReport:
     levels: tuple[LevelSummary, ...]
     records: tuple[BoundRecord, ...]
     skipped: tuple[tuple[int, str], ...]
+    decomposition_skipped: tuple[tuple[int, str], ...]
     all_passed: bool
 
 
 KernelStore = Mapping[str, ConditionalKernel]
 
 
-def _kernel_stack(
-    hclass: HypothesisClass, kernels: KernelStore
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Stack kernel tables in hypothesis order; returns (H, C, Y) array and ids."""
+def _kernel_stack(hclass: HypothesisClass, kernels: KernelStore) -> np.ndarray:
+    """Stack the kernel tables in hypothesis order into an (H, C, Y) array."""
     tables = []
     shape: tuple[int, int] | None = None
     for h in hclass.hypotheses:
@@ -217,15 +205,32 @@ def _kernel_stack(
                 f"kernel {h.kernel_ref!r} has shape {kernel.table.shape}, expected {shape}"
             )
         tables.append(kernel.table)
-    return np.stack(tables), tuple(h.id for h in hclass.hypotheses)
+    return np.stack(tables)
+
+
+def _mix(stack: np.ndarray, weights: list[float]) -> PredictiveDistribution:
+    """The mixture of the stacked kernels under one weight per hypothesis."""
+    return PredictiveDistribution(np.tensordot(np.array(weights), stack, axes=1))
+
+
+def _full_weights(hclass: HypothesisClass) -> list[float]:
+    prior = normalize_prior(hclass)
+    return [prior[h.id] for h in hclass.hypotheses]
+
+
+def _head_weights(hclass: HypothesisClass, split: TruncatedPrior) -> list[float]:
+    return [split.weights.get(h.id, 0.0) for h in hclass.hypotheses]
+
+
+def _tail_weights(hclass: HypothesisClass, n: int) -> list[float]:
+    """Within-tail renormalized weights; the caller checks that the tail is non-empty."""
+    tail_raw = math.fsum(h.raw_weight for h in hclass.hypotheses if h.code_length > n)
+    return [h.raw_weight / tail_raw if h.code_length > n else 0.0 for h in hclass.hypotheses]
 
 
 def full_mixture(hclass: HypothesisClass, kernels: KernelStore) -> PredictiveDistribution:
     """Prior-weighted mixture of all hypothesis kernels."""
-    stack, ids = _kernel_stack(hclass, kernels)
-    prior = normalize_prior(hclass)
-    weights = np.array([prior[i] for i in ids])
-    return PredictiveDistribution(np.tensordot(weights, stack, axes=1))
+    return _mix(_kernel_stack(hclass, kernels), _full_weights(hclass))
 
 
 def truncated_mixture(
@@ -235,41 +240,14 @@ def truncated_mixture(
     split = truncate(hclass, n)
     if not split.weights:
         raise EmptyTruncationError(f"no hypothesis has code length <= {n}")
-    stack, ids = _kernel_stack(hclass, kernels)
-    weights = np.array([split.weights.get(i, 0.0) for i in ids])
-    return PredictiveDistribution(np.tensordot(weights, stack, axes=1))
+    return _mix(_kernel_stack(hclass, kernels), _head_weights(hclass, split))
 
 
 def tail_mixture(hclass: HypothesisClass, n: int, kernels: KernelStore) -> PredictiveDistribution:
     """Renormalized mixture over hypotheses with code length > n."""
-    tail = [h for h in hclass.hypotheses if h.code_length > n]
-    if not tail:
+    if all(h.code_length <= n for h in hclass.hypotheses):
         raise EmptyTailError(f"every hypothesis has code length <= {n}")
-    tail_raw = math.fsum(h.raw_weight for h in tail)
-    stack, ids = _kernel_stack(hclass, kernels)
-    tail_weights = {h.id: h.raw_weight / tail_raw for h in tail}
-    weights = np.array([tail_weights.get(i, 0.0) for i in ids])
-    return PredictiveDistribution(np.tensordot(weights, stack, axes=1))
-
-
-def decomposition_residual(
-    hclass: HypothesisClass, n: int, kernels: KernelStore
-) -> DecompositionCheck:
-    """Max entrywise gap in full = z_n * truncated + tau_n * tail.
-
-    Degenerate splits (empty head or empty tail) cannot be decomposed and are
-    reported as skipped rather than failed.
-    """
-    split = truncate(hclass, n)
-    if split.z_n == 0.0:
-        return DecompositionCheck(level=n, residual=None, skipped_reason="empty truncation")
-    if split.tau_n == 0.0:
-        return DecompositionCheck(level=n, residual=None, skipped_reason="empty tail")
-    q = full_mixture(hclass, kernels).table
-    q_head = truncated_mixture(hclass, n, kernels).table
-    q_tail = tail_mixture(hclass, n, kernels).table
-    residual = float(np.abs(q - split.z_n * q_head - split.tau_n * q_tail).max())
-    return DecompositionCheck(level=n, residual=residual)
+    return _mix(_kernel_stack(hclass, kernels), _tail_weights(hclass, n))
 
 
 def tv_dual(rho, rho_prime) -> float:
@@ -328,81 +306,73 @@ def verify_prediction_bounds(
     n_max: int,
     slack_tolerance: float = BOUND_SLACK,
 ) -> PredictionBoundsReport:
-    """Check the tail-mass bounds at every defined truncation level.
+    """Check the tail-mass bounds and the decomposition at every truncation level.
 
     Per level n with nonzero head mass:
       * worst per-context tv_half(full, truncated) <= tau_n * TV_CAP
       * |risk(full) - risk(truncated)| <= tau_n
       * |utility(n+1) - utility(n)| <= tau_n + tau_{n+1}  (consecutive levels)
+      * max entrywise |full - z_n * truncated - tau_n * tail| <= IDENTITY_TOLERANCE,
+        where the tail is non-empty
+
+    One pass: the kernels are stacked and the full mixture built once, and a
+    level's head and tail mixtures are built only where its head mass differs
+    from the previous level's (equal masses are equal heads, as every weight
+    is positive); other levels reuse them. Records come in the order tv and
+    risk per level, then gains, then decomposition residuals.
     """
     if n_max < 0:
         raise ConfigurationError(f"n_max must be >= 0, got {n_max}")
-    q = full_mixture(hclass, kernels)
+    stack = _kernel_stack(hclass, kernels)
+    q = _mix(stack, _full_weights(hclass))
     risk_full = averaged_risk(q, loss, pi)
 
     levels: list[LevelSummary] = []
     records: list[BoundRecord] = []
+    residuals: list[BoundRecord] = []
     skipped: list[tuple[int, str]] = []
-    utilities: dict[int, float] = {}
-    taus: dict[int, float] = {}
+    decomposition_skipped: list[tuple[int, str]] = []
+    z_previous = 0.0
 
     for n in range(n_max + 1):
         split = truncate(hclass, n)
         if split.z_n == 0.0:
             skipped.append((n, "empty truncation: no hypothesis within the level"))
+            decomposition_skipped.append((n, "empty truncation"))
             continue
-        q_n = truncated_mixture(hclass, n, kernels)
-        utility = -averaged_risk(q_n, loss, pi)
-        utilities[n] = utility
-        taus[n] = split.tau_n
+        if split.z_n != z_previous:
+            z_previous = split.z_n
+            q_n = _mix(stack, _head_weights(hclass, split))
+            utility = -averaged_risk(q_n, loss, pi)
+            tv_worst = 0.5 * float(np.abs(q.table - q_n.table).sum(axis=1).max())
+            residual = None
+            if split.tau_n != 0.0:
+                r_n = _mix(stack, _tail_weights(hclass, n)).table
+                residual = float(np.abs(q.table - split.z_n * q_n.table - split.tau_n * r_n).max())
         levels.append(LevelSummary(level=n, z_n=split.z_n, tau_n=split.tau_n, utility=utility))
-
-        tv_worst = max(
-            tv_half(q.row(c), q_n.row(c)) for c in range(q.n_contexts)
-        )
-        rhs = split.tau_n * TV_CAP
         records.append(
-            BoundRecord(
-                name="tv_vs_tail",
-                level=n,
-                lhs=tv_worst,
-                rhs=rhs,
-                slack=rhs - tv_worst,
-                passed=tv_worst <= rhs + slack_tolerance,
-            )
+            BoundRecord.check("tv_vs_tail", n, tv_worst, split.tau_n * TV_CAP, slack_tolerance)
         )
-
         risk_gap = abs(risk_full - (-utility))
-        records.append(
-            BoundRecord(
-                name="risk_vs_tail",
-                level=n,
-                lhs=risk_gap,
-                rhs=split.tau_n,
-                slack=split.tau_n - risk_gap,
-                passed=risk_gap <= split.tau_n + slack_tolerance,
+        records.append(BoundRecord.check("risk_vs_tail", n, risk_gap, split.tau_n, slack_tolerance))
+        if residual is None:
+            decomposition_skipped.append((n, "empty tail"))
+        else:
+            residuals.append(
+                BoundRecord.check("decomposition_residual", n, residual, IDENTITY_TOLERANCE)
             )
-        )
 
-    for n in sorted(utilities):
-        if n + 1 not in utilities:
-            continue
-        gain = abs(utilities[n + 1] - utilities[n])
-        rhs = taus[n] + taus[n + 1]
-        records.append(
-            BoundRecord(
-                name="gain_vs_tails",
-                level=n,
-                lhs=gain,
-                rhs=rhs,
-                slack=rhs - gain,
-                passed=gain <= rhs + slack_tolerance,
-            )
-        )
+    # Only a prefix of levels is skipped, so the summarized levels are consecutive.
+    for before, after in zip(levels, levels[1:]):
+        gain = abs(after.utility - before.utility)
+        rhs = before.tau_n + after.tau_n
+        records.append(BoundRecord.check("gain_vs_tails", before.level, gain, rhs, slack_tolerance))
+    records += residuals
 
     return PredictionBoundsReport(
         levels=tuple(levels),
         records=tuple(records),
         skipped=tuple(skipped),
+        decomposition_skipped=tuple(decomposition_skipped),
         all_passed=all(r.passed for r in records),
     )

@@ -6,8 +6,9 @@ inequality records:
 * trajectory: utilities and gains per level, the telescoping-identity
   residual, the counting bound on gains of size >= epsilon, and limit
   diagnostics;
-* prediction: tail masses, predictive utilities, the mixture decomposition
-  residual per level, and the three tail-mass perturbation bounds;
+* prediction: tail masses, predictive utilities, the three tail-mass
+  perturbation bounds and the mixture decomposition residual per level, all
+  from one sweep (``verify_prediction_bounds``);
 * logic: a validity verdict per formula with a re-checked witness.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .modal import gl_decide, model_check
-from .prediction import BoundRecord, decomposition_residual, verify_prediction_bounds
+from .prediction import BOUND_SLACK, IDENTITY_TOLERANCE, BoundRecord, verify_prediction_bounds
 from .report import CountermodelRecord, Report, StepRecord, VerdictRecord
 from .scenario import LogicPayload, PredictionPayload, Scenario, TrajectoryPayload
 from .trajectory import (
@@ -27,11 +28,8 @@ from .trajectory import (
     utility_sequence,
 )
 
-#: Algebraic identities must hold to this tolerance.
-IDENTITY_TOLERANCE = 1e-12
-
 #: Inequality checks get this much additive slack.
-DEFAULT_SLACK = 1e-9
+DEFAULT_SLACK = BOUND_SLACK
 
 
 def _run_trajectory(scenario: Scenario, payload: TrajectoryPayload) -> Report:
@@ -49,33 +47,16 @@ def _run_trajectory(scenario: Scenario, payload: TrajectoryPayload) -> Report:
     )
 
     bounds: list[BoundRecord] = []
-    if len(traj) >= 2:
-        residual = telescoping_residual(traj)
+    if gains:
+        residual = telescoping_residual(utilities, gains)
         bounds.append(
-            BoundRecord(
-                name="telescoping_residual",
-                level=len(traj),
-                lhs=residual,
-                rhs=IDENTITY_TOLERANCE,
-                slack=IDENTITY_TOLERANCE - residual,
-                passed=residual <= IDENTITY_TOLERANCE,
-            )
+            BoundRecord.check("telescoping_residual", len(traj), residual, IDENTITY_TOLERANCE)
         )
-        epsilon = scenario.epsilon
-        count = float(sum(1 for g in gains if g >= epsilon))
-        cap = float(math.ceil(1.0 / epsilon))
-        bounds.append(
-            BoundRecord(
-                name="gains_at_or_above_epsilon",
-                level=len(traj),
-                lhs=count,
-                rhs=cap,
-                slack=cap - count,
-                passed=count <= cap,
-            )
-        )
+        count = float(sum(1 for g in gains if g >= scenario.epsilon))
+        cap = float(math.ceil(1.0 / scenario.epsilon))
+        bounds.append(BoundRecord.check("gains_at_or_above_epsilon", len(traj), count, cap))
 
-    diag = limit_diagnostics(traj, scenario.epsilon)
+    diag = limit_diagnostics(utilities, gains, scenario.epsilon)
     notes = (
         f"epsilon={scenario.epsilon!r}",
         f"u_last={diag.u_last!r}",
@@ -103,54 +84,40 @@ def _run_prediction(scenario: Scenario, payload: PredictionPayload, slack: float
         slack_tolerance=slack,
     )
 
-    bounds = list(result.records)
     notes = [f"level {n}: skipped ({reason})" for n, reason in result.skipped]
-    for n in range(scenario.n_max + 1):
-        check = decomposition_residual(payload.hypotheses, n, payload.kernels)
-        if check.residual is None:
-            notes.append(f"level {n}: decomposition skipped ({check.skipped_reason})")
-            continue
-        bounds.append(
-            BoundRecord(
-                name="decomposition_residual",
-                level=n,
-                lhs=check.residual,
-                rhs=IDENTITY_TOLERANCE,
-                slack=IDENTITY_TOLERANCE - check.residual,
-                passed=check.residual <= IDENTITY_TOLERANCE,
-            )
-        )
+    notes += [
+        f"level {n}: decomposition skipped ({reason})" for n, reason in result.decomposition_skipped
+    ]
 
     by_level: dict[int, list[BoundRecord]] = {}
-    for record in bounds:
+    for record in result.records:
         by_level.setdefault(record.level, []).append(record)
 
     utilities = {summary.level: summary.utility for summary in result.levels}
-    taus = {summary.level: summary.tau_n for summary in result.levels}
     steps = []
     for summary in result.levels:
-        n = summary.level
-        level_records = by_level.get(n, [])
-        worst = min(level_records, key=lambda r: r.slack) if level_records else None
+        # Every summarized level has at least its tv and risk records.
+        n, level_records = summary.level, by_level[summary.level]
+        worst = min(level_records, key=lambda r: r.slack)
         steps.append(
             StepRecord(
                 n=n,
                 utility=summary.utility,
                 delta=(utilities[n + 1] - utilities[n]) if n + 1 in utilities else None,
-                tau=taus[n],
-                bound_lhs=worst.lhs if worst else None,
-                bound_rhs=worst.rhs if worst else None,
-                slack=worst.slack if worst else None,
-                passed=all(r.passed for r in level_records) if level_records else None,
+                tau=summary.tau_n,
+                bound_lhs=worst.lhs,
+                bound_rhs=worst.rhs,
+                slack=worst.slack,
+                passed=all(r.passed for r in level_records),
             )
         )
 
     return Report(
         scenario=scenario.name,
         kind=scenario.kind,
-        passed=all(b.passed for b in bounds),
+        passed=result.all_passed,
         steps=tuple(steps),
-        bounds=tuple(bounds),
+        bounds=result.records,
         notes=tuple(notes),
     )
 

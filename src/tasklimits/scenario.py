@@ -9,8 +9,11 @@ One scenario per file. The common envelope is::
 for trajectory scenarios; both may be overridden from the command line.
 Payload schemas are documented in the README. All construction-time
 invariants (weight sums, Kraft inequality, nestedness, row sums) are
-enforced here by building the real domain objects, so a scenario that
-parses is a scenario that runs.
+enforced here by building the real domain objects, and the shapes that only
+meet at run time (loss width and context count against the kernels, kernel
+references, task ids and difficulties against the task weights, the number
+of explicit sets against ``n_max``) are cross-checked here too, so a
+scenario that parses is a scenario that runs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
 
-from .errors import FormulaSyntaxError, ScenarioError, TaskLimitsError
+from .errors import (
+    ConfigurationError,
+    FormulaSyntaxError,
+    ScenarioError,
+    ShapeError,
+    TaskLimitsError,
+)
 from .modal import ModalFormula, parse_formula
 from .prediction import ConditionalKernel, ContextDistribution, LossTable
 from .prior import HypothesisClass, HypothesisDescriptor
@@ -79,26 +88,53 @@ def _require_int(data: dict, field: str, source: str, minimum: int | None = None
     return value
 
 
+def _int_list(value: Any, field: str, source: str) -> list[int]:
+    # Types, not ``isinstance``: a bool is an int too. It also keeps long id lists cheap.
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
+        raise ScenarioError(f"{source}: field {field!r} must be a list of integers")
+    return value
+
+
 def _build_rule(rule_data: Any, seed: int, source: str) -> SolverRule:
     if not isinstance(rule_data, dict):
         raise ScenarioError(f"{source}: 'rule' must be an object")
     kind = _require(rule_data, "kind", source)
     if kind == "difficulty_threshold":
         difficulties = _require(rule_data, "difficulties", source)
-        return DifficultyThreshold(tuple(difficulties))
+        return DifficultyThreshold(tuple(_int_list(difficulties, "difficulties", source)))
     if kind == "random_coverage":
         probability = _require(rule_data, "step_probability", source)
         return RandomCoverage(step_probability=float(probability), seed=seed)
     if kind == "explicit_sets":
         sets = _require(rule_data, "sets", source)
-        return ExplicitSets(tuple(TaskSet.of(s) for s in sets))
+        if not isinstance(sets, list):
+            raise ScenarioError(f"{source}: field 'sets' must be a list of task-id lists")
+        return ExplicitSets(tuple(TaskSet.of(_int_list(s, "sets", source)) for s in sets))
     raise ScenarioError(f"{source}: unknown rule kind {kind!r}")
 
 
-def _build_trajectory_payload(payload: dict, seed: int, source: str) -> TrajectoryPayload:
+def _build_trajectory_payload(
+    payload: dict, seed: int, n_max: int, source: str
+) -> TrajectoryPayload:
     weights = _require(payload, "task_weights", source)
     mu = TaskMeasure(tuple(weights))
     rule = _build_rule(_require(payload, "rule", source), seed, source)
+    # Errors without a source are prefixed with it by ``scenario_from_dict``.
+    last_weighted = max(mu.support)
+    if isinstance(rule, DifficultyThreshold) and last_weighted >= len(rule.difficulties):
+        raise ConfigurationError(
+            f"field 'difficulties' covers {len(rule.difficulties)} tasks, but "
+            f"'task_weights' gives task {last_weighted} positive weight"
+        )
+    if isinstance(rule, ExplicitSets):
+        if len(rule.sets) < n_max:
+            raise ConfigurationError(
+                f"field 'sets' supplies {len(rule.sets)} sets, n_max is {n_max}"
+            )
+        # The chain is nested, so its last set holds every task it names.
+        largest = max(rule.sets[-1].members, default=-1)
+        if largest >= mu.size:
+            raise ShapeError(f"field 'sets' names task {largest}, 'task_weights' has {mu.size}")
     return TrajectoryPayload(mu=mu, rule=rule)
 
 
@@ -108,7 +144,7 @@ def _build_prediction_payload(payload: dict, source: str) -> PredictionPayload:
     for entry in hyp_data:
         descriptors.append(
             HypothesisDescriptor(
-                id=_require(entry, "id", source),
+                id=_require_int(entry, "id", source, minimum=0),
                 code_length=_require_int(entry, "code_length", source, minimum=0),
                 kernel_ref=str(_require(entry, "kernel", source)),
             )
@@ -118,8 +154,25 @@ def _build_prediction_payload(payload: dict, source: str) -> PredictionPayload:
     if not isinstance(kernel_data, dict):
         raise ScenarioError(f"{source}: 'kernels' must map names to matrices")
     kernels = {name: ConditionalKernel(table) for name, table in kernel_data.items()}
+    for h in hclass.hypotheses:
+        if h.kernel_ref not in kernels:
+            raise ConfigurationError(
+                f"field 'kernel' of hypothesis {h.id}: no kernel {h.kernel_ref!r}"
+            )
+    shapes = sorted({kernel.table.shape for kernel in kernels.values()})
+    if len(shapes) > 1:
+        raise ShapeError(f"field 'kernels' mixes the shapes {shapes}")
+    (rows, outcomes), = shapes
     loss = LossTable(_require(payload, "loss", source))
+    if loss.n_outcomes != outcomes:
+        raise ShapeError(
+            f"field 'loss' has {loss.n_outcomes} outcomes, the kernels have {outcomes}"
+        )
     contexts = ContextDistribution(_require(payload, "context_weights", source))
+    if contexts.n_contexts != rows:
+        raise ShapeError(
+            f"field 'context_weights' has {contexts.n_contexts} contexts, the kernels {rows}"
+        )
     return PredictionPayload(hypotheses=hclass, kernels=kernels, loss=loss, contexts=contexts)
 
 
@@ -165,11 +218,13 @@ def scenario_from_dict(
         if kind == "trajectory":
             if n_max is None or n_max < 1:
                 raise ScenarioError(f"{source}: trajectory scenarios need n_max >= 1")
-            if epsilon is None or not (math.isfinite(epsilon) and epsilon > 0):
+            # The counting bound needs ceil(1 / epsilon), so 1 / epsilon must be finite too.
+            if epsilon is None or not (0 < epsilon < math.inf and 1.0 / epsilon < math.inf):
                 raise ScenarioError(
-                    f"{source}: trajectory scenarios need a finite field 'epsilon' > 0"
+                    f"{source}: trajectory scenarios need a field 'epsilon' > 0 with "
+                    f"epsilon and 1/epsilon finite"
                 )
-            payload: Payload = _build_trajectory_payload(payload_data, seed, source)
+            payload: Payload = _build_trajectory_payload(payload_data, seed, n_max, source)
         elif kind == "prediction":
             if n_max is None or n_max < 0:
                 raise ScenarioError(f"{source}: prediction scenarios need n_max >= 0")

@@ -218,25 +218,31 @@ def marginal_gains(traj: SystemTrajectory) -> list[float]:
     return [math.fsum(run) for run in _weights_first_solved(traj)[1:]]
 
 
-def telescoping_residual(traj: SystemTrajectory) -> float:
-    """|U(N) - U(1) - sum of gains|; contractually <= 1e-12."""
-    if len(traj) < 2:
-        raise ConfigurationError("telescoping needs a trajectory of length >= 2")
-    utilities = utility_sequence(traj)
-    gains = marginal_gains(traj)
+def telescoping_residual(utilities: Sequence[float], gains: Sequence[float]) -> float:
+    """|U(N) - U(1) - sum of gains| for U(1..N) and the N - 1 gains; contractually <= 1e-12.
+
+    Take both sequences from their own routes (``utility_sequence`` and
+    ``marginal_gains``): neither is derived from the other, so the identity
+    is a real check.
+    """
+    if len(utilities) < 2 or len(gains) != len(utilities) - 1:
+        raise ConfigurationError("telescoping needs U(1..N) with N >= 2 and its N - 1 gains")
     return abs(utilities[-1] - utilities[0] - math.fsum(gains))
 
 
-def limit_diagnostics(traj: SystemTrajectory, epsilon: float) -> LimitDiagnostics:
-    """Report the last utility, the first sub-epsilon gain, and the tail gain peak."""
+def limit_diagnostics(
+    utilities: Sequence[float], gains: Sequence[float], epsilon: float
+) -> LimitDiagnostics:
+    """Report the last utility, the first sub-epsilon gain, and the tail gain peak.
+
+    ``gains`` is empty for a one-level trajectory.
+    """
     if not epsilon > 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    utilities = utility_sequence(traj)
-    if len(traj) < 2:
+    if not gains:
         return LimitDiagnostics(
             u_last=utilities[-1], first_n_with_gain_below_epsilon=None, max_tail_gain=0.0
         )
-    gains = marginal_gains(traj)
     first_n = next((i + 1 for i, g in enumerate(gains) if g < epsilon), None)
     tail = gains[-max(1, math.ceil(len(gains) / 4)):]
     return LimitDiagnostics(

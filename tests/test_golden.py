@@ -2,8 +2,13 @@
 
 ``tests/golden/`` holds, for every bundled scenario, the stdout of the run
 command for its kind, and the file that ``emit`` writes in each format; it
-also holds the stdout of ``logic`` on two bare formulas. A change that moves
-any of these bytes must re-record the file and say why.
+also holds the stdout of ``logic`` on three bare formulas, and the ``predict``
+stdout and structured report of ``spread_prediction.scenario.json``: ten
+hypotheses with code lengths from 1 to 12 bits, several of them sharing a
+length, swept to level 14, so that the tail is non-empty at many levels, some
+levels repeat the split of the level before, and the last levels have an
+empty tail. A change that moves any of these bytes must re-record the file
+and say why.
 """
 
 import json
@@ -41,8 +46,27 @@ def test_emitted_report(path, format, suffix, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, text", [("formula_valid", "[]([]p0 -> p0) -> []p0"), ("formula_invalid", "[]p0 -> p0")]
+    "name, text",
+    [
+        ("formula_valid", "[]([]p0 -> p0) -> []p0"),
+        ("formula_invalid", "[]p0 -> p0"),
+        ("formula_box_implication", "p0 -> []p0"),
+    ],
 )
 def test_bare_formula_stdout(name, text, capsys):
     assert main(["logic", text]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden(f"{name}.stdout.txt")
+
+
+SPREAD = GOLDEN_DIR / "spread_prediction.scenario.json"
+
+
+def test_spread_prediction_stdout(capsys):
+    assert main(["predict", str(SPREAD)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden("spread_prediction.stdout.txt")
+
+
+def test_spread_prediction_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["emit", str(SPREAD), "--format", "structured", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden("spread_prediction.json")

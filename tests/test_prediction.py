@@ -19,7 +19,6 @@ from tasklimits.prediction import (
     PredictiveDistribution,
     averaged_risk,
     bayes_risk,
-    decomposition_residual,
     full_mixture,
     predictive_utility,
     tail_mixture,
@@ -143,24 +142,66 @@ class TestMixtures:
                 assert np.abs(sums - 1.0).max() <= IDENTITY_TOL
 
 
+def oracle_residual(hclass, n, kernels):
+    """Max entrywise |full - z_n * truncated - tau_n * tail| from the public mixtures,
+    or None where the head or the tail is empty."""
+    split = truncate(hclass, n)
+    if split.z_n == 0.0 or split.tau_n == 0.0:
+        return None
+    q = full_mixture(hclass, kernels).table
+    q_head = truncated_mixture(hclass, n, kernels).table
+    q_tail = tail_mixture(hclass, n, kernels).table
+    return float(np.abs(q - split.z_n * q_head - split.tau_n * q_tail).max())
+
+
+def sweep_residuals(report):
+    return {r.level: r for r in report.records if r.name == "decomposition_residual"}
+
+
 class TestDecomposition:
+    """The sweep's decomposition records against the public mixtures as the oracle."""
+
     def test_two_bernoulli_residual_is_tiny(self):
         hclass, kernels = two_bernoulli_class()
-        check = decomposition_residual(hclass, 1, kernels)
-        assert check.residual is not None and check.residual <= IDENTITY_TOL
+        loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
+        report = verify_prediction_bounds(hclass, kernels, loss, ContextDistribution([1.0]), 3)
+        residuals = sweep_residuals(report)
+        assert set(residuals) == {1}
+        assert residuals[1].passed and residuals[1].lhs <= IDENTITY_TOL
+        assert residuals[1].lhs == oracle_residual(hclass, 1, kernels)
 
     def test_degenerate_levels_are_skipped_with_reason(self):
         hclass, kernels = two_bernoulli_class()
-        assert decomposition_residual(hclass, 0, kernels).skipped_reason == "empty truncation"
-        assert decomposition_residual(hclass, 2, kernels).skipped_reason == "empty tail"
+        loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
+        report = verify_prediction_bounds(hclass, kernels, loss, ContextDistribution([1.0]), 3)
+        assert report.decomposition_skipped == (
+            (0, "empty truncation"),
+            (2, "empty tail"),
+            (3, "empty tail"),
+        )
 
     def test_random_classes_decompose_exactly(self):
+        # Levels run past the longest code, where every tail is empty.
+        tails = 0
         for seed in range(40):
-            hclass, kernels, _, _ = random_prediction_scenario(seed)
-            for n in range(hclass.max_code_length + 1):
-                check = decomposition_residual(hclass, n, kernels)
-                if check.residual is not None:
-                    assert check.residual <= IDENTITY_TOL
+            hclass, kernels, loss, pi = random_prediction_scenario(seed)
+            n_max = hclass.max_code_length + 3
+            report = verify_prediction_bounds(hclass, kernels, loss, pi, n_max)
+            residuals = sweep_residuals(report)
+            skipped = dict(report.decomposition_skipped)
+            for n in range(n_max + 1):
+                expected = oracle_residual(hclass, n, kernels)
+                if expected is None:
+                    split = truncate(hclass, n)
+                    reason = "empty truncation" if split.z_n == 0.0 else "empty tail"
+                    assert n not in residuals and skipped[n] == reason
+                    continue
+                tails += 1
+                assert n not in skipped
+                assert residuals[n].lhs == expected
+                assert residuals[n].passed and expected <= IDENTITY_TOL
+            assert list(residuals) == sorted(residuals)
+        assert tails > 100
 
     def test_contraction_identity_links_the_three_mixtures(self):
         # full - truncated == tau * (tail - truncated), entrywise.
@@ -330,7 +371,7 @@ class TestVerifyPredictionBounds:
         assert report.all_passed
         assert report.skipped == ((0, "empty truncation: no hypothesis within the level"),)
         names = {r.name for r in report.records}
-        assert names == {"tv_vs_tail", "risk_vs_tail", "gain_vs_tails"}
+        assert names == {"tv_vs_tail", "risk_vs_tail", "gain_vs_tails", "decomposition_residual"}
 
     def test_randomized_suite_zero_violations(self):
         # Subset here; the acceptance suite runs the full 200 seeds.

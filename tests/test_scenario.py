@@ -141,6 +141,109 @@ class TestParseScenario:
             scenario_from_dict(data)
 
 
+def bernoulli_dict():
+    return json.loads((SCENARIO_DIR / "bernoulli_pair.json").read_text(encoding="utf-8"))
+
+
+def explicit_sets_dict():
+    data = minimal_trajectory_dict()
+    data["payload"]["rule"] = {"kind": "explicit_sets", "sets": [[0], [0, 1], [0, 1, 4]]}
+    return data
+
+
+def two_context(data):
+    """The bernoulli pair with a second context row in each kernel."""
+    for table in data["payload"]["kernels"].values():
+        table.append([0.5, 0.5])
+    data["payload"]["context_weights"] = [0.25, 0.75]
+    return data
+
+
+class TestLoadTimeChecks:
+    """Input that used to parse and then fail (or run wrong) is rejected at load time."""
+
+    def test_fractional_difficulties_rejected(self):
+        data = minimal_trajectory_dict()
+        data["payload"]["rule"]["difficulties"] = [1.9, 2.5, 1, 2, 3]
+        with pytest.raises(ScenarioError, match="'difficulties' must be a list of integers"):
+            scenario_from_dict(data)
+
+    def test_fractional_explicit_set_ids_rejected(self):
+        data = explicit_sets_dict()
+        data["payload"]["rule"]["sets"] = [[0.7], [0.7, 1.9], [0.7, 1.9, 4]]
+        with pytest.raises(ScenarioError, match="'sets' must be a list of integers"):
+            scenario_from_dict(data)
+
+    def test_explicit_sets_parse(self):
+        scenario = scenario_from_dict(explicit_sets_dict())
+        assert [sorted(s.members) for s in scenario.payload.rule.sets] == [[0], [0, 1], [0, 1, 4]]
+
+    def test_explicit_set_id_outside_the_task_weights(self):
+        data = explicit_sets_dict()
+        data["payload"]["rule"]["sets"][2].append(5)
+        with pytest.raises(ScenarioError, match="'sets' names task 5, 'task_weights' has 5"):
+            scenario_from_dict(data)
+
+    def test_fewer_explicit_sets_than_levels(self):
+        with pytest.raises(ScenarioError, match="'sets' supplies 3 sets, n_max is 4"):
+            scenario_from_dict(explicit_sets_dict(), n_max=4)
+
+    def test_difficulties_must_cover_the_weighted_tasks(self):
+        data = minimal_trajectory_dict()
+        data["payload"]["rule"]["difficulties"] = [1, 1, 2, 2]
+        with pytest.raises(ScenarioError, match="'difficulties' covers 4 tasks.*task 4"):
+            scenario_from_dict(data)
+
+    def test_difficulties_may_stop_short_of_unweighted_tasks(self):
+        data = minimal_trajectory_dict()
+        data["payload"]["task_weights"] = [0.25, 0.25, 0.25, 0.25, 0.0]
+        data["payload"]["rule"]["difficulties"] = [1, 1, 2, 2]
+        assert scenario_from_dict(data).payload.rule.difficulties == (1, 1, 2, 2)
+
+    def test_loss_width_against_kernel_outcomes(self):
+        data = bernoulli_dict()
+        data["payload"]["loss"] = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+        with pytest.raises(ScenarioError, match="'loss' has 3 outcomes, the kernels have 2"):
+            scenario_from_dict(data)
+
+    def test_context_count_against_kernel_rows(self):
+        data = two_context(bernoulli_dict())
+        assert scenario_from_dict(data).payload.contexts.n_contexts == 2
+        data["payload"]["context_weights"] = [1.0]
+        with pytest.raises(ScenarioError, match="'context_weights' has 1 contexts, the kernels 2"):
+            scenario_from_dict(data)
+
+    def test_unknown_kernel_reference(self):
+        data = bernoulli_dict()
+        data["payload"]["hypotheses"][1]["kernel"] = "missing"
+        with pytest.raises(ScenarioError, match="'kernel' of hypothesis 1: no kernel 'missing'"):
+            scenario_from_dict(data)
+
+    def test_unequal_kernel_shapes(self):
+        data = bernoulli_dict()
+        data["payload"]["kernels"]["mostly-zero"].append([0.5, 0.5])
+        with pytest.raises(ScenarioError, match="'kernels' mixes the shapes"):
+            scenario_from_dict(data)
+
+    def test_fractional_hypothesis_id_rejected(self):
+        data = bernoulli_dict()
+        data["payload"]["hypotheses"][0]["id"] = 0.5
+        with pytest.raises(ScenarioError, match="'id' must be an integer"):
+            scenario_from_dict(data)
+
+    def test_nan_context_weight_rejected(self):
+        data = two_context(bernoulli_dict())
+        data["payload"]["context_weights"] = [float("nan"), 1.0]
+        with pytest.raises(ScenarioError, match="context weights must be finite"):
+            scenario_from_dict(data)
+
+    def test_epsilon_with_infinite_reciprocal_rejected(self):
+        data = minimal_trajectory_dict()
+        data["epsilon"] = 5e-324
+        with pytest.raises(ScenarioError, match="'epsilon'"):
+            scenario_from_dict(data)
+
+
 class TestOverrides:
     def test_seed_override_reaches_coverage_rule(self, tmp_path):
         data = minimal_trajectory_dict()

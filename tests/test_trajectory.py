@@ -23,6 +23,11 @@ from support import random_trajectory_case, reference_chain
 IDENTITY_TOL = 1e-12
 
 
+def sequences(traj) -> tuple[list[float], list[float]]:
+    """Utilities and gains, each from its own route; no gains for one level."""
+    return utility_sequence(traj), marginal_gains(traj) if len(traj) >= 2 else []
+
+
 def geometric_measure(max_difficulty: int = 20) -> TaskMeasure:
     """Task d (0-based id d-1) carries mass 2^-d, renormalized over d = 1..max."""
     norm = 1.0 - 2.0 ** -max_difficulty
@@ -157,25 +162,30 @@ class TestTelescoping:
     def test_constant_trajectory_residual_zero(self):
         mu = TaskMeasure.uniform(2)
         s = TaskSet.of([0])
-        assert telescoping_residual(SystemTrajectory((s, s, s), mu)) == 0.0
+        assert telescoping_residual(*sequences(SystemTrajectory((s, s, s), mu))) == 0.0
 
     def test_random_coverage_seed_42_100_steps(self):
         mu = TaskMeasure.uniform(50)
         traj = build_trajectory(RandomCoverage(step_probability=0.05, seed=42), 100, mu)
-        assert telescoping_residual(traj) <= IDENTITY_TOL
+        assert telescoping_residual(*sequences(traj)) <= IDENTITY_TOL
 
     def test_random_trajectories_hold_identity(self):
         for seed in range(20):
             mu = TaskMeasure.uniform(25)
             traj = build_trajectory(RandomCoverage(step_probability=0.15, seed=seed), 30, mu)
-            assert telescoping_residual(traj) <= IDENTITY_TOL
+            assert telescoping_residual(*sequences(traj)) <= IDENTITY_TOL
+
+    @pytest.mark.parametrize("utilities, gains", [([0.5], []), ([0.2, 0.5], []), ([0.2], [0.3])])
+    def test_needs_two_levels_and_one_gain_fewer(self, utilities, gains):
+        with pytest.raises(ConfigurationError):
+            telescoping_residual(utilities, gains)
 
 
 class TestLimitDiagnostics:
     def test_constant_trajectory(self):
         mu = TaskMeasure.uniform(2)
         s = TaskSet.of([0])
-        diag = limit_diagnostics(SystemTrajectory((s, s, s), mu), 0.01)
+        diag = limit_diagnostics(*sequences(SystemTrajectory((s, s, s), mu)), 0.01)
         assert diag.first_n_with_gain_below_epsilon == 1
         assert diag.max_tail_gain == 0.0
         assert diag.u_last == 0.5
@@ -183,7 +193,7 @@ class TestLimitDiagnostics:
     def test_geometric_first_crossing_matches_analytic_index(self):
         mu = geometric_measure(20)
         traj = build_trajectory(DifficultyThreshold(tuple(range(1, 21))), 20, mu)
-        diag = limit_diagnostics(traj, 0.01)
+        diag = limit_diagnostics(*sequences(traj), 0.01)
         norm = 1.0 - 2.0 ** -20
         expected = next(n for n in range(1, 20) if 2.0 ** -(n + 1) / norm < 0.01)
         assert expected == 6
@@ -191,13 +201,21 @@ class TestLimitDiagnostics:
 
     def test_staircase_never_drops_below_point_one(self):
         traj = build_trajectory(DifficultyThreshold((1, 2, 3, 4, 5)), 5, TaskMeasure.uniform(5))
-        diag = limit_diagnostics(traj, 0.1)
+        diag = limit_diagnostics(*sequences(traj), 0.1)
         assert diag.first_n_with_gain_below_epsilon is None
+
+    def test_one_level_has_no_gains(self):
+        diag = limit_diagnostics([0.5], [], 0.1)
+        assert (diag.u_last, diag.first_n_with_gain_below_epsilon, diag.max_tail_gain) == (
+            0.5,
+            None,
+            0.0,
+        )
 
     def test_epsilon_must_be_positive(self):
         traj = build_trajectory(DifficultyThreshold((1, 1)), 2, TaskMeasure.uniform(2))
         with pytest.raises(ConfigurationError):
-            limit_diagnostics(traj, 0.0)
+            limit_diagnostics(*sequences(traj), 0.0)
 
 
 class TestDiminishingReturnsBound:
