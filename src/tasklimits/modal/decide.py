@@ -1,16 +1,35 @@
 """Validity decision over finite transitive irreflexive frames.
 
-The decision method is exhaustive semantic search: a formula with ``b``
-distinct boxed subformulas is valid over the frame class iff it holds in
-every model with at most ``b + 1`` worlds, so the search sweeps all frames
-up to that size (one representative per relabeling class) and, per frame,
-all valuations at once. Valuations are batched as bitmasks: the truth of a
+The decision method is exhaustive semantic search up to a world bound. For
+a formula with ``b`` distinct boxed subformulas the procedure's search
+bound is ``b + 1`` worlds: the formula is reported valid when it holds in
+every model with at most that many worlds. That bound is the procedure's,
+not a proven theorem; it held on every in-cap input tried, but nothing here
+proves that a countermodel, when one exists, fits in ``b + 1`` worlds.
+
+Within the bound the search is exact. It sweeps world counts upward, one
+representative frame per relabeling class, and per frame evaluates all
+valuations at once. Valuations are batched as bitmasks: the truth of a
 subformula at a world is one big integer whose bit ``v`` says whether the
 subformula holds at that world under valuation ``v``.
 
+Only rooted frames are evaluated, and only at their root. A world's truth
+depends only on the subframe it generates (the generated-subframe lemma,
+Boolos 1993). Once every smaller world count has held at every world under
+every valuation, a world of a ``k``-world frame that does not see every
+other world generates a subframe of fewer than ``k`` worlds, isomorphic to
+a frame already swept, so it cannot fail. Only a root, the one world that
+sees every other, can. The first failure found is therefore the frame,
+world and lowest valuation index that a sweep of every frame at every world
+would find first, and a level's ``frames_checked`` still counts every
+representative frame of its size: all are covered, the rooted ones are
+evaluated.
+
+Every resource limit is checked before the search starts.
+
 An invalid verdict carries a concrete countermodel, re-checkable with
 ``model_check``; a valid verdict carries the exhaustive search trace
-(frames and valuations swept per world count).
+(frames and valuations covered per world count).
 """
 
 from __future__ import annotations
@@ -78,12 +97,18 @@ class DecisionResult:
 
 @lru_cache(maxsize=None)
 def _representative_frames(world_count: int) -> tuple[tuple[int, ...], ...]:
-    """One frame per relabeling class; validity is invariant under relabeling."""
+    """The first frame of each relabeling class, in ``successor_mask_orders`` order.
+
+    Validity is invariant under relabeling. A frame is kept unless an
+    earlier kept frame relabels to it; keeping one marks its whole class.
+    """
     seen: set[tuple[int, ...]] = set()
     reps: list[tuple[int, ...]] = []
     perms = list(permutations(range(world_count)))
     for masks in successor_mask_orders(world_count):
-        canonical = masks
+        if masks in seen:
+            continue
+        reps.append(masks)
         for perm in perms:
             relabeled = [0] * world_count
             for w in range(world_count):
@@ -94,12 +119,7 @@ def _representative_frames(world_count: int) -> tuple[tuple[int, ...], ...]:
                     mask |= 1 << perm[low.bit_length() - 1]
                     succ ^= low
                 relabeled[perm[w]] = mask
-            candidate = tuple(relabeled)
-            if candidate < canonical:
-                canonical = candidate
-        if canonical not in seen:
-            seen.add(canonical)
-            reps.append(masks)
+            seen.add(tuple(relabeled))
     return tuple(reps)
 
 
@@ -125,12 +145,19 @@ def _postorder_ops(phi: ModalFormula) -> list[tuple]:
 
 
 def _atom_bit_mask(bit: int, total_bits: int) -> int:
-    """Bitmask over all valuation indices whose ``bit`` is set."""
+    """Bitmask over all valuation indices whose ``bit`` is set.
+
+    Built by doubling one period of the pattern; a single multiply by the
+    repunit would need a bigint division quadratic in its size.
+    """
     block = 1 << bit
     period = block << 1
-    repeats = (1 << total_bits) // period
-    segment = ((1 << block) - 1) << block
-    return segment * (((1 << (repeats * period)) - 1) // ((1 << period) - 1))
+    end = 1 << total_bits
+    mask = ((1 << block) - 1) << block
+    while period < end:
+        mask |= mask << period
+        period <<= 1
+    return mask
 
 
 def _evaluate_frame(
@@ -207,9 +234,12 @@ def _extract_countermodel(
 def gl_decide(phi: ModalFormula, max_nodes: int = DEFAULT_MAX_NODES) -> DecisionResult:
     """Decide validity of ``phi`` over finite transitive irreflexive frames.
 
-    Searches every frame with up to ``b + 1`` worlds (``b`` = distinct boxed
-    subformulas) and every valuation of the formula's atoms. Countermodels
-    therefore never exceed the formula's subformula count in worlds.
+    Covers every frame with up to ``b + 1`` worlds (``b`` = distinct boxed
+    subformulas, the search bound of the module docstring) and every
+    valuation of the formula's atoms, evaluating only rooted frames at
+    their root. Countermodels therefore never exceed the formula's
+    subformula count in worlds. Node, atom, world and valuation-bit limits
+    are all checked before any frame is evaluated.
     """
     size = count_nodes(phi)
     if size > max_nodes:
@@ -222,37 +252,42 @@ def gl_decide(phi: ModalFormula, max_nodes: int = DEFAULT_MAX_NODES) -> Decision
         raise ResourceLimitError(
             f"needs frames of up to {bound} worlds; enumeration is capped at {MAX_ENUM_WORLDS}"
         )
+    if len(atoms) * bound > MAX_VALUATION_BITS:
+        raise ResourceLimitError(
+            f"valuation space needs {len(atoms) * bound} bits per world set, "
+            f"limit is {MAX_VALUATION_BITS}"
+        )
 
     ops = _postorder_ops(phi)
-    root = len(ops) - 1
+    top = len(ops) - 1
     atom_position = {atom: i for i, atom in enumerate(atoms)}
     levels: list[SearchLevel] = []
 
     for world_count in range(1, bound + 1):
         total_bits = len(atoms) * world_count
-        if total_bits > MAX_VALUATION_BITS:
-            raise ResourceLimitError(
-                f"valuation space needs {total_bits} bits per world set, "
-                f"limit is {MAX_VALUATION_BITS}"
-            )
         full = (1 << (1 << total_bits)) - 1
+        everyone = (1 << world_count) - 1
         atom_masks = [
             [_atom_bit_mask(i * world_count + w, total_bits) for w in range(world_count)]
             for i in range(len(atoms))
         ]
         frames = _representative_frames(world_count)
         for succ_masks in frames:
+            root = next(
+                (w for w in range(world_count) if succ_masks[w] | (1 << w) == everyone), None
+            )
+            if root is None:
+                continue
             table = _evaluate_frame(ops, atom_position, succ_masks, world_count, atom_masks, full)
-            for w in range(world_count):
-                failing = full ^ table[root][w]
-                if failing:
-                    valuation_index = (failing & -failing).bit_length() - 1
-                    return DecisionResult(
-                        verdict="invalid",
-                        countermodel=_extract_countermodel(
-                            succ_masks, world_count, atoms, valuation_index, w
-                        ),
-                    )
+            failing = full ^ table[top][root]
+            if failing:
+                valuation_index = (failing & -failing).bit_length() - 1
+                return DecisionResult(
+                    verdict="invalid",
+                    countermodel=_extract_countermodel(
+                        succ_masks, world_count, atoms, valuation_index, root
+                    ),
+                )
         levels.append(
             SearchLevel(
                 world_count=world_count,

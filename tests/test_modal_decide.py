@@ -1,15 +1,19 @@
-"""Validity decisions: named axioms, witnesses, closure rules, and the
-independent frame-enumeration oracle."""
+"""Validity decisions: named axioms, witnesses, closure rules, the
+independent frame-enumeration oracle, and the search's work and order."""
 
 import random
+from itertools import permutations
 
 import pytest
 
+import tasklimits.modal.decide as decide_module
 from tasklimits.errors import ResourceLimitError
 from tasklimits.modal import (
     And,
     Atom,
     Box,
+    KripkeModel,
+    atom_indices,
     box_subformulas,
     gl_decide,
     model_check,
@@ -17,6 +21,7 @@ from tasklimits.modal import (
     print_formula,
     subformulas,
 )
+from tasklimits.modal.kripke import successor_mask_orders
 from support import frame_validity_oracle, random_formula
 
 
@@ -179,3 +184,147 @@ class TestClosureRules:
                 assert gl_decide(phi).is_valid
                 fired += 1
         assert fired > 3
+
+
+# Four distinct boxes ([]([]p0 -> p0), []p0, []p1, [][]p1), so a five-world sweep.
+FOUR_BOX_VALID = "([]([]p0 -> p0) -> []p0) & ([]p1 -> [][]p1)"
+
+
+@pytest.fixture
+def evaluated_frames(monkeypatch):
+    """Successor masks of every frame ``gl_decide`` evaluates, in order."""
+    frames = []
+    original = decide_module._evaluate_frame
+
+    def counting(ops, atom_position, succ_masks, *rest):
+        frames.append(succ_masks)
+        return original(ops, atom_position, succ_masks, *rest)
+
+    monkeypatch.setattr(decide_module, "_evaluate_frame", counting)
+    return frames
+
+
+class TestSearchWork:
+    def test_valid_four_box_formula_evaluates_only_rooted_frames(self, evaluated_frames):
+        result = decide(FOUR_BOX_VALID)
+        assert result.is_valid
+        assert len(evaluated_frames) == 1 + 1 + 2 + 5 + 16
+        for masks in evaluated_frames:
+            everyone = (1 << len(masks)) - 1
+            assert any(succ | 1 << w == everyone for w, succ in enumerate(masks))
+
+    def test_trace_still_counts_every_frame_covered(self, evaluated_frames):
+        result = decide(FOUR_BOX_VALID)
+        levels = result.trace.levels
+        assert result.trace.world_bound == 5
+        assert [lvl.world_count for lvl in levels] == [1, 2, 3, 4, 5]
+        assert [lvl.frames_checked for lvl in levels] == [1, 2, 5, 16, 63]
+        assert [lvl.valuations_per_frame for lvl in levels] == [2 ** (2 * k) for k in range(1, 6)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # valid, so no smaller world count stops the search early
+            FOUR_BOX_VALID + " & (p2 | p3 | p4 | ~p2)",
+            # refuted by one world, yet refused before any frame is evaluated
+            FOUR_BOX_VALID + " & (p2 | p3 | p4)",
+        ],
+    )
+    def test_valuation_limit_refuses_before_any_evaluation(self, evaluated_frames, text):
+        with pytest.raises(
+            ResourceLimitError, match="valuation space needs 25 bits per world set, limit is 24"
+        ):
+            decide(text)
+        assert evaluated_frames == []
+
+    def test_valuation_limit_names_the_full_bound(self, evaluated_frames):
+        with pytest.raises(ResourceLimitError, match="needs 35 bits"):
+            decide(FOUR_BOX_VALID + " & (p2 | p3 | p4 | p5 | p6)")
+        assert evaluated_frames == []
+
+
+def _relabel(masks, perm):
+    relabeled = [0] * len(masks)
+    for w, succ in enumerate(masks):
+        relabeled[perm[w]] = sum(1 << perm[v] for v in range(len(masks)) if succ >> v & 1)
+    return tuple(relabeled)
+
+
+class TestSearchHelpers:
+    @pytest.mark.parametrize("world_count", [1, 2, 3, 4])
+    def test_representatives_are_first_of_each_relabeling_class(self, world_count):
+        perms = list(permutations(range(world_count)))
+        seen_classes = set()
+        expected = []
+        for masks in successor_mask_orders(world_count):
+            canonical = min(_relabel(masks, perm) for perm in perms)
+            if canonical not in seen_classes:
+                seen_classes.add(canonical)
+                expected.append(masks)
+        assert decide_module._representative_frames(world_count) == tuple(expected)
+
+    def test_representative_counts(self):
+        # Unlabeled strict partial orders on 1..5 points (OEIS A000112).
+        counts = [len(decide_module._representative_frames(k)) for k in range(1, 6)]
+        assert counts == [1, 2, 5, 16, 63]
+
+    @pytest.mark.parametrize("total_bits", range(1, 11))
+    def test_atom_bit_mask_selects_valuations_with_the_bit(self, total_bits):
+        for bit in range(total_bits):
+            expected = sum(1 << v for v in range(1 << total_bits) if v >> bit & 1)
+            assert decide_module._atom_bit_mask(bit, total_bits) == expected
+
+
+def _first_refutation(phi):
+    """(model, world) of the first failure in search order, by ``model_check``.
+
+    World counts ascend, then representative frames in order, then worlds,
+    then valuation indices; bit ``i * k + w`` of a valuation index makes the
+    ``i``-th atom true at world ``w`` of a ``k``-world frame.
+    """
+    atoms = atom_indices(phi)
+    for k in range(1, len(box_subformulas(phi)) + 2):
+        for masks in decide_module._representative_frames(k):
+            relation = {(w, v) for w in range(k) for v in range(k) if masks[w] >> v & 1}
+            models = [
+                KripkeModel.build(
+                    range(k),
+                    relation,
+                    {
+                        w: {a for i, a in enumerate(atoms) if index >> (i * k + w) & 1}
+                        for w in range(k)
+                    },
+                )
+                for index in range(1 << (len(atoms) * k))
+            ]
+            for w in range(k):
+                for model in models:
+                    if not model_check(phi, model, w):
+                        return model, w
+    return None
+
+
+class TestCountermodelOrder:
+    def test_countermodel_is_first_refutation_in_search_order(self):
+        rng = random.Random(9090)
+        compared = deeper = 0
+        while compared < 300:
+            phi = random_formula(rng, max_distinct_boxes=2)
+            result = gl_decide(phi)
+            if result.is_valid:
+                continue
+            model, world = _first_refutation(phi)
+            assert result.countermodel.model == model, print_formula(phi)
+            assert result.countermodel.world == world, print_formula(phi)
+            compared += 1
+            deeper += len(model.worlds) > 1
+        assert deeper > 30
+
+    def test_first_of_several_refuting_frames(self):
+        # Both rooted three-world frames (fork and chain) refute it, and no
+        # smaller frame does, so it pins the order among frames of one size.
+        phi = parse_formula("[]p0 | []~p0")
+        model, world = _first_refutation(phi)
+        assert len(model.worlds) == 3
+        result = gl_decide(phi)
+        assert (result.countermodel.model, result.countermodel.world) == (model, world)
