@@ -18,7 +18,6 @@ CSV-emitting experiments.
 from .taskspace import TaskId, TaskMeasure, TaskSet, measure_of, novelty, sample_task
 from .trajectory import (
     DifficultyThreshold,
-    ExplicitSets,
     LimitDiagnostics,
     RandomCoverage,
     SolverRule,

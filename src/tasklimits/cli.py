@@ -16,6 +16,7 @@ Exit code 0 iff every check in every scenario passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -157,7 +158,9 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tasklimits`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="tasklimits", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

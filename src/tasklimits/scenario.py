@@ -14,6 +14,10 @@ meet at run time (loss width and context count against the kernels, kernel
 references, task ids and difficulties against the task weights, the number
 of explicit sets against ``n_max``) are cross-checked here too, so a
 scenario that parses is a scenario that runs.
+
+An ``explicit_sets`` chain is converted once, to the level at which each
+task is first solved, and kept as a :class:`DifficultyThreshold`; a task no
+set names gets difficulty ``len(sets) + 1``, past every level that runs.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .errors import (
 from .modal import ModalFormula, parse_formula
 from .prediction import ConditionalKernel, ContextDistribution, LossTable
 from .prior import HypothesisClass, HypothesisDescriptor
-from .taskspace import TaskMeasure, TaskSet
-from .trajectory import DifficultyThreshold, ExplicitSets, RandomCoverage, SolverRule
+from .taskspace import TaskMeasure
+from .trajectory import DifficultyThreshold, RandomCoverage, SolverRule, _first_solved_levels
 
 KINDS = ("trajectory", "prediction", "logic")
 
@@ -88,28 +92,47 @@ def _require_int(data: dict, field: str, source: str, minimum: int | None = None
     return value
 
 
-def _int_list(value: Any, field: str, source: str) -> list[int]:
+#: The item types a list field may hold, by the noun its error message uses.
+_ITEM_TYPES = {"integers": {int}, "numbers": {int, float}}
+
+
+def _list_of(noun: str, value: Any, field: str, source: str) -> list:
     # Types, not ``isinstance``: a bool is an int too. It also keeps long id lists cheap.
-    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
-        raise ScenarioError(f"{source}: field {field!r} must be a list of integers")
+    if not isinstance(value, list) or not set(map(type, value)) <= _ITEM_TYPES[noun]:
+        raise ScenarioError(f"{source}: field {field!r} must be a list of {noun}")
     return value
 
 
-def _build_rule(rule_data: Any, seed: int, source: str) -> SolverRule:
+def _explicit_chain(sets: Any, n_max: int, size: int, source: str) -> DifficultyThreshold:
+    """The first-solved level of each task of an ``explicit_sets`` chain, as difficulties."""
+    if not isinstance(sets, list):
+        raise ScenarioError(f"{source}: field 'sets' must be a list of task-id lists")
+    if len(sets) < n_max:
+        raise ConfigurationError(f"field 'sets' supplies {len(sets)} sets, n_max is {n_max}")
+    first = _first_solved_levels(frozenset(_list_of("integers", s, "sets", source)) for s in sets)
+    if min(first, default=0) < 0:
+        raise ConfigurationError(f"field 'sets' names task {min(first)}, a negative id")
+    if max(first, default=-1) >= size:
+        raise ShapeError(f"field 'sets' names task {max(first)}, 'task_weights' has {size}")
+    never = len(sets) + 1
+    return DifficultyThreshold(tuple(first.get(t, never) for t in range(size)))
+
+
+def _build_rule(rule_data: Any, seed: int, n_max: int, size: int, source: str) -> SolverRule:
     if not isinstance(rule_data, dict):
         raise ScenarioError(f"{source}: 'rule' must be an object")
     kind = _require(rule_data, "kind", source)
     if kind == "difficulty_threshold":
         difficulties = _require(rule_data, "difficulties", source)
-        return DifficultyThreshold(tuple(_int_list(difficulties, "difficulties", source)))
+        difficulties = _list_of("integers", difficulties, "difficulties", source)
+        return DifficultyThreshold(tuple(difficulties))
     if kind == "random_coverage":
         probability = _require(rule_data, "step_probability", source)
-        return RandomCoverage(step_probability=float(probability), seed=seed)
+        if type(probability) not in (int, float):
+            raise ScenarioError(f"{source}: field 'step_probability' must be a number")
+        return RandomCoverage(step_probability=probability, seed=seed)
     if kind == "explicit_sets":
-        sets = _require(rule_data, "sets", source)
-        if not isinstance(sets, list):
-            raise ScenarioError(f"{source}: field 'sets' must be a list of task-id lists")
-        return ExplicitSets(tuple(TaskSet.of(_int_list(s, "sets", source)) for s in sets))
+        return _explicit_chain(_require(rule_data, "sets", source), n_max, size, source)
     raise ScenarioError(f"{source}: unknown rule kind {kind!r}")
 
 
@@ -117,8 +140,8 @@ def _build_trajectory_payload(
     payload: dict, seed: int, n_max: int, source: str
 ) -> TrajectoryPayload:
     weights = _require(payload, "task_weights", source)
-    mu = TaskMeasure(tuple(weights))
-    rule = _build_rule(_require(payload, "rule", source), seed, source)
+    mu = TaskMeasure(tuple(_list_of("numbers", weights, "task_weights", source)))
+    rule = _build_rule(_require(payload, "rule", source), seed, n_max, mu.size, source)
     # Errors without a source are prefixed with it by ``scenario_from_dict``.
     last_weighted = max(mu.support)
     if isinstance(rule, DifficultyThreshold) and last_weighted >= len(rule.difficulties):
@@ -126,15 +149,6 @@ def _build_trajectory_payload(
             f"field 'difficulties' covers {len(rule.difficulties)} tasks, but "
             f"'task_weights' gives task {last_weighted} positive weight"
         )
-    if isinstance(rule, ExplicitSets):
-        if len(rule.sets) < n_max:
-            raise ConfigurationError(
-                f"field 'sets' supplies {len(rule.sets)} sets, n_max is {n_max}"
-            )
-        # The chain is nested, so its last set holds every task it names.
-        largest = max(rule.sets[-1].members, default=-1)
-        if largest >= mu.size:
-            raise ShapeError(f"field 'sets' names task {largest}, 'task_weights' has {mu.size}")
     return TrajectoryPayload(mu=mu, rule=rule)
 
 

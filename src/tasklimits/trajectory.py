@@ -5,9 +5,11 @@ each task is first solved: ``first_level[t]`` is in 1..N, or 0 if task t is
 never solved. Level n solves the tasks with ``0 < first_level[t] <= n``, so
 the solved sets are nested by construction. Utilities are the measure masses
 of those sets; marginal gains are the masses of the tasks first solved at
-each level. A chain given as explicit sets goes through one conversion to
-first levels; that conversion is the only nestedness check, and it rejects a
-chain if any level drops a task.
+each level. A chain given as explicit sets (``SystemTrajectory(sets, mu)``,
+or an ``explicit_sets`` rule, which the scenario loader turns into a
+:class:`DifficultyThreshold`) goes through one conversion to first levels,
+``_first_solved_levels``; that conversion is the only nestedness check, and
+it rejects a chain if any level drops a task.
 """
 
 from __future__ import annotations
@@ -15,27 +17,27 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import AbstractSet, Iterable, Sequence, Union
 
 from .errors import ConfigurationError, NestednessError, ValidationError
 from .taskspace import TaskId, TaskMeasure, TaskSet
 
 
-def _first_solved_levels(sets: Sequence[TaskSet]) -> dict[TaskId, int]:
+def _first_solved_levels(sets: Iterable[AbstractSet[TaskId]]) -> dict[TaskId, int]:
     """The level (1-based) at which each task of a chain of sets is first solved.
 
     Raises :class:`NestednessError` at the first level that drops a task.
     """
     first: dict[TaskId, int] = {}
-    for n, solved in enumerate(sets, 1):
-        for t in solved.members:
-            first.setdefault(t, n)
-        # Every task seen so far is in ``first``; the level keeps them all iff it is as large.
-        if len(first) != len(solved):
-            dropped = sorted(t for t in first if t not in solved.members)
+    solved: AbstractSet[TaskId] = frozenset()
+    for n, level in enumerate(sets, 1):
+        if not solved <= level:
             raise NestednessError(
-                f"solved set at level {n} drops previously solved tasks {dropped}"
+                f"solved set at level {n} drops previously solved tasks {sorted(solved - level)}"
             )
+        for t in level - solved:
+            first[t] = n
+        solved = level
     return first
 
 
@@ -75,21 +77,7 @@ class RandomCoverage:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
-class ExplicitSets:
-    """A hand-supplied chain of solved-task sets, validated for nestedness."""
-
-    sets: tuple[TaskSet, ...]
-
-    def __post_init__(self) -> None:
-        sets = tuple(self.sets)
-        if not sets:
-            raise ConfigurationError("explicit chain needs at least one set")
-        _first_solved_levels(sets)
-        object.__setattr__(self, "sets", sets)
-
-
-SolverRule = Union[DifficultyThreshold, RandomCoverage, ExplicitSets]
+SolverRule = Union[DifficultyThreshold, RandomCoverage]
 
 
 @dataclass(frozen=True, init=False)
@@ -108,7 +96,7 @@ class SystemTrajectory:
     def __init__(self, solved_sets: Sequence[TaskSet], mu: TaskMeasure) -> None:
         if not solved_sets:
             raise ValidationError("trajectory needs at least one level")
-        first = _first_solved_levels(solved_sets)
+        first = _first_solved_levels(s.members for s in solved_sets)
         for t in first:
             if t >= mu.size:
                 raise ValidationError(f"task {t} outside the measure's space of size {mu.size}")
@@ -174,12 +162,6 @@ def build_trajectory(rule: SolverRule, n_max: int, mu: TaskMeasure) -> SystemTra
                     still.append(t)
             unsolved = still
         first_level = tuple(levels)
-    elif isinstance(rule, ExplicitSets):
-        if len(rule.sets) < n_max:
-            raise ConfigurationError(
-                f"explicit chain supplies {len(rule.sets)} sets but n_max is {n_max}"
-            )
-        return SystemTrajectory(rule.sets[:n_max], mu)
     else:
         raise ConfigurationError(f"unknown solver rule {type(rule).__name__}")
 

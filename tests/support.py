@@ -7,7 +7,8 @@ with numpy boolean arrays over the full labeled frame enumeration, while
 the decision procedure uses bigint masks over canonical representatives;
 the Bayes-risk oracle is a plain double loop; the reference trajectory
 chain builds every level as a whole set, where the library stores the level
-at which each task is first solved.
+at which each task is first solved, and for an explicit chain it is the very
+sets the case generated, not anything read back from the loaded rule.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from tasklimits.modal import (
 )
 from tasklimits.prediction import ConditionalKernel, ContextDistribution, LossTable
 from tasklimits.prior import HypothesisClass, HypothesisDescriptor
+from tasklimits.scenario import scenario_from_dict
 from tasklimits.taskspace import TaskMeasure, TaskSet
-from tasklimits.trajectory import DifficultyThreshold, ExplicitSets, RandomCoverage, SolverRule
+from tasklimits.trajectory import DifficultyThreshold, RandomCoverage, SolverRule
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -187,28 +189,54 @@ def frame_validity_oracle(phi: ModalFormula, world_bound: int) -> bool:
     return True
 
 
-def reference_chain(rule: SolverRule, n_max: int, mu: TaskMeasure) -> tuple[TaskSet, ...]:
-    """The solved set of every level 1..n_max under ``rule``, each built whole."""
+def explicit_chain_dict(sets, n_max: int, mu: TaskMeasure) -> dict:
+    """A trajectory scenario whose rule is the explicit chain ``sets`` over ``mu``."""
+    return {
+        "name": "explicit",
+        "kind": "trajectory",
+        "seed": 0,
+        "n_max": n_max,
+        "epsilon": 0.1,
+        "payload": {
+            "task_weights": list(mu.weights),
+            "rule": {"kind": "explicit_sets", "sets": [sorted(s) for s in sets]},
+        },
+    }
+
+
+def reference_chain(
+    rule: SolverRule, n_max: int, mu: TaskMeasure, sets=None
+) -> tuple[TaskSet, ...]:
+    """The solved set of every level 1..n_max under ``rule``, each built whole.
+
+    For a rule loaded from an explicit chain, pass the chain as ``sets``.
+    """
+    if sets is not None:
+        return tuple(TaskSet.of(s) for s in sets[:n_max])
     if isinstance(rule, DifficultyThreshold):
         return tuple(
             TaskSet.of(t for t, d in enumerate(rule.difficulties) if d <= n and t < mu.size)
             for n in range(1, n_max + 1)
         )
-    if isinstance(rule, RandomCoverage):
-        rng = random.Random(rule.seed)
-        solved: set[int] = set()
-        chain = []
-        for _ in range(n_max):
-            for t in range(mu.size):
-                if t not in solved and rng.random() < rule.step_probability:
-                    solved.add(t)
-            chain.append(TaskSet.of(solved))
-        return tuple(chain)
-    return tuple(rule.sets[:n_max])
+    rng = random.Random(rule.seed)
+    solved: set[int] = set()
+    chain = []
+    for _ in range(n_max):
+        for t in range(mu.size):
+            if t not in solved and rng.random() < rule.step_probability:
+                solved.add(t)
+        chain.append(TaskSet.of(solved))
+    return tuple(chain)
 
 
-def random_trajectory_case(seed: int) -> tuple[SolverRule, int, TaskMeasure]:
-    """A rule, n_max and measure of up to 40 tasks, some with zero weight."""
+def random_trajectory_case(
+    seed: int,
+) -> tuple[SolverRule, int, TaskMeasure, list[frozenset[int]] | None]:
+    """A rule, n_max, measure of up to 40 tasks (some with zero weight) and chain.
+
+    The chain is the list of sets an ``explicit_sets`` rule was loaded from, or
+    ``None`` for the other rules.
+    """
     rng = random.Random(seed)
     size = rng.randint(1, 40)
     n_max = rng.randint(1, 30)
@@ -223,14 +251,14 @@ def random_trajectory_case(seed: int) -> tuple[SolverRule, int, TaskMeasure]:
         rule: SolverRule = DifficultyThreshold(
             tuple(rng.randint(1, n_max + 5) for _ in range(declared))
         )
-    elif kind == 1:
+        return rule, n_max, mu, None
+    if kind == 1:
         probability = rng.choice([0.0, 1.0, rng.random() * 0.4])
-        rule = RandomCoverage(step_probability=probability, seed=seed)
-    else:
-        solved: set[int] = set()
-        sets = []
-        for _ in range(n_max + rng.randint(0, 3)):
-            solved |= {t for t in range(size) if rng.random() < 0.1}
-            sets.append(TaskSet.of(solved))
-        rule = ExplicitSets(tuple(sets))
-    return rule, n_max, mu
+        return RandomCoverage(step_probability=probability, seed=seed), n_max, mu, None
+    solved: frozenset[int] = frozenset()
+    sets = []
+    for _ in range(n_max + rng.randint(0, 3)):
+        solved |= {t for t in range(size) if rng.random() < 0.1}
+        sets.append(solved)
+    rule = scenario_from_dict(explicit_chain_dict(sets, n_max, mu)).payload.rule
+    return rule, n_max, mu, sets

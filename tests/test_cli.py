@@ -1,11 +1,12 @@
 """CLI subcommands, exit codes, and flag handling."""
 
+import argparse
 import json
 import shutil
 
 import pytest
 
-from tasklimits.cli import main
+from tasklimits.cli import build_parser, main
 from support import SCENARIO_DIR
 
 
@@ -44,6 +45,23 @@ class TestRunCommands:
         code = main(["predict", str(SCENARIO_DIR / "bernoulli_pair.json"), "--tolerance", "-1"])
         assert code == 1
         assert "result: FAIL" in capsys.readouterr().out
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        assert main(["logic", "p0 -> p0"]) == 0
+        once = len(built)
+        assert main(["simulate", str(SCENARIO_DIR / "uniform_threshold.json")]) == 0
+        assert once == 6 and len(built) == once
 
 
 class TestUnusableInput:

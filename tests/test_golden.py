@@ -7,8 +7,11 @@ stdout and structured report of ``spread_prediction.scenario.json``: ten
 hypotheses with code lengths from 1 to 12 bits, several of them sharing a
 length, swept to level 14, so that the tail is non-empty at many levels, some
 levels repeat the split of the level before, and the last levels have an
-empty tail. A change that moves any of these bytes must re-record the file
-and say why.
+empty tail. It also holds the ``simulate`` stdout and both emitted reports of
+``explicit_chain.scenario.json``, an ``explicit_sets`` chain with a zero-weight
+task, a task no set names, a level that repeats the set before it and more
+sets than ``n_max``. A change that moves any of these bytes must re-record the
+file and say why.
 """
 
 import json
@@ -70,3 +73,18 @@ def test_spread_prediction_report(tmp_path):
     out = tmp_path / "report.json"
     assert main(["emit", str(SPREAD), "--format", "structured", "--out", str(out)]) == 0
     assert out.read_bytes() == golden("spread_prediction.json")
+
+
+CHAIN = GOLDEN_DIR / "explicit_chain.scenario.json"
+
+
+def test_explicit_chain_stdout(capsys):
+    assert main(["simulate", str(CHAIN)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden("explicit_chain.stdout.txt")
+
+
+@pytest.mark.parametrize("format, suffix", [("csv", "csv"), ("structured", "json")])
+def test_explicit_chain_report(format, suffix, tmp_path):
+    out = tmp_path / f"report.{suffix}"
+    assert main(["emit", str(CHAIN), "--format", format, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden(f"explicit_chain.{suffix}")

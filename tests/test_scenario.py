@@ -12,8 +12,11 @@ from tasklimits.scenario import (
     parse_scenario,
     scenario_from_dict,
 )
+from tasklimits import trajectory
+from tasklimits.cli import main
 from tasklimits.errors import ScenarioError
-from tasklimits.trajectory import RandomCoverage
+from tasklimits.taskspace import TaskSet
+from tasklimits.trajectory import DifficultyThreshold, RandomCoverage
 from support import SCENARIO_DIR
 
 
@@ -175,8 +178,45 @@ class TestLoadTimeChecks:
             scenario_from_dict(data)
 
     def test_explicit_sets_parse(self):
+        # Tasks 2 and 3 are never solved: one level past the last set.
         scenario = scenario_from_dict(explicit_sets_dict())
-        assert [sorted(s.members) for s in scenario.payload.rule.sets] == [[0], [0, 1], [0, 1, 4]]
+        assert scenario.payload.rule == DifficultyThreshold((1, 2, 4, 4, 3))
+
+    def test_negative_explicit_set_id(self):
+        data = explicit_sets_dict()
+        data["payload"]["rule"]["sets"] = [[-1], [-1, 0], [-1, 0, 1]]
+        with pytest.raises(ScenarioError, match="'sets' names task -1, a negative id"):
+            scenario_from_dict(data)
+
+    def test_empty_explicit_chain(self):
+        data = explicit_sets_dict()
+        data["payload"]["rule"]["sets"] = []
+        with pytest.raises(ScenarioError, match="'sets' supplies 0 sets, n_max is 3"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "weights", [[0.5, "0.5"], [0.5, 0.5, True], [True], "a", {"0": 1.0}, 1.0]
+    )
+    def test_task_weights_must_be_a_list_of_numbers(self, weights):
+        data = minimal_trajectory_dict()
+        data["payload"]["task_weights"] = weights
+        with pytest.raises(ScenarioError, match="'task_weights' must be a list of numbers"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("probability", ["0.3", True, None, [0.3]])
+    def test_step_probability_must_be_a_number(self, probability):
+        data = minimal_trajectory_dict()
+        data["payload"]["rule"] = {"kind": "random_coverage", "step_probability": probability}
+        with pytest.raises(ScenarioError, match="'step_probability' must be a number"):
+            scenario_from_dict(data)
+
+    def test_integer_weights_and_probability_load(self):
+        data = minimal_trajectory_dict()
+        data["payload"]["task_weights"] = [0, 1, 0.0, 0, 0]
+        data["payload"]["rule"] = {"kind": "random_coverage", "step_probability": 1}
+        payload = scenario_from_dict(data).payload
+        assert payload.mu.weights == (0.0, 1.0, 0.0, 0.0, 0.0)
+        assert payload.rule.step_probability == 1.0
 
     def test_explicit_set_id_outside_the_task_weights(self):
         data = explicit_sets_dict()
@@ -242,6 +282,26 @@ class TestLoadTimeChecks:
         data["epsilon"] = 5e-324
         with pytest.raises(ScenarioError, match="'epsilon'"):
             scenario_from_dict(data)
+
+
+class TestExplicitChainConversion:
+    def test_one_conversion_and_no_task_sets_per_load_and_run(self, tmp_path, monkeypatch):
+        conversions = []
+        task_sets = []
+
+        def counting(sets):
+            sets = list(sets)
+            conversions.append(len(sets))
+            return convert(sets)
+
+        convert = trajectory._first_solved_levels
+        for module in ("tasklimits.trajectory", "tasklimits.scenario"):
+            monkeypatch.setattr(f"{module}._first_solved_levels", counting, raising=False)
+        monkeypatch.setattr(TaskSet, "__post_init__", lambda self: task_sets.append(self))
+        path = write_scenario(tmp_path, explicit_sets_dict())
+        assert main(["simulate", str(path)]) == 0
+        assert conversions == [3]
+        assert task_sets == []
 
 
 class TestOverrides:

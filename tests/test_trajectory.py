@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from tasklimits.errors import ConfigurationError, NestednessError
+from tasklimits.errors import ConfigurationError, NestednessError, ScenarioError
+from tasklimits.scenario import scenario_from_dict
 from tasklimits.taskspace import TaskMeasure, TaskSet, measure_of, novelty
 from tasklimits.trajectory import (
     DifficultyThreshold,
-    ExplicitSets,
     RandomCoverage,
     SystemTrajectory,
     build_trajectory,
@@ -18,7 +18,7 @@ from tasklimits.trajectory import (
     telescoping_residual,
     utility_sequence,
 )
-from support import random_trajectory_case, reference_chain
+from support import explicit_chain_dict, random_trajectory_case, reference_chain
 
 IDENTITY_TOL = 1e-12
 
@@ -47,8 +47,9 @@ class TestBuildTrajectory:
         assert traj.solved_sets == tuple(TaskSet.of(range(n)) for n in range(1, 6))
 
     def test_explicit_nestedness_violation_rejected_at_construction(self):
-        with pytest.raises(NestednessError):
-            ExplicitSets((TaskSet.of([0]), TaskSet.of([0, 1]), TaskSet.of([0])))
+        data = explicit_chain_dict([{0}, {0, 1}, {0}], 3, TaskMeasure.uniform(2))
+        with pytest.raises(ScenarioError, match=r"level 3 drops previously solved tasks \[1\]"):
+            scenario_from_dict(data)
 
     def test_missing_difficulty_for_supported_task(self):
         mu = TaskMeasure.uniform(5)
@@ -56,9 +57,21 @@ class TestBuildTrajectory:
             build_trajectory(DifficultyThreshold((1, 2, 3)), 3, mu)
 
     def test_short_explicit_chain_rejected(self):
-        rule = ExplicitSets((TaskSet.of([0]),))
-        with pytest.raises(ConfigurationError):
-            build_trajectory(rule, 2, TaskMeasure.uniform(2))
+        data = explicit_chain_dict([{0}], 2, TaskMeasure.uniform(2))
+        with pytest.raises(ScenarioError, match="'sets' supplies 1 sets, n_max is 2"):
+            scenario_from_dict(data)
+
+    def test_explicit_chain_loads_as_first_solved_levels(self):
+        # Task 1 has no weight and is solved at level 3; task 3 is never solved.
+        mu = TaskMeasure((0.5, 0.0, 0.25, 0.25))
+        data = explicit_chain_dict([{0}, {0, 2}, {0, 1, 2}, {0, 1, 2}], 3, mu)
+        rule = scenario_from_dict(data).payload.rule
+        assert rule == DifficultyThreshold((1, 3, 2, 5))
+        traj = build_trajectory(rule, 3, mu)
+        assert traj.first_level == (1, 3, 2, 0)
+        assert traj == SystemTrajectory(
+            (TaskSet.of([0]), TaskSet.of([0, 2]), TaskSet.of([0, 1, 2])), mu
+        )
 
     def test_random_coverage_is_deterministic_and_nested(self):
         mu = TaskMeasure.uniform(30)
@@ -80,8 +93,8 @@ class TestAgainstReferenceChain:
 
     def test_sets_utilities_and_gains_match_the_reference(self):
         for seed in range(150):
-            rule, n_max, mu = random_trajectory_case(seed)
-            chain = reference_chain(rule, n_max, mu)
+            rule, n_max, mu, sets = random_trajectory_case(seed)
+            chain = reference_chain(rule, n_max, mu, sets)
             traj = build_trajectory(rule, n_max, mu)
             assert traj.solved_sets == chain
             assert utility_sequence(traj) == [measure_of(s, mu) for s in chain]
@@ -95,8 +108,8 @@ class TestAgainstReferenceChain:
         rng = random.Random(7)
         drops = 0
         for seed in range(150):
-            rule, n_max, mu = random_trajectory_case(seed)
-            chain = reference_chain(rule, n_max, mu)
+            rule, n_max, mu, sets = random_trajectory_case(seed)
+            chain = reference_chain(rule, n_max, mu, sets)
             for level in range(2, len(chain) + 1):
                 earlier = sorted(chain[level - 2].members)
                 if not earlier:
@@ -107,8 +120,8 @@ class TestAgainstReferenceChain:
                 message = f"level {level} drops previously solved tasks \\[{dropped}\\]"
                 with pytest.raises(NestednessError, match=message):
                     SystemTrajectory(tuple(broken), mu)
-                with pytest.raises(NestednessError, match=message):
-                    ExplicitSets(tuple(broken))
+                with pytest.raises(ScenarioError, match=message):
+                    scenario_from_dict(explicit_chain_dict(broken, n_max, mu))
                 drops += 1
         assert drops > 1000
 
