@@ -15,7 +15,7 @@ A scenario-driven CLI (``tasklimits``) ties the pieces into reproducible,
 CSV-emitting experiments.
 """
 
-from .taskspace import TaskId, TaskMeasure, TaskSet, measure_of, novelty, sample_task
+from .taskspace import TaskId, TaskMeasure, TaskSet, measure_of, novelty
 from .trajectory import (
     DifficultyThreshold,
     LimitDiagnostics,
@@ -32,8 +32,7 @@ from .prior import (
     HypothesisClass,
     HypothesisDescriptor,
     TruncatedPrior,
-    normalize_prior,
-    tail_mass_sequence,
+    prior_weights,
     truncate,
 )
 from .prediction import (
@@ -47,7 +46,6 @@ from .prediction import (
     averaged_risk,
     bayes_risk,
     full_mixture,
-    predictive_utility,
     tail_mixture,
     truncated_mixture,
     tv_dual,

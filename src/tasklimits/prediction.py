@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .prior import HypothesisClass, TruncatedPrior, normalize_prior, truncate
+from .prior import MAX_CODE_LENGTH, HypothesisClass, prior_weights, truncate
 
 ROW_SUM_TOLERANCE = 1e-12
 ENTRY_TOLERANCE = 1e-12
@@ -213,41 +213,25 @@ def _mix(stack: np.ndarray, weights: list[float]) -> PredictiveDistribution:
     return PredictiveDistribution(np.tensordot(np.array(weights), stack, axes=1))
 
 
-def _full_weights(hclass: HypothesisClass) -> list[float]:
-    prior = normalize_prior(hclass)
-    return [prior[h.id] for h in hclass.hypotheses]
-
-
-def _head_weights(hclass: HypothesisClass, split: TruncatedPrior) -> list[float]:
-    return [split.weights.get(h.id, 0.0) for h in hclass.hypotheses]
-
-
-def _tail_weights(hclass: HypothesisClass, n: int) -> list[float]:
-    """Within-tail renormalized weights; the caller checks that the tail is non-empty."""
-    tail_raw = math.fsum(h.raw_weight for h in hclass.hypotheses if h.code_length > n)
-    return [h.raw_weight / tail_raw if h.code_length > n else 0.0 for h in hclass.hypotheses]
-
-
 def full_mixture(hclass: HypothesisClass, kernels: KernelStore) -> PredictiveDistribution:
     """Prior-weighted mixture of all hypothesis kernels."""
-    return _mix(_kernel_stack(hclass, kernels), _full_weights(hclass))
+    return _mix(_kernel_stack(hclass, kernels), prior_weights(hclass))
 
 
 def truncated_mixture(
     hclass: HypothesisClass, n: int, kernels: KernelStore
 ) -> PredictiveDistribution:
     """Renormalized mixture over hypotheses with code length <= n."""
-    split = truncate(hclass, n)
-    if not split.weights:
+    if truncate(hclass, n).z_n == 0.0:
         raise EmptyTruncationError(f"no hypothesis has code length <= {n}")
-    return _mix(_kernel_stack(hclass, kernels), _head_weights(hclass, split))
+    return _mix(_kernel_stack(hclass, kernels), prior_weights(hclass, -1, n))
 
 
 def tail_mixture(hclass: HypothesisClass, n: int, kernels: KernelStore) -> PredictiveDistribution:
     """Renormalized mixture over hypotheses with code length > n."""
-    if all(h.code_length <= n for h in hclass.hypotheses):
+    if hclass.head_mass(n) == hclass.kraft_sum:
         raise EmptyTailError(f"every hypothesis has code length <= {n}")
-    return _mix(_kernel_stack(hclass, kernels), _tail_weights(hclass, n))
+    return _mix(_kernel_stack(hclass, kernels), prior_weights(hclass, n, MAX_CODE_LENGTH))
 
 
 def tv_dual(rho, rho_prime) -> float:
@@ -291,13 +275,6 @@ def averaged_risk(rho: PredictiveDistribution, loss: LossTable, pi: ContextDistr
     return math.fsum(w * v for w, v in zip(pi.weights.tolist(), values))
 
 
-def predictive_utility(
-    hclass: HypothesisClass, n: int, kernels: KernelStore, loss: LossTable, pi: ContextDistribution
-) -> float:
-    """Negated averaged risk of the level-n truncated mixture."""
-    return -averaged_risk(truncated_mixture(hclass, n, kernels), loss, pi)
-
-
 def verify_prediction_bounds(
     hclass: HypothesisClass,
     kernels: KernelStore,
@@ -315,7 +292,8 @@ def verify_prediction_bounds(
       * max entrywise |full - z_n * truncated - tau_n * tail| <= IDENTITY_TOLERANCE,
         where the tail is non-empty
 
-    One pass: the kernels are stacked and the full mixture built once, and a
+    One pass: the kernels are stacked and the full mixture built once, and
+    each level reads its raw head mass from the class's prefix table. A
     level's head and tail mixtures are built only where its head mass differs
     from the previous level's (equal masses are equal heads, as every weight
     is positive); other levels reuse them. Records come in the order tv and
@@ -324,37 +302,40 @@ def verify_prediction_bounds(
     if n_max < 0:
         raise ConfigurationError(f"n_max must be >= 0, got {n_max}")
     stack = _kernel_stack(hclass, kernels)
-    q = _mix(stack, _full_weights(hclass))
+    q = _mix(stack, prior_weights(hclass))
     risk_full = averaged_risk(q, loss, pi)
+    z = hclass.kraft_sum
 
     levels: list[LevelSummary] = []
     records: list[BoundRecord] = []
     residuals: list[BoundRecord] = []
     skipped: list[tuple[int, str]] = []
     decomposition_skipped: list[tuple[int, str]] = []
-    z_previous = 0.0
+    head_previous = 0.0
 
     for n in range(n_max + 1):
-        split = truncate(hclass, n)
-        if split.z_n == 0.0:
+        head = hclass.head_mass(n)
+        if head == 0.0:
             skipped.append((n, "empty truncation: no hypothesis within the level"))
             decomposition_skipped.append((n, "empty truncation"))
             continue
-        if split.z_n != z_previous:
-            z_previous = split.z_n
-            q_n = _mix(stack, _head_weights(hclass, split))
+        # The same split as ``truncate(hclass, n)``.
+        z_n, tau_n = head / z, (z - head) / z
+        if head != head_previous:
+            head_previous = head
+            q_n = _mix(stack, prior_weights(hclass, -1, n))
             utility = -averaged_risk(q_n, loss, pi)
             tv_worst = 0.5 * float(np.abs(q.table - q_n.table).sum(axis=1).max())
             residual = None
-            if split.tau_n != 0.0:
-                r_n = _mix(stack, _tail_weights(hclass, n)).table
-                residual = float(np.abs(q.table - split.z_n * q_n.table - split.tau_n * r_n).max())
-        levels.append(LevelSummary(level=n, z_n=split.z_n, tau_n=split.tau_n, utility=utility))
+            if tau_n != 0.0:
+                r_n = _mix(stack, prior_weights(hclass, n, MAX_CODE_LENGTH)).table
+                residual = float(np.abs(q.table - z_n * q_n.table - tau_n * r_n).max())
+        levels.append(LevelSummary(level=n, z_n=z_n, tau_n=tau_n, utility=utility))
         records.append(
-            BoundRecord.check("tv_vs_tail", n, tv_worst, split.tau_n * TV_CAP, slack_tolerance)
+            BoundRecord.check("tv_vs_tail", n, tv_worst, tau_n * TV_CAP, slack_tolerance)
         )
         risk_gap = abs(risk_full - (-utility))
-        records.append(BoundRecord.check("risk_vs_tail", n, risk_gap, split.tau_n, slack_tolerance))
+        records.append(BoundRecord.check("risk_vs_tail", n, risk_gap, tau_n, slack_tolerance))
         if residual is None:
             decomposition_skipped.append((n, "empty tail"))
         else:

@@ -43,6 +43,9 @@ from .trajectory import DifficultyThreshold, RandomCoverage, SolverRule, _first_
 
 KINDS = ("trajectory", "prediction", "logic")
 
+#: Every level adds report records, so ``n_max`` is capped before any work starts.
+MAX_LEVELS = 100_000
+
 
 @dataclass(frozen=True)
 class TrajectoryPayload:
@@ -220,10 +223,12 @@ def scenario_from_dict(
     if n_max is None and "n_max" in data:
         n_max = _require_int(data, "n_max", source, minimum=0)
     if epsilon is None and "epsilon" in data:
-        try:
-            epsilon = float(data["epsilon"])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{source}: field 'epsilon' must be a number") from exc
+        epsilon = data["epsilon"]
+        if type(epsilon) not in (int, float):
+            raise ScenarioError(f"{source}: field 'epsilon' must be a number")
+        epsilon = float(epsilon)
+    if n_max is not None and n_max > MAX_LEVELS:
+        raise ScenarioError(f"{source}: field 'n_max' is {n_max}, above the limit of {MAX_LEVELS}")
     payload_data = _require(data, "payload", source)
     if not isinstance(payload_data, dict):
         raise ScenarioError(f"{source}: 'payload' must be an object")

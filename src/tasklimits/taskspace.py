@@ -9,7 +9,6 @@ arithmetic exact and set differences trivially checkable.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -117,17 +116,3 @@ def novelty(next_set: TaskSet, prev_set: TaskSet) -> TaskSet:
     """Tasks in ``next_set`` but not in ``prev_set``."""
     return TaskSet(next_set.members - prev_set.members)
 
-
-def sample_task(mu: TaskMeasure, seed: int) -> TaskId:
-    """Draw a single task id, deterministically for a given ``seed``.
-
-    Marginal frequencies across seeds converge to ``mu``.
-    """
-    u = random.Random(seed).random()
-    acc = 0.0
-    for task, w in enumerate(mu.weights):
-        acc += w
-        if u < acc:
-            return task
-    # Guard against u landing on accumulated rounding at the top end.
-    return mu.size - 1

@@ -20,14 +20,14 @@ from tasklimits.prediction import (
     averaged_risk,
     bayes_risk,
     full_mixture,
-    predictive_utility,
     tail_mixture,
     truncated_mixture,
     tv_dual,
     tv_half,
     verify_prediction_bounds,
 )
-from tasklimits.prior import HypothesisClass, HypothesisDescriptor, truncate
+from tasklimits import prediction
+from tasklimits.prior import MAX_CODE_LENGTH, HypothesisClass, HypothesisDescriptor, truncate
 from support import brute_force_bayes_risk, random_prediction_scenario
 
 IDENTITY_TOL = 1e-12
@@ -318,19 +318,21 @@ class TestAveragedRisk:
 
 
 class TestPredictiveUtility:
+    """The predictive utility at level n is the negated risk of the truncated mixture."""
+
     def test_constant_loss_pins_utility(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.5, 0.5]])
         pi = ContextDistribution([1.0])
         for n in (1, 2, 3):
-            assert predictive_utility(hclass, n, kernels, loss, pi) == -0.5
+            assert -averaged_risk(truncated_mixture(hclass, n, kernels), loss, pi) == -0.5
 
     def test_full_class_utility_is_negated_full_risk(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
         pi = ContextDistribution([1.0])
         expected = -averaged_risk(full_mixture(hclass, kernels), loss, pi)
-        assert predictive_utility(hclass, 5, kernels, loss, pi) == expected
+        assert -averaged_risk(truncated_mixture(hclass, 5, kernels), loss, pi) == expected
 
 
 class TestRiskLipschitz:
@@ -372,6 +374,23 @@ class TestVerifyPredictionBounds:
         assert report.skipped == ((0, "empty truncation: no hypothesis within the level"),)
         names = {r.name for r in report.records}
         assert names == {"tv_vs_tail", "risk_vs_tail", "gain_vs_tails", "decomposition_residual"}
+
+    def test_sweep_weighs_only_where_the_head_mass_changes(self, monkeypatch):
+        bands = []
+        weights = prediction.prior_weights
+
+        def counting(hclass, *band):
+            bands.append(band)
+            return weights(hclass, *band)
+
+        monkeypatch.setattr(prediction, "prior_weights", counting)
+        monkeypatch.setattr(prediction, "truncate", lambda *args: pytest.fail("truncate called"))
+        hclass, kernels = two_bernoulli_class()
+        loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
+        report = verify_prediction_bounds(hclass, kernels, loss, ContextDistribution([1.0]), 50)
+        assert len(report.levels) == 50
+        # Full prior, then the head and tail at level 1, then the head at level 2.
+        assert bands == [(), (-1, 1), (1, MAX_CODE_LENGTH), (-1, 2)]
 
     def test_randomized_suite_zero_violations(self):
         # Subset here; the acceptance suite runs the full 200 seeds.

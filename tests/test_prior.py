@@ -1,4 +1,4 @@
-"""Kraft gate, prior normalization, truncation splits, and tail masses."""
+"""Kraft gate, the prefix-mass table, prior weights, truncation splits, and tail masses."""
 
 import math
 import random
@@ -7,10 +7,10 @@ import pytest
 
 from tasklimits.errors import ConfigurationError, KraftError, ValidationError
 from tasklimits.prior import (
+    MAX_CODE_LENGTH,
     HypothesisClass,
     HypothesisDescriptor,
-    normalize_prior,
-    tail_mass_sequence,
+    prior_weights,
     truncate,
 )
 from support import random_kraft_lengths
@@ -56,14 +56,16 @@ class TestConstruction:
 
 
 class TestNormalizePrior:
+    """``prior_weights`` over the whole class is the normalized prior."""
+
     def test_singleton_zero_length(self):
         hc = make_class([0])
         assert hc.kraft_sum == 1.0
-        assert normalize_prior(hc) == {0: 1.0}
+        assert prior_weights(hc) == [1.0]
 
     def test_two_lengths_hand_arithmetic(self):
         # 2^-1 / 0.75 and 2^-2 / 0.75
-        weights = normalize_prior(make_class([1, 2]))
+        weights = prior_weights(make_class([1, 2]))
         assert weights[0] == pytest.approx(2.0 / 3.0, abs=IDENTITY_TOL)
         assert weights[1] == pytest.approx(1.0 / 3.0, abs=IDENTITY_TOL)
 
@@ -71,29 +73,34 @@ class TestNormalizePrior:
         rng = random.Random(21)
         for _ in range(100):
             hc = make_class(random_kraft_lengths(rng, rng.randint(1, 64)))
-            weights = normalize_prior(hc)
-            assert all(w > 0.0 for w in weights.values())
-            assert math.fsum(weights.values()) == pytest.approx(1.0, abs=IDENTITY_TOL)
+            weights = prior_weights(hc)
+            assert all(w > 0.0 for w in weights)
+            assert math.fsum(weights) == pytest.approx(1.0, abs=IDENTITY_TOL)
 
 
 class TestTruncate:
     def test_two_lengths_at_level_one(self):
-        split = truncate(make_class([1, 2]), 1)
+        hc = make_class([1, 2])
+        split = truncate(hc, 1)
         assert split.z_n == pytest.approx(2.0 / 3.0, abs=IDENTITY_TOL)
         assert split.tau_n == pytest.approx(1.0 / 3.0, abs=IDENTITY_TOL)
-        assert split.weights == {0: 1.0}
+        assert prior_weights(hc, -1, 1) == [1.0, 0.0]
+        assert prior_weights(hc, 1, MAX_CODE_LENGTH) == [0.0, 1.0]
 
     def test_level_at_or_past_max_keeps_full_prior(self):
         hc = make_class([1, 2])
-        split = truncate(hc, 2)
-        assert split.tau_n == 0.0
-        assert split.weights == normalize_prior(hc)
+        for n in (2, 3, MAX_CODE_LENGTH + 5):
+            split = truncate(hc, n)
+            assert split.z_n == 1.0 and split.tau_n == 0.0
+            assert prior_weights(hc, -1, n) == prior_weights(hc)
 
     def test_level_below_min_is_all_tail(self):
-        split = truncate(make_class([1, 2]), 0)
+        hc = make_class([1, 2])
+        split = truncate(hc, 0)
         assert split.z_n == 0.0
         assert split.tau_n == 1.0
-        assert split.weights == {}
+        assert hc.head_mass(0) == 0.0
+        assert prior_weights(hc, 0, MAX_CODE_LENGTH) == prior_weights(hc)
 
     def test_negative_level_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -106,26 +113,86 @@ class TestTruncate:
             for n in range(0, hc.max_code_length + 2):
                 split = truncate(hc, n)
                 assert abs(split.z_n + split.tau_n - 1.0) <= IDENTITY_TOL
-                if split.weights:
-                    assert math.fsum(split.weights.values()) == pytest.approx(
+                if split.z_n:
+                    assert math.fsum(prior_weights(hc, -1, n)) == pytest.approx(
                         1.0, abs=IDENTITY_TOL
                     )
 
 
+def complete_code_lengths(rng, count):
+    """Leaf depths of a random binary tree with ``count`` leaves: Kraft sum exactly 1.
+
+    The tree starts as a spine of random depth up to 52 (depths 1, 2, ..., d, d),
+    so long codes sit beside short ones; random leaves are then split in two.
+    """
+    depth = min(rng.randint(0, MAX_CODE_LENGTH), count - 1)
+    lengths = list(range(1, depth + 1)) + [depth] if depth else [0]
+    while len(lengths) < count:
+        i = rng.choice([i for i, length in enumerate(lengths) if length < MAX_CODE_LENGTH])
+        lengths[i] += 1
+        lengths.append(lengths[i])
+    return lengths
+
+
+def random_class(rng, count):
+    """``count`` hypotheses, or some of them, with lengths in 0..52; about half are complete."""
+    lengths = complete_code_lengths(rng, count)
+    if rng.random() < 0.5 and count > 1:
+        lengths = [length for length in lengths if rng.random() < 0.7] or lengths[:1]
+    rng.shuffle(lengths)
+    return make_class(lengths)
+
+
+class TestPrefixMassTable:
+    """The table's splits and weights against a direct ``math.fsum`` over the hypotheses."""
+
+    def test_splits_equal_direct_fsum(self):
+        rng = random.Random(31)
+        complete, lengths = 0, set()
+        for count in [1, 2048] + [int(2 ** rng.uniform(0, 11)) for _ in range(22)]:
+            hc = random_class(rng, count)
+            raw = [(h.code_length, h.raw_weight) for h in hc.hypotheses]
+            lengths |= {length for length, _ in raw}
+            total = math.fsum(w for _, w in raw)
+            complete += total == 1.0
+            assert hc.kraft_sum == total
+            for n in range(MAX_CODE_LENGTH + 2):
+                head = math.fsum(w for length, w in raw if length <= n)
+                tail = math.fsum(w for length, w in raw if length > n)
+                split = truncate(hc, n)
+                assert split.z_n == head / total
+                assert split.tau_n == tail / total
+            n = rng.choice([length for length, _ in raw])
+            head = math.fsum(w for length, w in raw if length <= n)
+            assert prior_weights(hc, -1, n) == [w / head if l <= n else 0.0 for l, w in raw]
+            if n < hc.max_code_length:
+                tail = math.fsum(w for length, w in raw if length > n)
+                assert prior_weights(hc, n, MAX_CODE_LENGTH) == [
+                    w / tail if l > n else 0.0 for l, w in raw
+                ]
+        assert 6 <= complete < 24
+        assert {0, MAX_CODE_LENGTH} <= lengths
+
+
 class TestTailMassSequence:
+    """Tail masses ``truncate(hc, n).tau_n`` over consecutive levels."""
+
     def test_two_lengths(self):
-        tails = tail_mass_sequence(make_class([1, 2]), 2)
+        hc = make_class([1, 2])
+        tails = [truncate(hc, n).tau_n for n in range(3)]
         assert tails[0] == 1.0
         assert tails[1] == pytest.approx(1.0 / 3.0, abs=IDENTITY_TOL)
         assert tails[2] == 0.0
 
     def test_singleton_zero_length_is_all_head(self):
-        assert tail_mass_sequence(make_class([0]), 3) == [0.0, 0.0, 0.0, 0.0]
+        hc = make_class([0])
+        assert [truncate(hc, n).tau_n for n in range(4)] == [0.0, 0.0, 0.0, 0.0]
 
     def test_non_increasing_and_vanishing(self):
         rng = random.Random(17)
         for _ in range(100):
             hc = make_class(random_kraft_lengths(rng, rng.randint(1, 64)))
-            tails = tail_mass_sequence(hc, hc.max_code_length + 1)
+            tails = [truncate(hc, n).tau_n for n in range(hc.max_code_length + 2)]
             assert all(a >= b - IDENTITY_TOL for a, b in zip(tails, tails[1:]))
             assert tails[hc.max_code_length] == 0.0
+            assert tails[hc.max_code_length + 1] == 0.0

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tasklimits.scenario import (
+    MAX_LEVELS,
     LogicPayload,
     PredictionPayload,
     Scenario,
@@ -282,6 +283,38 @@ class TestLoadTimeChecks:
         data["epsilon"] = 5e-324
         with pytest.raises(ScenarioError, match="'epsilon'"):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("epsilon", [True, False, "0.1", [0.1], {"value": 0.1}])
+    def test_epsilon_must_be_a_number(self, tmp_path, capsys, epsilon):
+        data = minimal_trajectory_dict()
+        data["epsilon"] = epsilon
+        with pytest.raises(ScenarioError, match="'epsilon' must be a number"):
+            scenario_from_dict(data)
+        assert main(["simulate", str(write_scenario(tmp_path, data))]) == 2
+        assert "field 'epsilon' must be a number" in capsys.readouterr().err
+
+    def test_integer_epsilon_loads_as_a_float(self):
+        data = minimal_trajectory_dict()
+        data["epsilon"] = 1
+        assert scenario_from_dict(data).epsilon == 1.0
+
+    def test_n_max_over_the_level_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "tasklimits.cli.run_experiment", lambda *a, **k: pytest.fail("work started")
+        )
+        data = bernoulli_dict()
+        data["n_max"] = MAX_LEVELS + 1
+        with pytest.raises(ScenarioError, match=f"'n_max' is {MAX_LEVELS + 1}, above the limit"):
+            scenario_from_dict(data)
+        assert main(["predict", str(write_scenario(tmp_path, data))]) == 2
+        assert "field 'n_max'" in capsys.readouterr().err
+        data["n_max"] = MAX_LEVELS
+        path = write_scenario(tmp_path, data)
+        assert parse_scenario(path).n_max == MAX_LEVELS
+        with pytest.raises(ScenarioError, match="'n_max'"):
+            parse_scenario(path, n_max=100_000_000)
+        with pytest.raises(ScenarioError, match="'n_max'"):
+            scenario_from_dict(minimal_trajectory_dict(), n_max=MAX_LEVELS + 1)
 
 
 class TestExplicitChainConversion:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tasklimits.errors import BoundsError, ValidationError
-from tasklimits.taskspace import TaskMeasure, TaskSet, measure_of, novelty, sample_task
+from tasklimits.taskspace import TaskMeasure, TaskSet, measure_of, novelty
 
 IDENTITY_TOL = 1e-12
 
@@ -63,21 +63,6 @@ class TestNovelty:
 
     def test_non_nested_inputs_accepted(self):
         assert novelty(TaskSet.of([1]), TaskSet.of([0, 2])) == TaskSet.of([1])
-
-
-class TestSampleTask:
-    def test_point_mass_always_hits_the_atom(self):
-        mu = TaskMeasure.point_mass(3, 6)
-        assert all(sample_task(mu, seed) == 3 for seed in range(25))
-
-    def test_deterministic_for_fixed_seed(self):
-        mu = TaskMeasure((0.3, 0.3, 0.4))
-        assert sample_task(mu, 123) == sample_task(mu, 123)
-
-    def test_frequency_matches_uniform_two_tasks(self):
-        mu = TaskMeasure.uniform(2)
-        hits = sum(1 for seed in range(10_000) if sample_task(mu, seed) == 0)
-        assert abs(hits / 10_000 - 0.5) <= 0.02
 
 
 class TestMeasureProperties:
