@@ -9,8 +9,11 @@ every inequality record and every logic witness.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, is_dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring
 
 from .errors import ConfigurationError
 from .prediction import BoundRecord
@@ -86,17 +89,8 @@ _RECORD_FIELDS = {
 }
 
 
-def _to_json(value):
-    """Records become objects of their fields and tuples become lists; the rest stays."""
-    if isinstance(value, tuple):
-        return [_to_json(item) for item in value]
-    if is_dataclass(value):
-        return {name: _to_json(item) for name, item in vars(value).items()}
-    return value
-
-
 def _from_json(value, record=None):
-    """Invert :func:`_to_json`: lists become tuples and objects become ``record``."""
+    """Invert the structured writer: lists become tuples and objects become ``record``."""
     if isinstance(value, list):
         return tuple(_from_json(item, record) for item in value)
     if isinstance(value, dict):
@@ -104,6 +98,48 @@ def _from_json(value, record=None):
             **{name: _from_json(item, _RECORD_FIELDS.get(name)) for name, item in value.items()}
         )
     return value
+
+
+#: The text ``json`` writes for the two infinities; any other non-finite float is NaN.
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+@functools.cache
+def _record_fields(record: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The field names of a record type in sorted order, and each one's written key."""
+    names = tuple(sorted(f.name for f in fields(record)))
+    return names, tuple(encode_basestring(name) + ": " for name in names)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json`` writes it with ``sort_keys=True, indent=2,
+    ensure_ascii=False``, records as objects and tuples as arrays; ``newline`` is
+    the line break and indent before the value's closing bracket."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value) if math.isfinite(value) else _NON_FINITE.get(value, "NaN"))
+    else:
+        if isinstance(value, (tuple, list)):
+            brackets, keys, items = "[]", ("",) * len(value), value
+        elif is_dataclass(value):
+            names, keys = _record_fields(type(value))
+            brackets, items = "{}", [getattr(value, name) for name in names]
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        inner = newline + "  "
+        separator = brackets[0] + inner
+        for key, item in zip(keys, items):
+            out.append(separator + key)
+            separator = "," + inner
+            _write(item, inner, out)
+        out.append(newline + brackets[1] if items else brackets)
 
 
 def emit_report(report: Report, format: str) -> bytes:
@@ -128,8 +164,9 @@ def emit_report(report: Report, format: str) -> bytes:
             )
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "structured":
-        text = json.dumps(_to_json(report), sort_keys=True, indent=2, ensure_ascii=False)
-        return (text + "\n").encode("utf-8")
+        out: list[str] = []
+        _write(report, "\n", out)
+        return ("".join(out) + "\n").encode("utf-8")
     raise ConfigurationError(f"unknown report format {format!r}; expected one of {FORMATS}")
 
 

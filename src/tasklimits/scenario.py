@@ -157,6 +157,8 @@ def _build_trajectory_payload(
 
 def _build_prediction_payload(payload: dict, source: str) -> PredictionPayload:
     hyp_data = _require(payload, "hypotheses", source)
+    if not isinstance(hyp_data, list) or not all(isinstance(entry, dict) for entry in hyp_data):
+        raise ScenarioError(f"{source}: field 'hypotheses' must be a list of objects")
     descriptors = []
     for entry in hyp_data:
         descriptors.append(
@@ -273,10 +275,15 @@ def parse_scenario(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"{path}: cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: scenario file is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer literal past the int conversion limit, or nesting past the recursion limit.
+        raise ScenarioError(f"{path}: cannot decode JSON: {exc}") from exc
     return scenario_from_dict(data, source=str(path), seed=seed, n_max=n_max, epsilon=epsilon)

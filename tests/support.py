@@ -8,12 +8,19 @@ the decision procedure uses bigint masks over canonical representatives;
 the Bayes-risk oracle is a plain double loop; the reference trajectory
 chain builds every level as a whole set, where the library stores the level
 at which each task is first solved, and for an explicit chain it is the very
-sets the case generated, not anything read back from the loaded rule.
+sets the case generated, not anything read back from the loaded rule. The
+reference utilities re-sum every prefix of the solved weights with one
+``fsum`` each, where the library carries an exact running sum, and the
+reference structured report goes through ``json.dumps``, where the library
+writes the text directly.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import random
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +42,12 @@ from tasklimits.prediction import ConditionalKernel, ContextDistribution, LossTa
 from tasklimits.prior import HypothesisClass, HypothesisDescriptor
 from tasklimits.scenario import scenario_from_dict
 from tasklimits.taskspace import TaskMeasure, TaskSet
-from tasklimits.trajectory import DifficultyThreshold, RandomCoverage, SolverRule
+from tasklimits.trajectory import (
+    DifficultyThreshold,
+    RandomCoverage,
+    SolverRule,
+    SystemTrajectory,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -262,3 +274,26 @@ def random_trajectory_case(
         sets.append(solved)
     rule = scenario_from_dict(explicit_chain_dict(sets, n_max, mu)).payload.rule
     return rule, n_max, mu, sets
+
+
+def reference_utilities(traj: SystemTrajectory) -> list[float]:
+    """U(n) for n = 1..N as one ``fsum`` over all the weights solved by level n."""
+    solved = list(zip(traj.mu.weights, traj.first_level))
+    return [
+        math.fsum(w for w, level in solved if 0 < level <= n) for n in range(1, traj.levels + 1)
+    ]
+
+
+def _to_json(value):
+    """Records become objects of their fields, tuples and lists become lists; the rest stays."""
+    if isinstance(value, (tuple, list)):
+        return [_to_json(item) for item in value]
+    if is_dataclass(value):
+        return {name: _to_json(item) for name, item in vars(value).items()}
+    return value
+
+
+def reference_structured(report) -> bytes:
+    """The structured report as ``json.dumps`` writes it, with a trailing newline."""
+    text = json.dumps(_to_json(report), sort_keys=True, indent=2, ensure_ascii=False)
+    return (text + "\n").encode("utf-8")

@@ -102,6 +102,22 @@ class TestUnusableInput:
         assert main(["logic", "~" * 600 + "p0"]) == 2
         assert "nests deeper than" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, cause",
+        [
+            (b'{"name": "\xff"}', "not UTF-8 text"),
+            (b'{"seed": ' + b"7" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "5000-digit-integer", "nested-100000-deep"],
+    )
+    def test_undecodable_file_exits_2(self, content, cause, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and cause in err
+
 
 class TestVerify:
     def test_bundled_directory_passes(self, capsys):

@@ -1,14 +1,18 @@
 """Property tests at the input boundary.
 
 Any JSON value either raises ``ScenarioError`` from ``scenario_from_dict`` or
-gives a scenario that runs to a report; any formula text either parses or
-raises ``FormulaSyntaxError`` or ``ResourceLimitError``. Nothing else escapes.
+gives a scenario that runs to a report; any file, as raw bytes, either raises
+``ScenarioError`` from ``parse_scenario`` or loads; any formula text either
+parses or raises ``FormulaSyntaxError`` or ``ResourceLimitError``. Nothing
+else escapes.
 Values are drawn small: integers stay in -3..40, so no size field asks for
 real work.
 """
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from tasklimits.errors import FormulaSyntaxError, ResourceLimitError, ScenarioError  # noqa: E402
 from tasklimits.modal import parse_formula  # noqa: E402
 from tasklimits.runner import run_experiment  # noqa: E402
-from tasklimits.scenario import scenario_from_dict  # noqa: E402
+from tasklimits.scenario import parse_scenario, scenario_from_dict  # noqa: E402
 from support import SCENARIO_DIR  # noqa: E402
 
 SETTINGS = settings(
@@ -115,6 +119,34 @@ def test_scenario_is_rejected_or_runs(data):
     except ScenarioError:
         return
     run_experiment(scenario)
+
+
+FILES = [p.read_bytes() for p in sorted(SCENARIO_DIR.glob("*.json"))]
+
+
+@st.composite
+def spliced_files(draw):
+    """A bundled file with one slice replaced by raw bytes."""
+    data = draw(st.sampled_from(FILES))
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, min(len(data), start + 8)))
+    return data[:start] + draw(st.binary(max_size=8)) + data[end:]
+
+
+@SETTINGS
+@given(st.binary() | spliced_files())
+def test_file_bytes_are_rejected_or_run(content):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "s.json"
+        path.write_bytes(content)
+        try:
+            scenario = parse_scenario(path)
+        except ScenarioError:
+            return
+    try:
+        run_experiment(scenario)
+    except ResourceLimitError:
+        pass
 
 
 @SETTINGS

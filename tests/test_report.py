@@ -1,18 +1,30 @@
-"""Report emission: CSV schema golden test and lossless structured round-trip."""
+"""Report emission: CSV schema golden test, the structured writer against
+``json.dumps`` and lossless structured round-trip."""
 
+import math
+from dataclasses import dataclass, fields
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tasklimits.errors import ConfigurationError
+from tasklimits.prediction import BoundRecord
 from tasklimits.report import (
     CSV_COLUMNS,
+    CountermodelRecord,
     Report,
     StepRecord,
+    VerdictRecord,
     emit_report,
     report_from_json,
 )
 from tasklimits.runner import run_experiment
 from tasklimits.scenario import parse_scenario
-from support import SCENARIO_DIR
+from support import SCENARIO_DIR, reference_structured
+
+GOLDEN_SCENARIOS = sorted((Path(__file__).resolve().parent / "golden").glob("*.scenario.json"))
 
 
 class TestCsv:
@@ -81,3 +93,86 @@ class TestStructuredRoundTrip:
         first = emit_report(run_experiment(scenario), "structured")
         second = emit_report(run_experiment(scenario), "structured")
         assert first == second
+
+
+@dataclass(frozen=True)
+class EmptyRecord:
+    pass
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310]
+)
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | FLOATS
+    | st.text()
+    | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f\n\t", "é ∀ \u2028 😀"])
+)
+
+
+def record(cls, **drawn):
+    """``cls`` with the fields named in ``drawn`` from those strategies, the rest scalars."""
+    return st.builds(cls, **{f.name: drawn.get(f.name, SCALARS) for f in fields(cls)})
+
+
+def tuples(elements, max_size=3):
+    return st.lists(elements, max_size=max_size).map(tuple)
+
+
+NESTED = tuples(SCALARS) | tuples(tuples(SCALARS)) | st.lists(SCALARS, max_size=3)
+
+REPORTS = record(
+    Report,
+    steps=tuples(record(StepRecord)),
+    bounds=tuples(record(BoundRecord)),
+    verdicts=tuples(
+        record(
+            VerdictRecord,
+            countermodel=st.none() | record(CountermodelRecord, relation=NESTED, valuation=NESTED),
+            search_levels=NESTED,
+        )
+    ),
+    notes=tuples(SCALARS | NESTED | st.builds(EmptyRecord)),
+)
+
+
+class TestStructuredWriter:
+    """``emit_report`` against ``json.dumps`` of the report's plain form, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(SCENARIO_DIR.glob("*.json")) + GOLDEN_SCENARIOS,
+        ids=lambda p: p.stem,
+    )
+    def test_scenario_reports_match_json(self, path):
+        report = run_experiment(parse_scenario(path))
+        assert emit_report(report, "structured") == reference_structured(report)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(REPORTS)
+    def test_generated_reports_match_json(self, report):
+        assert emit_report(report, "structured") == reference_structured(report)
+
+    def test_numpy_float_is_written_as_a_float(self):
+        report = Report(
+            scenario="np",
+            kind="prediction",
+            passed=True,
+            steps=(StepRecord(n=1, utility=np.float64(0.1), tau=np.float64(-math.inf)),),
+        )
+        payload = emit_report(report, "structured")
+        assert payload == reference_structured(report)
+        assert b'"utility": 0.1\n' in payload
+
+    def test_empty_arrays_and_records(self):
+        report = Report(scenario="e", kind="logic", passed=False, notes=(EmptyRecord(), (), []))
+        assert emit_report(report, "structured") == reference_structured(report)
+        assert b'"notes": [\n    {},\n    [],\n    []\n  ],' in emit_report(report, "structured")
+
+    def test_unknown_values_are_rejected(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            emit_report(Report(scenario="s", kind="logic", passed=True, notes=({1},)), "structured")

@@ -266,6 +266,13 @@ class TestLoadTimeChecks:
         with pytest.raises(ScenarioError, match="'kernels' mixes the shapes"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("hypotheses", [[1], None, "x", {"id": 0}, [{"id": 0}, []]])
+    def test_hypotheses_must_be_a_list_of_objects(self, hypotheses):
+        data = bernoulli_dict()
+        data["payload"]["hypotheses"] = hypotheses
+        with pytest.raises(ScenarioError, match="field 'hypotheses' must be a list of objects"):
+            scenario_from_dict(data)
+
     def test_fractional_hypothesis_id_rejected(self):
         data = bernoulli_dict()
         data["payload"]["hypotheses"][0]["id"] = 0.5

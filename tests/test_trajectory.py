@@ -18,7 +18,12 @@ from tasklimits.trajectory import (
     telescoping_residual,
     utility_sequence,
 )
-from support import explicit_chain_dict, random_trajectory_case, reference_chain
+from support import (
+    explicit_chain_dict,
+    random_trajectory_case,
+    reference_chain,
+    reference_utilities,
+)
 
 IDENTITY_TOL = 1e-12
 
@@ -169,6 +174,65 @@ class TestUtilityAndGains:
             utilities = utility_sequence(traj)
             for i, gain in enumerate(marginal_gains(traj)):
                 assert abs(gain - (utilities[i + 1] - utilities[i])) <= IDENTITY_TOL
+
+
+def exact_sum_case(rng: random.Random, size: int, levels: int) -> SystemTrajectory:
+    """A chain over ``size`` tasks whose weights span 2^-1074 to 1, some zero, some levels empty.
+
+    Difficulties are drawn up to a random cap of at most ``levels + 1``, so a chain
+    may solve everything at level 1 or leave tasks unsolved.
+    """
+    small = [
+        0.0 if rng.random() < 0.2 else math.ldexp(rng.random(), -rng.randint(7, 1074))
+        for _ in range(size - 1)
+    ]
+    weights = small + [1.0 - math.fsum(small)]
+    rng.shuffle(weights)
+    spread = rng.randint(1, levels + 1)
+    difficulties = tuple(rng.randint(1, spread) for _ in range(size))
+    return build_trajectory(DifficultyThreshold(difficulties), levels, TaskMeasure(weights))
+
+
+class TestExactRunningSum:
+    """The carried sum against one ``fsum`` per prefix: equal, and linear work."""
+
+    def test_random_chains_match_the_prefix_fsum(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            traj = exact_sum_case(rng, rng.randint(1, 60), rng.randint(1, 25))
+            assert utility_sequence(traj) == reference_utilities(traj)
+
+    @pytest.mark.parametrize(
+        "difficulties, levels",
+        [((1, 1, 1), 4), ((5, 5, 5), 4), ((1, 2, 3), 1), ((3, 3, 3), 5)],
+        ids=["all-at-level-1", "never-solved", "one-level", "empty-levels-first"],
+    )
+    def test_edge_chains_match_the_prefix_fsum(self, difficulties, levels):
+        mu = TaskMeasure((0.5, 5e-324, 0.5 - 5e-324))
+        traj = build_trajectory(DifficultyThreshold(difficulties), levels, mu)
+        assert utility_sequence(traj) == reference_utilities(traj)
+
+    def test_fsum_sees_linearly_many_items(self, monkeypatch):
+        # Weights of one order of magnitude, as in a normalized measure: the carry stays short.
+        rng = random.Random(5)
+        tasks, levels = 2000, 500
+        raw = [rng.random() + 0.1 for _ in range(tasks)]
+        mu = TaskMeasure(tuple(w / math.fsum(raw) for w in raw))
+        difficulties = tuple(rng.randint(1, levels + 1) for _ in range(tasks))
+        traj = build_trajectory(DifficultyThreshold(difficulties), levels, mu)
+        fsum = math.fsum
+        seen = []
+
+        def counting(items):
+            items = list(items)
+            seen.append(len(items))
+            return fsum(items)
+
+        monkeypatch.setattr(math, "fsum", counting)
+        utilities = utility_sequence(traj)
+        monkeypatch.undo()
+        assert utilities == reference_utilities(traj)
+        assert sum(seen) <= 10 * (tasks + levels)
 
 
 class TestTelescoping:
