@@ -9,9 +9,13 @@ proves that a countermodel, when one exists, fits in ``b + 1`` worlds.
 
 Within the bound the search is exact. It sweeps world counts upward, one
 representative frame per relabeling class, and per frame evaluates all
-valuations at once. Valuations are batched as bitmasks: the truth of a
-subformula at a world is one big integer whose bit ``v`` says whether the
-subformula holds at that world under valuation ``v``.
+valuations at once. The representatives are a literal table, the first
+frame of each class in ``successor_mask_orders`` order; the tests check it
+against orbit marking over every labelled order, so no process enumerates
+orders or relabelings to decide a formula. Valuations are batched as
+bitmasks: the truth of a subformula at a world is one big integer whose bit
+``v`` says whether the subformula holds at that world under valuation
+``v``.
 
 Only rooted frames are evaluated, and only at their root. A world's truth
 depends only on the subframe it generates (the generated-subframe lemma,
@@ -25,6 +29,12 @@ would find first, and a level's ``frames_checked`` still counts every
 representative frame of its size: all are covered, the rooted ones are
 evaluated.
 
+Evaluation at the root goes by box depth. Each subformula is marked once
+with the depths at which it occurs (the top at 0, a box's operand one
+deeper), and per frame it is computed only at the worlds that many steps
+from the root, the only cells the root's truth reads. The root's bitmask
+is the integer a full evaluation at every world gives.
+
 Every resource limit is checked before the search starts.
 
 An invalid verdict carries a concrete countermodel, re-checkable with
@@ -35,8 +45,6 @@ An invalid verdict carries a concrete countermodel, re-checkable with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
 
 from ..errors import ResourceLimitError
 from .formula import (
@@ -52,7 +60,7 @@ from .formula import (
     count_nodes,
     subformulas,
 )
-from .kripke import MAX_ENUM_WORLDS, KripkeModel, successor_mask_orders
+from .kripke import MAX_ENUM_WORLDS, KripkeModel
 
 MAX_ATOMS = 8
 #: atoms * worlds may not exceed this; the valuation space has 2**(atoms*worlds) points.
@@ -95,32 +103,42 @@ class DecisionResult:
         return self.verdict == "valid"
 
 
-@lru_cache(maxsize=None)
+#: The first frame of each relabeling class per world count, 1..``MAX_ENUM_WORLDS``,
+#: in ``successor_mask_orders`` order: 1, 2, 5, 16 and 63 frames, one per
+#: unlabeled strict partial order.
+_REPRESENTATIVE_FRAMES: dict[int, tuple[tuple[int, ...], ...]] = {
+    1: ((0,),),
+    2: ((0, 0), (0, 1)),
+    3: ((0, 0, 0), (0, 0, 1), (0, 0, 3), (0, 1, 1), (0, 1, 3)),
+    4: (
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 3), (0, 0, 0, 7), (0, 0, 1, 1), (0, 0, 1, 2),
+        (0, 0, 1, 3), (0, 0, 1, 5), (0, 0, 1, 7), (0, 0, 3, 3), (0, 0, 3, 7), (0, 1, 1, 1),
+        (0, 1, 1, 3), (0, 1, 1, 7), (0, 1, 3, 3), (0, 1, 3, 7),
+    ),
+    5: (
+        (0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 3), (0, 0, 0, 0, 7), (0, 0, 0, 0, 15),
+        (0, 0, 0, 1, 1), (0, 0, 0, 1, 2), (0, 0, 0, 1, 3), (0, 0, 0, 1, 6), (0, 0, 0, 1, 7),
+        (0, 0, 0, 1, 9), (0, 0, 0, 1, 11), (0, 0, 0, 1, 15), (0, 0, 0, 3, 3), (0, 0, 0, 3, 5),
+        (0, 0, 0, 3, 7), (0, 0, 0, 3, 11), (0, 0, 0, 3, 15), (0, 0, 0, 7, 7), (0, 0, 0, 7, 15),
+        (0, 0, 1, 1, 1), (0, 0, 1, 1, 2), (0, 0, 1, 1, 3), (0, 0, 1, 1, 5), (0, 0, 1, 1, 7),
+        (0, 0, 1, 1, 13), (0, 0, 1, 1, 15), (0, 0, 1, 2, 3), (0, 0, 1, 2, 5), (0, 0, 1, 2, 7),
+        (0, 0, 1, 2, 15), (0, 0, 1, 3, 3), (0, 0, 1, 3, 5), (0, 0, 1, 3, 7), (0, 0, 1, 3, 11),
+        (0, 0, 1, 3, 15), (0, 0, 1, 5, 5), (0, 0, 1, 5, 7), (0, 0, 1, 5, 13), (0, 0, 1, 5, 15),
+        (0, 0, 1, 7, 7), (0, 0, 1, 7, 15), (0, 0, 3, 3, 3), (0, 0, 3, 3, 7), (0, 0, 3, 3, 15),
+        (0, 0, 3, 7, 7), (0, 0, 3, 7, 15), (0, 1, 1, 1, 1), (0, 1, 1, 1, 3), (0, 1, 1, 1, 7),
+        (0, 1, 1, 1, 15), (0, 1, 1, 3, 3), (0, 1, 1, 3, 5), (0, 1, 1, 3, 7), (0, 1, 1, 3, 11),
+        (0, 1, 1, 3, 15), (0, 1, 1, 7, 7), (0, 1, 1, 7, 15), (0, 1, 3, 3, 3), (0, 1, 3, 3, 7),
+        (0, 1, 3, 3, 15), (0, 1, 3, 7, 7), (0, 1, 3, 7, 15),
+    ),
+}
+
+
 def _representative_frames(world_count: int) -> tuple[tuple[int, ...], ...]:
     """The first frame of each relabeling class, in ``successor_mask_orders`` order.
 
-    Validity is invariant under relabeling. A frame is kept unless an
-    earlier kept frame relabels to it; keeping one marks its whole class.
+    Validity is invariant under relabeling, so one frame per class covers them all.
     """
-    seen: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
-    perms = list(permutations(range(world_count)))
-    for masks in successor_mask_orders(world_count):
-        if masks in seen:
-            continue
-        reps.append(masks)
-        for perm in perms:
-            relabeled = [0] * world_count
-            for w in range(world_count):
-                mask = 0
-                succ = masks[w]
-                while succ:
-                    low = succ & -succ
-                    mask |= 1 << perm[low.bit_length() - 1]
-                    succ ^= low
-                relabeled[perm[w]] = mask
-            seen.add(tuple(relabeled))
-    return tuple(reps)
+    return _REPRESENTATIVE_FRAMES[world_count]
 
 
 def _postorder_ops(phi: ModalFormula) -> list[tuple]:
@@ -160,6 +178,24 @@ def _atom_bit_mask(bit: int, total_bits: int) -> int:
     return mask
 
 
+def _box_depths(ops: list[tuple]) -> list[int]:
+    """Per op, a bitmask of the box depths at which it occurs in the formula.
+
+    The top is at depth 0 and a box's operand one level deeper, so an op at
+    depth ``d`` is read only at worlds ``d`` steps from the world evaluated.
+    """
+    depths = [0] * len(ops)
+    depths[-1] = 1
+    for i in range(len(ops) - 1, -1, -1):
+        kind, *operands = ops[i]
+        if kind == "atom":
+            continue
+        reads = depths[i] << 1 if kind == "box" else depths[i]
+        for child in operands:
+            depths[child] |= reads
+    return depths
+
+
 def _evaluate_frame(
     ops: list[tuple],
     atom_position: dict[int, int],
@@ -167,36 +203,65 @@ def _evaluate_frame(
     world_count: int,
     atom_masks: list[list[int]],
     full: int,
-) -> list[list[int]]:
-    """Truth bitmask of every subformula at every world, batched over valuations."""
-    table: list[list[int]] = []
-    for op in ops:
+    root: int,
+    depths: list[int],
+) -> list[list[int | None]]:
+    """Truth bitmasks of the subformulas, batched over valuations, where ``root`` reads them.
+
+    An op is evaluated at the worlds ``d`` steps from ``root`` for each box
+    depth ``d`` in its ``depths`` mask; its other cells stay ``None``. The
+    top's cell at ``root`` is the same integer a full evaluation gives.
+    """
+    reach = [1 << root]
+    for _ in range(max(depths).bit_length() - 1):
+        worlds = reach[-1]
+        below = 0
+        while worlds:
+            low = worlds & -worlds
+            below |= succ_masks[low.bit_length() - 1]
+            worlds ^= low
+        reach.append(below)
+    demand: dict[int, list[int]] = {}
+    table: list[list[int | None]] = []
+    for op, depth in zip(ops, depths):
         kind = op[0]
         if kind == "atom":
-            row = atom_masks[atom_position[op[1]]]
-        elif kind == "not":
+            table.append(atom_masks[atom_position[op[1]]])
+            continue
+        worlds = demand.get(depth)
+        if worlds is None:
+            need = 0
+            for d, at_depth in enumerate(reach):
+                if depth >> d & 1:
+                    need |= at_depth
+            worlds = demand[depth] = [w for w in range(world_count) if need >> w & 1]
+        row: list[int | None] = [None] * world_count
+        if kind == "not":
             child = table[op[1]]
-            row = [full ^ child[w] for w in range(world_count)]
+            for w in worlds:
+                row[w] = full ^ child[w]
         elif kind == "box":
             child = table[op[1]]
-            row = []
-            for w in range(world_count):
+            for w in worlds:
                 acc = full
                 succ = succ_masks[w]
                 while succ:
                     low = succ & -succ
                     acc &= child[low.bit_length() - 1]
                     succ ^= low
-                row.append(acc)
+                row[w] = acc
         elif kind == "and":
             a, b = table[op[1]], table[op[2]]
-            row = [a[w] & b[w] for w in range(world_count)]
+            for w in worlds:
+                row[w] = a[w] & b[w]
         elif kind == "or":
             a, b = table[op[1]], table[op[2]]
-            row = [a[w] | b[w] for w in range(world_count)]
+            for w in worlds:
+                row[w] = a[w] | b[w]
         else:  # implies
             a, b = table[op[1]], table[op[2]]
-            row = [(full ^ a[w]) | b[w] for w in range(world_count)]
+            for w in worlds:
+                row[w] = (full ^ a[w]) | b[w]
         table.append(row)
     return table
 
@@ -259,6 +324,7 @@ def gl_decide(phi: ModalFormula, max_nodes: int = DEFAULT_MAX_NODES) -> Decision
         )
 
     ops = _postorder_ops(phi)
+    depths = _box_depths(ops)
     top = len(ops) - 1
     atom_position = {atom: i for i, atom in enumerate(atoms)}
     levels: list[SearchLevel] = []
@@ -278,7 +344,9 @@ def gl_decide(phi: ModalFormula, max_nodes: int = DEFAULT_MAX_NODES) -> Decision
             )
             if root is None:
                 continue
-            table = _evaluate_frame(ops, atom_position, succ_masks, world_count, atom_masks, full)
+            table = _evaluate_frame(
+                ops, atom_position, succ_masks, world_count, atom_masks, full, root, depths
+            )
             failing = full ^ table[top][root]
             if failing:
                 valuation_index = (failing & -failing).bit_length() - 1

@@ -217,6 +217,11 @@ def scenario_from_dict(
     name = _require(data, "name", source)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"{source}: field 'name' must be a non-empty string")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # A JSON escape can spell a lone surrogate, which no report could be written with.
+        raise ScenarioError(f"{source}: field 'name' is not Unicode text: {exc.reason}") from exc
     kind = _require(data, "kind", source)
     if kind not in KINDS:
         raise ScenarioError(f"{source}: kind must be one of {KINDS}, got {kind!r}")

@@ -12,7 +12,10 @@ sets the case generated, not anything read back from the loaded rule. The
 reference utilities re-sum every prefix of the solved weights with one
 ``fsum`` each, where the library carries an exact running sum, and the
 reference structured report goes through ``json.dumps``, where the library
-writes the text directly.
+writes the text directly. The reference representative frames are marked by
+relabeling orbits over every labelled order, where the library reads a
+literal table, and the reference frame table evaluates every subformula at
+every world, where the library evaluates only what the root reads.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import json
 import math
 import random
 from dataclasses import is_dataclass
+from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +43,7 @@ from tasklimits.modal import (
     count_nodes,
     enumerate_frames,
 )
+from tasklimits.modal.kripke import successor_mask_orders
 from tasklimits.prediction import ConditionalKernel, ContextDistribution, LossTable
 from tasklimits.prior import HypothesisClass, HypothesisDescriptor
 from tasklimits.scenario import scenario_from_dict
@@ -199,6 +205,75 @@ def frame_validity_oracle(phi: ModalFormula, world_bound: int) -> bool:
             if not evaluate(phi).all():
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def reference_representative_frames(world_count: int) -> tuple[tuple[int, ...], ...]:
+    """The first frame of each relabeling class, in ``successor_mask_orders`` order.
+
+    A frame is kept unless an earlier kept frame relabels to it; keeping one
+    marks its whole class.
+    """
+    seen: set[tuple[int, ...]] = set()
+    reps: list[tuple[int, ...]] = []
+    perms = list(permutations(range(world_count)))
+    for masks in successor_mask_orders(world_count):
+        if masks in seen:
+            continue
+        reps.append(masks)
+        for perm in perms:
+            relabeled = [0] * world_count
+            for w in range(world_count):
+                mask = 0
+                succ = masks[w]
+                while succ:
+                    low = succ & -succ
+                    mask |= 1 << perm[low.bit_length() - 1]
+                    succ ^= low
+                relabeled[perm[w]] = mask
+            seen.add(tuple(relabeled))
+    return tuple(reps)
+
+
+def reference_frame_table(
+    ops: list[tuple],
+    atom_position: dict[int, int],
+    succ_masks: tuple[int, ...],
+    world_count: int,
+    atom_masks: list[list[int]],
+    full: int,
+) -> list[list[int]]:
+    """Truth bitmask of every subformula at every world, batched over valuations."""
+    table: list[list[int]] = []
+    for op in ops:
+        kind = op[0]
+        if kind == "atom":
+            row = atom_masks[atom_position[op[1]]]
+        elif kind == "not":
+            child = table[op[1]]
+            row = [full ^ child[w] for w in range(world_count)]
+        elif kind == "box":
+            child = table[op[1]]
+            row = []
+            for w in range(world_count):
+                acc = full
+                succ = succ_masks[w]
+                while succ:
+                    low = succ & -succ
+                    acc &= child[low.bit_length() - 1]
+                    succ ^= low
+                row.append(acc)
+        elif kind == "and":
+            a, b = table[op[1]], table[op[2]]
+            row = [a[w] & b[w] for w in range(world_count)]
+        elif kind == "or":
+            a, b = table[op[1]], table[op[2]]
+            row = [a[w] | b[w] for w in range(world_count)]
+        else:  # implies
+            a, b = table[op[1]], table[op[2]]
+            row = [(full ^ a[w]) | b[w] for w in range(world_count)]
+        table.append(row)
+    return table
 
 
 def explicit_chain_dict(sets, n_max: int, mu: TaskMeasure) -> dict:

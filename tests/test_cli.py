@@ -118,6 +118,22 @@ class TestUnusableInput:
         err = capsys.readouterr().err
         assert str(path) in err and cause in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["emit", "--format", "structured", "--out"]],
+        ids=["simulate", "emit-structured"],
+    )
+    def test_lone_surrogate_name_exits_2(self, command, tmp_path, capsys):
+        data = json.loads((SCENARIO_DIR / "uniform_threshold.json").read_text(encoding="utf-8"))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**data, "name": "\ud800"}), encoding="utf-8")
+        argv = [command[0], str(path), *command[1:]]
+        if command[0] == "emit":
+            argv.append(str(tmp_path / "report.json"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "field 'name' is not Unicode text" in err
+
 
 class TestVerify:
     def test_bundled_directory_passes(self, capsys):

@@ -2,7 +2,10 @@
 independent frame-enumeration oracle, and the search's work and order."""
 
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +24,13 @@ from tasklimits.modal import (
     print_formula,
     subformulas,
 )
-from tasklimits.modal.kripke import successor_mask_orders
-from support import frame_validity_oracle, random_formula
+from tasklimits.modal.kripke import MAX_ENUM_WORLDS, successor_mask_orders
+from support import (
+    frame_validity_oracle,
+    random_formula,
+    reference_frame_table,
+    reference_representative_frames,
+)
 
 
 def decide(text):
@@ -242,6 +250,29 @@ class TestSearchWork:
             decide(FOUR_BOX_VALID + " & (p2 | p3 | p4 | p5 | p6)")
         assert evaluated_frames == []
 
+    def test_search_enumerates_no_labelled_orders(self):
+        # A fresh process, so no cache of labelled orders is warm.
+        script = f"""
+import sys
+sys.path.insert(0, {str(Path(decide_module.__file__).parents[2])!r})
+import tasklimits.modal.decide as decide
+import tasklimits.modal.kripke as kripke
+from tasklimits.modal import parse_formula
+
+def refuse(world_count):
+    raise AssertionError("labelled orders enumerated")
+
+kripke.successor_mask_orders = refuse
+if hasattr(decide, "successor_mask_orders"):
+    decide.successor_mask_orders = refuse
+print(decide.gl_decide(parse_formula({FOUR_BOX_VALID!r})).verdict)
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "valid\n"
+
 
 def _relabel(masks, perm):
     relabeled = [0] * len(masks)
@@ -268,11 +299,66 @@ class TestSearchHelpers:
         counts = [len(decide_module._representative_frames(k)) for k in range(1, 6)]
         assert counts == [1, 2, 5, 16, 63]
 
+    @pytest.mark.parametrize("world_count", range(1, MAX_ENUM_WORLDS + 1))
+    def test_table_is_the_orbit_marking_reference(self, world_count):
+        assert decide_module._representative_frames(
+            world_count
+        ) == reference_representative_frames(world_count)
+
+    def test_table_covers_every_enumerable_world_count(self):
+        assert sorted(decide_module._REPRESENTATIVE_FRAMES) == list(
+            range(1, MAX_ENUM_WORLDS + 1)
+        )
+
     @pytest.mark.parametrize("total_bits", range(1, 11))
     def test_atom_bit_mask_selects_valuations_with_the_bit(self, total_bits):
         for bit in range(total_bits):
             expected = sum(1 << v for v in range(1 << total_bits) if v >> bit & 1)
             assert decide_module._atom_bit_mask(bit, total_bits) == expected
+
+
+class TestRootDemand:
+    def test_filled_cells_match_the_all_worlds_table(self):
+        # Named formulas share a subformula between the root and a deeper box
+        # depth, which random ones seldom do.
+        formulas = [parse_formula(t) for t in (FOUR_BOX_VALID, "[]p0 -> [][]p0 & p0")]
+        rng = random.Random(3131)
+        while len(formulas) < 42:
+            phi = random_formula(
+                rng, max_nodes=24, n_atoms=3, max_box_depth=4, max_distinct_boxes=4
+            )
+            if box_subformulas(phi):
+                formulas.append(phi)
+        skipped = 0
+        for phi in formulas:
+            ops = decide_module._postorder_ops(phi)
+            depths = decide_module._box_depths(ops)
+            atoms = atom_indices(phi)
+            position = {atom: i for i, atom in enumerate(atoms)}
+            for k in range(1, MAX_ENUM_WORLDS + 1):
+                total_bits = len(atoms) * k
+                full = (1 << (1 << total_bits)) - 1
+                atom_masks = [
+                    [decide_module._atom_bit_mask(i * k + w, total_bits) for w in range(k)]
+                    for i in range(len(atoms))
+                ]
+                for masks in decide_module._representative_frames(k):
+                    everyone = (1 << k) - 1
+                    roots = [w for w in range(k) if masks[w] | 1 << w == everyone]
+                    if not roots:
+                        continue
+                    (root,) = roots
+                    args = (ops, position, masks, k, atom_masks, full)
+                    table = decide_module._evaluate_frame(*args, root, depths)
+                    reference = reference_frame_table(*args)
+                    assert table[-1][root] == reference[-1][root], print_formula(phi)
+                    for row, expected in zip(table, reference):
+                        for cell, value in zip(row, expected):
+                            if cell is None:
+                                skipped += 1
+                            else:
+                                assert cell == value, print_formula(phi)
+        assert skipped > 1000
 
 
 def _first_refutation(phi):
