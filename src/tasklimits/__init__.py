@@ -2,9 +2,10 @@
 
 Three pillars:
 
-* task-space trajectories: nested solved-task sets over a fixed finite
-  measure, with utility sequences, marginal gains, telescoping identities,
-  and diminishing-returns diagnostics;
+* task-space trajectories: nested solved-task chains over a fixed finite
+  measure, stored as the level at which each task is first solved, with
+  utility sequences, marginal gains, telescoping identities, and
+  diminishing-returns diagnostics;
 * complexity-weighted prediction: Kraft-validated hypothesis priors,
   truncated and tail predictive mixtures, and tail-mass bounds on
   total-variation, Bayes-risk, and utility perturbations;
@@ -15,7 +16,7 @@ A scenario-driven CLI (``tasklimits``) ties the pieces into reproducible,
 CSV-emitting experiments.
 """
 
-from .taskspace import TaskId, TaskMeasure, TaskSet, measure_of, novelty
+from .taskspace import TaskId, TaskMeasure
 from .trajectory import (
     DifficultyThreshold,
     LimitDiagnostics,

@@ -24,8 +24,9 @@ from pathlib import Path
 
 from .errors import ScenarioError, TaskLimitsError
 from .modal import parse_formula, print_formula
+from .prediction import BOUND_SLACK
 from .report import FORMATS, Report, VerdictRecord, emit_report
-from .runner import DEFAULT_SLACK, run_experiment
+from .runner import run_experiment
 from .scenario import LogicPayload, Scenario, parse_scenario
 
 #: The scenario kind each run command accepts; ``verify`` and ``emit`` take any.
@@ -46,7 +47,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tolerance",
         type=_tolerance,
-        default=DEFAULT_SLACK,
+        default=BOUND_SLACK,
         help="additive slack for inequality checks (default 1e-9)",
     )
 

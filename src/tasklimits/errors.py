@@ -16,10 +16,6 @@ class ValidationError(TaskLimitsError, ValueError):
     """An input violated a construction-time invariant."""
 
 
-class BoundsError(ValidationError):
-    """A task identifier lies outside the enclosing task space."""
-
-
 class NestednessError(ValidationError):
     """A solved-set sequence is not a nested chain (capability preservation)."""
 

@@ -7,7 +7,7 @@ Grammar (whitespace insensitive)::
     disjunction := conjunction ('|' conjunction)*
     conjunction := unary ('&' unary)*
     unary       := '~' unary | '[]' unary | ATOM | '(' formula ')'
-    ATOM        := 'p' DIGITS
+    ATOM        := 'p' DIGITS                           # ASCII 0-9 only
 
 Precedence from loosest to tightest: ``->``, ``|``, ``&``, then the unary
 operators ``~`` and ``[]``.
@@ -166,11 +166,15 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
             i += 1
         elif ch == "p":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise FormulaSyntaxError("expected digits after 'p'", i + 1)
-            tokens.append((_TOKEN_ATOM, i, int(text[i + 1 : j])))
+            try:
+                index = int(text[i + 1 : j])
+            except ValueError as exc:  # past the int conversion digit limit
+                raise FormulaSyntaxError(f"unreadable atom index: {exc}", i) from exc
+            tokens.append((_TOKEN_ATOM, i, index))
             i = j
         elif ch == "~":
             tokens.append((_TOKEN_NOT, i, -1))

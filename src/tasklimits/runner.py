@@ -28,14 +28,11 @@ from .trajectory import (
     utility_sequence,
 )
 
-#: Inequality checks get this much additive slack.
-DEFAULT_SLACK = BOUND_SLACK
-
 
 def _run_trajectory(scenario: Scenario, payload: TrajectoryPayload) -> Report:
     traj = build_trajectory(payload.rule, scenario.n_max, payload.mu)
     utilities = utility_sequence(traj)
-    gains = marginal_gains(traj) if len(traj) >= 2 else []
+    gains = marginal_gains(traj) if traj.levels >= 2 else []
 
     steps = tuple(
         StepRecord(
@@ -43,18 +40,18 @@ def _run_trajectory(scenario: Scenario, payload: TrajectoryPayload) -> Report:
             utility=utilities[i],
             delta=gains[i] if i < len(gains) else None,
         )
-        for i in range(len(traj))
+        for i in range(traj.levels)
     )
 
     bounds: list[BoundRecord] = []
     if gains:
         residual = telescoping_residual(utilities, gains)
         bounds.append(
-            BoundRecord.check("telescoping_residual", len(traj), residual, IDENTITY_TOLERANCE)
+            BoundRecord.check("telescoping_residual", traj.levels, residual, IDENTITY_TOLERANCE)
         )
         count = float(sum(1 for g in gains if g >= scenario.epsilon))
         cap = float(math.ceil(1.0 / scenario.epsilon))
-        bounds.append(BoundRecord.check("gains_at_or_above_epsilon", len(traj), count, cap))
+        bounds.append(BoundRecord.check("gains_at_or_above_epsilon", traj.levels, count, cap))
 
     diag = limit_diagnostics(utilities, gains, scenario.epsilon)
     notes = (
@@ -168,7 +165,7 @@ def _run_logic(scenario: Scenario, payload: LogicPayload) -> Report:
     )
 
 
-def run_experiment(scenario: Scenario, slack_tolerance: float = DEFAULT_SLACK) -> Report:
+def run_experiment(scenario: Scenario, slack_tolerance: float = BOUND_SLACK) -> Report:
     """Run one scenario to a report; deterministic given the scenario contents."""
     payload = scenario.payload
     if isinstance(payload, TrajectoryPayload):

@@ -106,6 +106,14 @@ def _list_of(noun: str, value: Any, field: str, source: str) -> list:
     return value
 
 
+def _numeric(field: str, build, value: Any, source: str):
+    """``build(value)``, with an integer or a sum past float range reported against ``field``."""
+    try:
+        return build(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{source}: field {field!r} is past float range: {exc}") from exc
+
+
 def _explicit_chain(sets: Any, n_max: int, size: int, source: str) -> DifficultyThreshold:
     """The first-solved level of each task of an ``explicit_sets`` chain, as difficulties."""
     if not isinstance(sets, list):
@@ -133,6 +141,7 @@ def _build_rule(rule_data: Any, seed: int, n_max: int, size: int, source: str) -
         probability = _require(rule_data, "step_probability", source)
         if type(probability) not in (int, float):
             raise ScenarioError(f"{source}: field 'step_probability' must be a number")
+        probability = _numeric("step_probability", float, probability, source)
         return RandomCoverage(step_probability=probability, seed=seed)
     if kind == "explicit_sets":
         return _explicit_chain(_require(rule_data, "sets", source), n_max, size, source)
@@ -143,7 +152,8 @@ def _build_trajectory_payload(
     payload: dict, seed: int, n_max: int, source: str
 ) -> TrajectoryPayload:
     weights = _require(payload, "task_weights", source)
-    mu = TaskMeasure(tuple(_list_of("numbers", weights, "task_weights", source)))
+    weights = tuple(_list_of("numbers", weights, "task_weights", source))
+    mu = _numeric("task_weights", TaskMeasure, weights, source)
     rule = _build_rule(_require(payload, "rule", source), seed, n_max, mu.size, source)
     # Errors without a source are prefixed with it by ``scenario_from_dict``.
     last_weighted = max(mu.support)
@@ -172,7 +182,7 @@ def _build_prediction_payload(payload: dict, source: str) -> PredictionPayload:
     kernel_data = _require(payload, "kernels", source)
     if not isinstance(kernel_data, dict):
         raise ScenarioError(f"{source}: 'kernels' must map names to matrices")
-    kernels = {name: ConditionalKernel(table) for name, table in kernel_data.items()}
+    kernels = {k: _numeric("kernels", ConditionalKernel, v, source) for k, v in kernel_data.items()}
     for h in hclass.hypotheses:
         if h.kernel_ref not in kernels:
             raise ConfigurationError(
@@ -182,12 +192,13 @@ def _build_prediction_payload(payload: dict, source: str) -> PredictionPayload:
     if len(shapes) > 1:
         raise ShapeError(f"field 'kernels' mixes the shapes {shapes}")
     (rows, outcomes), = shapes
-    loss = LossTable(_require(payload, "loss", source))
+    loss = _numeric("loss", LossTable, _require(payload, "loss", source), source)
     if loss.n_outcomes != outcomes:
         raise ShapeError(
             f"field 'loss' has {loss.n_outcomes} outcomes, the kernels have {outcomes}"
         )
-    contexts = ContextDistribution(_require(payload, "context_weights", source))
+    weights = _require(payload, "context_weights", source)
+    contexts = _numeric("context_weights", ContextDistribution, weights, source)
     if contexts.n_contexts != rows:
         raise ShapeError(
             f"field 'context_weights' has {contexts.n_contexts} contexts, the kernels {rows}"
@@ -233,7 +244,7 @@ def scenario_from_dict(
         epsilon = data["epsilon"]
         if type(epsilon) not in (int, float):
             raise ScenarioError(f"{source}: field 'epsilon' must be a number")
-        epsilon = float(epsilon)
+        epsilon = _numeric("epsilon", float, epsilon, source)
     if n_max is not None and n_max > MAX_LEVELS:
         raise ScenarioError(f"{source}: field 'n_max' is {n_max}, above the limit of {MAX_LEVELS}")
     payload_data = _require(data, "payload", source)

@@ -1,18 +1,16 @@
-"""Finite task spaces: probability measures over task ids and set operations.
+"""Finite task spaces: probability measures over task ids.
 
 Tasks are opaque non-negative integers indexing into a finite, enumerated
-space. A :class:`TaskMeasure` fixes the probability of each task; a
-:class:`TaskSet` is an explicit membership set, which keeps measure
-arithmetic exact and set differences trivially checkable.
+space. A :class:`TaskMeasure` fixes the probability of each task; the mass
+of a set of tasks is the ``math.fsum`` of their weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
-from .errors import BoundsError, ValidationError
+from .errors import ValidationError
 
 # A task identifier is a plain non-negative integer.
 TaskId = int
@@ -56,63 +54,13 @@ class TaskMeasure:
             raise ValidationError("uniform measure needs size >= 1")
         return cls(tuple(1.0 / size for _ in range(size)))
 
-    @classmethod
-    def point_mass(cls, task: TaskId, size: int) -> TaskMeasure:
-        if not 0 <= task < size:
-            raise BoundsError(f"task {task} outside space of size {size}")
-        return cls(tuple(1.0 if i == task else 0.0 for i in range(size)))
-
 
 @dataclass(frozen=True)
 class TaskSet:
-    """Explicit membership set of task ids."""
+    """One level's solved set, kept only because ``perfbench/tracing.py`` reads its
+    ``members`` and ``len()``; it goes when the tracer counts from ``first_level``."""
 
     members: frozenset[TaskId]
 
-    def __post_init__(self) -> None:
-        members = frozenset(int(t) for t in self.members)
-        for t in members:
-            if t < 0:
-                raise ValidationError(f"task ids must be non-negative, got {t}")
-        object.__setattr__(self, "members", members)
-
-    @classmethod
-    def of(cls, ids: Iterable[TaskId] = ()) -> TaskSet:
-        return cls(frozenset(ids))
-
-    @classmethod
-    def empty(cls) -> TaskSet:
-        return cls(frozenset())
-
-    def __contains__(self, task: TaskId) -> bool:
-        return task in self.members
-
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self) -> Iterator[TaskId]:
-        return iter(sorted(self.members))
-
-    def issubset(self, other: TaskSet) -> bool:
-        return self.members <= other.members
-
-    def union(self, other: TaskSet) -> TaskSet:
-        return TaskSet(self.members | other.members)
-
-
-def measure_of(task_set: TaskSet, mu: TaskMeasure) -> float:
-    """Total mass of ``task_set`` under ``mu``.
-
-    Uses exact summation (``math.fsum``) so that finite additivity and the
-    set-difference identity hold to 1e-12 on any chain of subsets.
-    """
-    for t in task_set.members:
-        if t >= mu.size:
-            raise BoundsError(f"task {t} outside space of size {mu.size}")
-    return math.fsum(mu.weights[t] for t in task_set.members)
-
-
-def novelty(next_set: TaskSet, prev_set: TaskSet) -> TaskSet:
-    """Tasks in ``next_set`` but not in ``prev_set``."""
-    return TaskSet(next_set.members - prev_set.members)
-

@@ -5,11 +5,8 @@ each task is first solved: ``first_level[t]`` is in 1..N, or 0 if task t is
 never solved. Level n solves the tasks with ``0 < first_level[t] <= n``, so
 the solved sets are nested by construction. Utilities are the measure masses
 of those sets; marginal gains are the masses of the tasks first solved at
-each level. A chain given as explicit sets (``SystemTrajectory(sets, mu)``,
-or an ``explicit_sets`` rule, which the scenario loader turns into a
-:class:`DifficultyThreshold`) goes through one conversion to first levels,
-``_first_solved_levels``; that conversion is the only nestedness check, and
-it rejects a chain if any level drops a task.
+each level. The scenario loader turns an ``explicit_sets`` chain into first
+levels once, with ``_first_solved_levels``: the only nestedness check.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence, Union
 
-from .errors import ConfigurationError, NestednessError, ValidationError
+from .errors import ConfigurationError, NestednessError
 from .taskspace import TaskId, TaskMeasure, TaskSet
 
 
@@ -80,46 +77,26 @@ class RandomCoverage:
 SolverRule = Union[DifficultyThreshold, RandomCoverage]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SystemTrajectory:
     """A nested chain over ``levels`` levels, as the level each task is first solved.
 
     ``first_level`` holds one entry per task of ``mu``: the level in
     1..``levels`` at which the task joins the solved set, or 0 if it never
-    does. ``SystemTrajectory(sets, mu)`` converts an explicit chain of sets.
+    does. :func:`build_trajectory` makes it from a solver rule.
     """
 
     first_level: tuple[int, ...]
     levels: int
     mu: TaskMeasure
 
-    def __init__(self, solved_sets: Sequence[TaskSet], mu: TaskMeasure) -> None:
-        if not solved_sets:
-            raise ValidationError("trajectory needs at least one level")
-        first = _first_solved_levels(s.members for s in solved_sets)
-        for t in first:
-            if t >= mu.size:
-                raise ValidationError(f"task {t} outside the measure's space of size {mu.size}")
-        _fill(self, tuple(first.get(t, 0) for t in range(mu.size)), len(solved_sets), mu)
-
-    def __len__(self) -> int:
-        return self.levels
-
     @property
     def solved_sets(self) -> tuple[TaskSet, ...]:
-        """The solved set of each level, derived from ``first_level``."""
+        """Each level's solved set, derived from ``first_level``; see :class:`TaskSet`."""
         return tuple(
-            TaskSet.of(t for t, level in enumerate(self.first_level) if 0 < level <= n)
+            TaskSet(frozenset(t for t, level in enumerate(self.first_level) if 0 < level <= n))
             for n in range(1, self.levels + 1)
         )
-
-
-def _fill(
-    traj: SystemTrajectory, first_level: tuple[int, ...], levels: int, mu: TaskMeasure
-) -> None:
-    object.__setattr__(traj, "first_level", first_level)
-    object.__setattr__(traj, "levels", levels)
-    object.__setattr__(traj, "mu", mu)
 
 
 @dataclass(frozen=True)
@@ -165,9 +142,7 @@ def build_trajectory(rule: SolverRule, n_max: int, mu: TaskMeasure) -> SystemTra
     else:
         raise ConfigurationError(f"unknown solver rule {type(rule).__name__}")
 
-    traj = object.__new__(SystemTrajectory)
-    _fill(traj, first_level, n_max, mu)
-    return traj
+    return SystemTrajectory(first_level, n_max, mu)
 
 
 def _weights_first_solved(traj: SystemTrajectory) -> list[list[float]]:
@@ -197,13 +172,13 @@ def utility_sequence(traj: SystemTrajectory) -> list[float]:
 
 
 def marginal_gains(traj: SystemTrajectory) -> list[float]:
-    """Gains as novelty-set masses: the ``fsum`` of the tasks first solved at n + 1.
+    """Gains as the mass new at each level: the ``fsum`` of the tasks first solved at n + 1.
 
     Returned as the mass of the newly solved tasks, which is exactly
     non-negative; equality with the utility differences is a tested
     invariant rather than the computation route.
     """
-    if len(traj) < 2:
+    if traj.levels < 2:
         raise ConfigurationError("marginal gains need a trajectory of length >= 2")
     return [math.fsum(run) for run in _weights_first_solved(traj)[1:]]
 

@@ -6,9 +6,11 @@ the implementation paths they check: the frame-validity oracle evaluates
 with numpy boolean arrays over the full labeled frame enumeration, while
 the decision procedure uses bigint masks over canonical representatives;
 the Bayes-risk oracle is a plain double loop; the reference trajectory
-chain builds every level as a whole set, where the library stores the level
-at which each task is first solved, and for an explicit chain it is the very
-sets the case generated, not anything read back from the loaded rule. The
+chain builds every level as a whole frozenset, where the library stores the
+level at which each task is first solved, and for an explicit chain it is
+the very sets the case generated, not anything read back from the loaded
+rule. A set's mass is one ``fsum`` over its members, and the tasks new at a
+level are a set difference. The
 reference utilities re-sum every prefix of the solved weights with one
 ``fsum`` each, where the library carries an exact running sum, and the
 reference structured report goes through ``json.dumps``, where the library
@@ -47,12 +49,13 @@ from tasklimits.modal.kripke import successor_mask_orders
 from tasklimits.prediction import ConditionalKernel, ContextDistribution, LossTable
 from tasklimits.prior import HypothesisClass, HypothesisDescriptor
 from tasklimits.scenario import scenario_from_dict
-from tasklimits.taskspace import TaskMeasure, TaskSet
+from tasklimits.taskspace import TaskMeasure
 from tasklimits.trajectory import (
     DifficultyThreshold,
     RandomCoverage,
     SolverRule,
     SystemTrajectory,
+    build_trajectory,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -291,18 +294,29 @@ def explicit_chain_dict(sets, n_max: int, mu: TaskMeasure) -> dict:
     }
 
 
+def explicit_trajectory(sets, mu: TaskMeasure) -> SystemTrajectory:
+    """The trajectory of the chain ``sets``, one level per set, loaded as a scenario file is."""
+    rule = scenario_from_dict(explicit_chain_dict(sets, len(sets), mu)).payload.rule
+    return build_trajectory(rule, len(sets), mu)
+
+
+def reference_mass(solved: frozenset[int], mu: TaskMeasure) -> float:
+    """The mass of a set of tasks under ``mu``, as one ``fsum``."""
+    return math.fsum(mu.weights[t] for t in solved)
+
+
 def reference_chain(
     rule: SolverRule, n_max: int, mu: TaskMeasure, sets=None
-) -> tuple[TaskSet, ...]:
+) -> tuple[frozenset[int], ...]:
     """The solved set of every level 1..n_max under ``rule``, each built whole.
 
     For a rule loaded from an explicit chain, pass the chain as ``sets``.
     """
     if sets is not None:
-        return tuple(TaskSet.of(s) for s in sets[:n_max])
+        return tuple(frozenset(s) for s in sets[:n_max])
     if isinstance(rule, DifficultyThreshold):
         return tuple(
-            TaskSet.of(t for t, d in enumerate(rule.difficulties) if d <= n and t < mu.size)
+            frozenset(t for t, d in enumerate(rule.difficulties) if d <= n and t < mu.size)
             for n in range(1, n_max + 1)
         )
     rng = random.Random(rule.seed)
@@ -312,7 +326,7 @@ def reference_chain(
         for t in range(mu.size):
             if t not in solved and rng.random() < rule.step_probability:
                 solved.add(t)
-        chain.append(TaskSet.of(solved))
+        chain.append(frozenset(solved))
     return tuple(chain)
 
 

@@ -3,10 +3,16 @@
 import argparse
 import json
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tasklimits
 from tasklimits.cli import build_parser, main
+from tasklimits.scenario import parse_scenario
+from tasklimits.trajectory import build_trajectory
 from support import SCENARIO_DIR
 
 
@@ -103,6 +109,19 @@ class TestUnusableInput:
         assert "nests deeper than" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "index, message",
+        [
+            ("1" * 5000, "unreadable atom index: Exceeds the limit (4300 digits)"),
+            ("\u00b2", "expected digits after 'p' (position 6)"),
+            ("\u0663", "expected digits after 'p' (position 6)"),
+        ],
+        ids=["5000-digit-atom", "superscript-two", "arabic-indic-three"],
+    )
+    def test_unusable_atom_index_exits_2(self, index, message, capsys):
+        assert main(["logic", "p0 & p" + index]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "content, cause",
         [
             (b'{"name": "\xff"}', "not UTF-8 text"),
@@ -197,3 +216,43 @@ class TestFlagOverrides:
         main(["emit", target, "--format", "structured", "--out", str(out_a), "--seed", "1"])
         main(["emit", target, "--format", "structured", "--out", str(out_b), "--seed", "2"])
         assert out_a.read_bytes() != out_b.read_bytes()
+
+
+class TestBenchmarkTracer:
+    """``perfbench/tracing.py`` still runs over the library and counts the chain right."""
+
+    def test_trace_counts_match_the_first_levels(self):
+        root = Path(__file__).resolve().parent.parent
+        runs = [
+            ["simulate", str(SCENARIO_DIR / "random_coverage.json")],
+            ["logic", str(SCENARIO_DIR / "logic_basics.json")],
+            ["logic", "p0 &"],
+        ]
+        script = f"""
+import contextlib, io, json, sys
+sys.path[:0] = [{str(Path(tasklimits.__file__).parents[1])!r}, {str(root / "perfbench")!r}]
+import tasklimits.cli as cli
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install()
+statuses = []
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        statuses.append(cli.main(argv))
+print(json.dumps({{"statuses": statuses, "counts": tracer.counts}}))
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["statuses"] == [0, 0, 2]
+        scenario = parse_scenario(SCENARIO_DIR / "random_coverage.json")
+        traj = build_trajectory(scenario.payload.rule, scenario.n_max, scenario.payload.mu)
+        solved = [level for level in traj.first_level if level > 0]
+        assert solved
+        assert result["counts"]["trajectory.set_members"] == sum(
+            traj.levels - level + 1 for level in solved
+        )
+        assert result["counts"]["trajectory.ever_solved"] == len(solved)

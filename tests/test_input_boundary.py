@@ -6,7 +6,7 @@ gives a scenario that runs to a report; any file, as raw bytes, either raises
 parses or raises ``FormulaSyntaxError`` or ``ResourceLimitError``. Nothing
 else escapes.
 Values are drawn small: integers stay in -3..40, so no size field asks for
-real work.
+real work, except for one integer past float range.
 """
 
 import copy
@@ -37,6 +37,7 @@ SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(-3, 40)
+    | st.just(10**400)
     | st.floats()
     | st.text(alphabet="p01[]~&|->() kx", max_size=8)
 )

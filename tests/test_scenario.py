@@ -211,6 +211,49 @@ class TestLoadTimeChecks:
         with pytest.raises(ScenarioError, match="'step_probability' must be a number"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, scenario, path",
+        [
+            ("epsilon", "uniform_threshold.json", ["epsilon"]),
+            ("task_weights", "uniform_threshold.json", ["payload", "task_weights", 0]),
+            ("step_probability", "random_coverage.json", ["payload", "rule", "step_probability"]),
+            ("kernels", "bernoulli_pair.json", ["payload", "kernels", "mostly-one", 0, 0]),
+            ("loss", "bernoulli_pair.json", ["payload", "loss", 0, 0]),
+            ("context_weights", "bernoulli_pair.json", ["payload", "context_weights", 0]),
+        ],
+        ids=["epsilon", "task_weights", "step_probability", "kernels", "loss", "context_weights"],
+    )
+    def test_integer_past_float_range_names_the_field(
+        self, field, scenario, path, tmp_path, capsys
+    ):
+        data = json.loads((SCENARIO_DIR / scenario).read_text(encoding="utf-8"))
+        *parents, last = path
+        container = data
+        for key in parents:
+            container = container[key]
+        container[last] = 10**400
+        message = f"field '{field}' is past float range: int too large to convert to float"
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(data)
+        command = "simulate" if data["kind"] == "trajectory" else "predict"
+        assert main([command, str(write_scenario(tmp_path, data))]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, data",
+        [
+            ("task_weights", minimal_trajectory_dict()),
+            ("context_weights", two_context(bernoulli_dict())),
+        ],
+        ids=["task_weights", "context_weights"],
+    )
+    def test_weights_summing_past_float_range_name_the_field(self, field, data):
+        weights = data["payload"][field]
+        weights[:2] = [1e308, 1e308]
+        message = f"field '{field}' is past float range: intermediate overflow in fsum"
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(data)
+
     def test_integer_weights_and_probability_load(self):
         data = minimal_trajectory_dict()
         data["payload"]["task_weights"] = [0, 1, 0.0, 0, 0]
@@ -337,11 +380,15 @@ class TestExplicitChainConversion:
         convert = trajectory._first_solved_levels
         for module in ("tasklimits.trajectory", "tasklimits.scenario"):
             monkeypatch.setattr(f"{module}._first_solved_levels", counting, raising=False)
-        monkeypatch.setattr(TaskSet, "__post_init__", lambda self: task_sets.append(self))
+        monkeypatch.setattr(TaskSet, "__init__", lambda self, members: task_sets.append(members))
         path = write_scenario(tmp_path, explicit_sets_dict())
         assert main(["simulate", str(path)]) == 0
         assert conversions == [3]
         assert task_sets == []
+        # The derived view is the one place a TaskSet is built.
+        scenario = parse_scenario(path)
+        trajectory.build_trajectory(scenario.payload.rule, 3, scenario.payload.mu).solved_sets
+        assert len(task_sets) == 3
 
 
 class TestOverrides:

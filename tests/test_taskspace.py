@@ -1,14 +1,32 @@
-"""Task measures, task sets, and their exact arithmetic."""
+"""Task measures, and the masses of solved sets as the chain computes them.
+
+The library keeps no set type of its own: the mass of a set is the utility
+of a level that solves it, and the mass of the tasks new at a level is that
+level's gain. Each chain is loaded the way a scenario file is.
+"""
 
 import math
 import random
 
 import pytest
 
-from tasklimits.errors import BoundsError, ValidationError
-from tasklimits.taskspace import TaskMeasure, TaskSet, measure_of, novelty
+from tasklimits.errors import ScenarioError, ValidationError
+from tasklimits.scenario import scenario_from_dict
+from tasklimits.taskspace import TaskMeasure
+from tasklimits.trajectory import marginal_gains, utility_sequence
+from support import explicit_chain_dict, explicit_trajectory, reference_mass
 
 IDENTITY_TOL = 1e-12
+
+
+def mass(solved, mu: TaskMeasure) -> float:
+    """The utility of a one-level chain that solves ``solved``."""
+    return utility_sequence(explicit_trajectory([solved], mu))[0]
+
+
+def new_mass(before, after, mu: TaskMeasure) -> float:
+    """The gain from ``before`` to ``after``: the mass of the tasks new at the second level."""
+    return marginal_gains(explicit_trajectory([before, after], mu))[0]
 
 
 class TestTaskMeasure:
@@ -36,33 +54,31 @@ class TestTaskMeasure:
 
 class TestMeasureOf:
     def test_empty_set_has_zero_mass(self):
-        assert measure_of(TaskSet.empty(), TaskMeasure.uniform(7)) == 0.0
+        assert mass(set(), TaskMeasure.uniform(7)) == 0.0
 
     def test_full_support_has_total_mass(self):
         mu = TaskMeasure.uniform(13)
-        assert measure_of(TaskSet.of(range(13)), mu) == pytest.approx(1.0, abs=IDENTITY_TOL)
+        assert mass(set(range(13)), mu) == pytest.approx(1.0, abs=IDENTITY_TOL)
 
     def test_two_of_ten_uniform(self):
         # 0.1 + 0.1
-        assert measure_of(TaskSet.of([0, 1]), TaskMeasure.uniform(10)) == pytest.approx(
-            0.2, abs=IDENTITY_TOL
-        )
+        assert mass({0, 1}, TaskMeasure.uniform(10)) == pytest.approx(0.2, abs=IDENTITY_TOL)
 
     def test_out_of_bounds_member(self):
-        with pytest.raises(BoundsError):
-            measure_of(TaskSet.of([5]), TaskMeasure.uniform(5))
+        data = explicit_chain_dict([{5}], 1, TaskMeasure.uniform(5))
+        with pytest.raises(ScenarioError, match="'sets' names task 5, 'task_weights' has 5"):
+            scenario_from_dict(data)
 
 
 class TestNovelty:
     def test_self_difference_is_empty(self):
-        s = TaskSet.of([1, 2, 3])
-        assert novelty(s, s) == TaskSet.empty()
+        assert new_mass({1, 2, 3}, {1, 2, 3}, TaskMeasure.uniform(5)) == 0.0
 
     def test_plain_difference(self):
-        assert novelty(TaskSet.of([0, 1, 2]), TaskSet.of([0])) == TaskSet.of([1, 2])
-
-    def test_non_nested_inputs_accepted(self):
-        assert novelty(TaskSet.of([1]), TaskSet.of([0, 2])) == TaskSet.of([1])
+        mu = TaskMeasure.uniform(10)
+        traj = explicit_trajectory([{0}, {0, 1, 2}], mu)
+        assert traj.first_level == (1, 2, 2) + (0,) * 7
+        assert marginal_gains(traj) == [reference_mass(frozenset({1, 2}), mu)]
 
 
 class TestMeasureProperties:
@@ -81,18 +97,20 @@ class TestMeasureProperties:
             ids = list(range(size))
             rng.shuffle(ids)
             cut = rng.randint(0, size)
-            a, b = TaskSet.of(ids[:cut]), TaskSet.of(ids[cut:])
-            lhs = measure_of(a.union(b), mu)
-            rhs = measure_of(a, mu) + measure_of(b, mu)
-            assert abs(lhs - rhs) <= IDENTITY_TOL
+            a, b = set(ids[:cut]), set(ids[cut:])
+            traj = explicit_trajectory([a, a | b], mu)
+            mass_a, mass_union = utility_sequence(traj)
+            (mass_b,) = marginal_gains(traj)
+            assert mass_b == reference_mass(frozenset(b), mu)
+            assert abs(mass_union - (mass_a + mass_b)) <= IDENTITY_TOL
 
     def test_monotone_and_difference_identity(self):
         rng = random.Random(11)
         for _ in range(200):
             size = rng.randint(1, 40)
             mu = self._random_measure(rng, size)
-            inner = TaskSet.of(t for t in range(size) if rng.random() < 0.4)
-            outer = inner.union(TaskSet.of(t for t in range(size) if rng.random() < 0.4))
-            assert measure_of(inner, mu) <= measure_of(outer, mu) + IDENTITY_TOL
-            gap = measure_of(outer, mu) - measure_of(inner, mu)
-            assert abs(gap - measure_of(novelty(outer, inner), mu)) <= IDENTITY_TOL
+            inner = {t for t in range(size) if rng.random() < 0.4}
+            outer = inner | {t for t in range(size) if rng.random() < 0.4}
+            assert mass(inner, mu) <= mass(outer, mu) + IDENTITY_TOL
+            gap = mass(outer, mu) - mass(inner, mu)
+            assert abs(gap - new_mass(inner, outer, mu)) <= IDENTITY_TOL

@@ -7,7 +7,7 @@ import pytest
 
 from tasklimits.errors import ConfigurationError, NestednessError, ScenarioError
 from tasklimits.scenario import scenario_from_dict
-from tasklimits.taskspace import TaskMeasure, TaskSet, measure_of, novelty
+from tasklimits.taskspace import TaskMeasure
 from tasklimits.trajectory import (
     DifficultyThreshold,
     RandomCoverage,
@@ -20,8 +20,10 @@ from tasklimits.trajectory import (
 )
 from support import (
     explicit_chain_dict,
+    explicit_trajectory,
     random_trajectory_case,
     reference_chain,
+    reference_mass,
     reference_utilities,
 )
 
@@ -30,7 +32,7 @@ IDENTITY_TOL = 1e-12
 
 def sequences(traj) -> tuple[list[float], list[float]]:
     """Utilities and gains, each from its own route; no gains for one level."""
-    return utility_sequence(traj), marginal_gains(traj) if len(traj) >= 2 else []
+    return utility_sequence(traj), marginal_gains(traj) if traj.levels >= 2 else []
 
 
 def geometric_measure(max_difficulty: int = 20) -> TaskMeasure:
@@ -43,13 +45,12 @@ class TestBuildTrajectory:
     def test_all_difficulty_one_saturates_immediately(self):
         mu = TaskMeasure.uniform(4)
         traj = build_trajectory(DifficultyThreshold((1, 1, 1, 1)), 3, mu)
-        full = TaskSet.of(range(4))
-        assert traj.solved_sets == (full, full, full)
+        assert traj == SystemTrajectory((1, 1, 1, 1), 3, mu)
 
     def test_staircase_difficulties(self):
         mu = TaskMeasure.uniform(5)
         traj = build_trajectory(DifficultyThreshold((1, 2, 3, 4, 5)), 5, mu)
-        assert traj.solved_sets == tuple(TaskSet.of(range(n)) for n in range(1, 6))
+        assert traj == SystemTrajectory((1, 2, 3, 4, 5), 5, mu)
 
     def test_explicit_nestedness_violation_rejected_at_construction(self):
         data = explicit_chain_dict([{0}, {0, 1}, {0}], 3, TaskMeasure.uniform(2))
@@ -73,24 +74,16 @@ class TestBuildTrajectory:
         rule = scenario_from_dict(data).payload.rule
         assert rule == DifficultyThreshold((1, 3, 2, 5))
         traj = build_trajectory(rule, 3, mu)
-        assert traj.first_level == (1, 3, 2, 0)
-        assert traj == SystemTrajectory(
-            (TaskSet.of([0]), TaskSet.of([0, 2]), TaskSet.of([0, 1, 2])), mu
-        )
+        assert traj == SystemTrajectory((1, 3, 2, 0), 3, mu)
+        assert traj == explicit_trajectory([{0}, {0, 2}, {0, 1, 2}], mu)
 
     def test_random_coverage_is_deterministic_and_nested(self):
         mu = TaskMeasure.uniform(30)
         rule = RandomCoverage(step_probability=0.1, seed=5)
         a = build_trajectory(rule, 40, mu)
-        b = build_trajectory(rule, 40, mu)
-        assert a.solved_sets == b.solved_sets
-        for earlier, later in zip(a.solved_sets, a.solved_sets[1:]):
-            assert earlier.issubset(later)
-
-    def test_trajectory_rejects_unnested_sets_directly(self):
-        mu = TaskMeasure.uniform(3)
-        with pytest.raises(NestednessError):
-            SystemTrajectory((TaskSet.of([0, 1]), TaskSet.of([1])), mu)
+        assert a == build_trajectory(rule, 40, mu)
+        # One first level per task, each a level that runs or 0: nested by construction.
+        assert len(a.first_level) == 30 and set(a.first_level) <= set(range(41))
 
 
 class TestAgainstReferenceChain:
@@ -101,13 +94,12 @@ class TestAgainstReferenceChain:
             rule, n_max, mu, sets = random_trajectory_case(seed)
             chain = reference_chain(rule, n_max, mu, sets)
             traj = build_trajectory(rule, n_max, mu)
-            assert traj.solved_sets == chain
-            assert utility_sequence(traj) == [measure_of(s, mu) for s in chain]
+            assert tuple(s.members for s in traj.solved_sets) == chain
+            assert utility_sequence(traj) == [reference_mass(s, mu) for s in chain]
             if n_max >= 2:
-                expected = [measure_of(novelty(b, a), mu) for a, b in zip(chain, chain[1:])]
+                expected = [reference_mass(b - a, mu) for a, b in zip(chain, chain[1:])]
                 assert marginal_gains(traj) == expected
-            assert SystemTrajectory(chain, mu).solved_sets == chain
-            assert SystemTrajectory(chain, mu) == traj
+            assert explicit_trajectory(chain, mu) == traj
 
     def test_a_level_that_drops_a_task_is_rejected(self):
         rng = random.Random(7)
@@ -116,17 +108,16 @@ class TestAgainstReferenceChain:
             rule, n_max, mu, sets = random_trajectory_case(seed)
             chain = reference_chain(rule, n_max, mu, sets)
             for level in range(2, len(chain) + 1):
-                earlier = sorted(chain[level - 2].members)
+                earlier = sorted(chain[level - 2])
                 if not earlier:
                     continue
                 dropped = rng.choice(earlier)
                 broken = list(chain)
-                broken[level - 1] = TaskSet(chain[level - 1].members - {dropped})
+                broken[level - 1] = chain[level - 1] - {dropped}
                 message = f"level {level} drops previously solved tasks \\[{dropped}\\]"
-                with pytest.raises(NestednessError, match=message):
-                    SystemTrajectory(tuple(broken), mu)
-                with pytest.raises(ScenarioError, match=message):
+                with pytest.raises(ScenarioError, match=message) as raised:
                     scenario_from_dict(explicit_chain_dict(broken, n_max, mu))
+                assert isinstance(raised.value.__cause__, NestednessError)
                 drops += 1
         assert drops > 1000
 
@@ -134,7 +125,7 @@ class TestAgainstReferenceChain:
 class TestUtilityAndGains:
     def test_empty_sets_give_zero_utilities(self):
         mu = TaskMeasure.uniform(3)
-        traj = SystemTrajectory((TaskSet.empty(), TaskSet.empty()), mu)
+        traj = explicit_trajectory([set(), set()], mu)
         assert utility_sequence(traj) == [0.0, 0.0]
         assert marginal_gains(traj) == [0.0]
 
@@ -145,8 +136,7 @@ class TestUtilityAndGains:
 
     def test_constant_full_coverage_is_all_ones(self):
         mu = TaskMeasure.uniform(2)
-        full = TaskSet.of([0, 1])
-        traj = SystemTrajectory((full, full, full), mu)
+        traj = explicit_trajectory([{0, 1}] * 3, mu)
         assert utility_sequence(traj) == [1.0, 1.0, 1.0]
         assert marginal_gains(traj) == [0.0, 0.0]
 
@@ -160,7 +150,7 @@ class TestUtilityAndGains:
 
     def test_gains_need_two_levels(self):
         mu = TaskMeasure.uniform(2)
-        traj = SystemTrajectory((TaskSet.of([0]),), mu)
+        traj = explicit_trajectory([{0}], mu)
         assert utility_sequence(traj) == [0.5]
         with pytest.raises(ConfigurationError):
             marginal_gains(traj)
@@ -238,8 +228,7 @@ class TestExactRunningSum:
 class TestTelescoping:
     def test_constant_trajectory_residual_zero(self):
         mu = TaskMeasure.uniform(2)
-        s = TaskSet.of([0])
-        assert telescoping_residual(*sequences(SystemTrajectory((s, s, s), mu))) == 0.0
+        assert telescoping_residual(*sequences(explicit_trajectory([{0}] * 3, mu))) == 0.0
 
     def test_random_coverage_seed_42_100_steps(self):
         mu = TaskMeasure.uniform(50)
@@ -261,8 +250,7 @@ class TestTelescoping:
 class TestLimitDiagnostics:
     def test_constant_trajectory(self):
         mu = TaskMeasure.uniform(2)
-        s = TaskSet.of([0])
-        diag = limit_diagnostics(*sequences(SystemTrajectory((s, s, s), mu)), 0.01)
+        diag = limit_diagnostics(*sequences(explicit_trajectory([{0}] * 3, mu)), 0.01)
         assert diag.first_n_with_gain_below_epsilon == 1
         assert diag.max_tail_gain == 0.0
         assert diag.u_last == 0.5
