@@ -8,14 +8,13 @@ not a proven theorem; it held on every in-cap input tried, but nothing here
 proves that a countermodel, when one exists, fits in ``b + 1`` worlds.
 
 Within the bound the search is exact. It sweeps world counts upward, one
-representative frame per relabeling class, and per frame evaluates all
-valuations at once. The representatives are a literal table, the first
-frame of each class in ``successor_mask_orders`` order; the tests check it
-against orbit marking over every labelled order, so no process enumerates
-orders or relabelings to decide a formula. Valuations are batched as
-bitmasks: the truth of a subformula at a world is one big integer whose bit
-``v`` says whether the subformula holds at that world under valuation
-``v``.
+representative frame per relabeling class. The representatives are a literal
+table, the first frame of each class in ``successor_mask_orders`` order; the
+tests check it against orbit marking over every labelled order, so no
+process enumerates orders or relabelings to decide a formula. Valuations are
+batched as bitmasks: the truth of a subformula at a world is one integer
+whose bit ``v`` says whether the subformula holds at that world under
+valuation ``v`` of the current block.
 
 Only rooted frames are evaluated, and only at their root. A world's truth
 depends only on the subframe it generates (the generated-subframe lemma,
@@ -23,17 +22,27 @@ Boolos 1993). Once every smaller world count has held at every world under
 every valuation, a world of a ``k``-world frame that does not see every
 other world generates a subframe of fewer than ``k`` worlds, isomorphic to
 a frame already swept, so it cannot fail. Only a root, the one world that
-sees every other, can. The first failure found is therefore the frame,
-world and lowest valuation index that a sweep of every frame at every world
-would find first, and a level's ``frames_checked`` still counts every
+sees every other, can. Every world's successors carry lower labels, so a
+root is the last world. A level's ``frames_checked`` still counts every
 representative frame of its size: all are covered, the rooted ones are
 evaluated.
 
-Evaluation at the root goes by box depth. Each subformula is marked once
-with the depths at which it occurs (the top at 0, a box's operand one
-deeper), and per frame it is computed only at the worlds that many steps
-from the root, the only cells the root's truth reads. The root's bitmask
-is the integer a full evaluation at every world gives.
+Each world count's valuations go in ascending blocks of at most ``2**16``
+indices, so a cell is an integer of at most 8 KiB however large the space.
+Within a block one table of cells serves every rooted frame. The table is
+lexicographic, so consecutive frames share a prefix of successor masks, and
+a world's cells depend only on the masks up to it: each frame overwrites in
+place only the cells from the first world where it differs from the frame
+before. Cells are computed only where the root reads them, by box depth:
+a subformula at the root if it occurs outside every box, and at the other
+worlds if it occurs under one. The answer is the least (rooted frame,
+valuation index) that fails: once a frame fails, later blocks scan only the
+frames before it. So it is the frame, world and lowest valuation index that
+a sweep of every frame at every world over the whole space would find
+first.
+
+The cap of ``MAX_VALUATION_BITS`` bounds the time a decision takes, the
+number of blocks swept, not its memory.
 
 Every resource limit is checked before the search starts.
 
@@ -65,6 +74,9 @@ from .kripke import MAX_ENUM_WORLDS, KripkeModel
 MAX_ATOMS = 8
 #: atoms * worlds may not exceed this; the valuation space has 2**(atoms*worlds) points.
 MAX_VALUATION_BITS = 24
+#: Valuations are swept in blocks of at most ``2**_BLOCK_BITS`` indices, so no
+#: cell is an integer of more than 8 KiB.
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -197,45 +209,31 @@ def _box_depths(ops: list[tuple]) -> list[int]:
 
 
 def _evaluate_frame(
+    table: list[list[int | None]],
     ops: list[tuple],
-    atom_position: dict[int, int],
-    succ_masks: tuple[int, ...],
-    world_count: int,
-    atom_masks: list[list[int]],
-    full: int,
-    root: int,
     depths: list[int],
-) -> list[list[int | None]]:
-    """Truth bitmasks of the subformulas, batched over valuations, where ``root`` reads them.
+    succ_masks: tuple[int, ...],
+    start: int,
+    full: int,
+) -> None:
+    """Overwrite in place the cells of ``table`` the root reads, at worlds ``start`` and up.
 
-    An op is evaluated at the worlds ``d`` steps from ``root`` for each box
-    depth ``d`` in its ``depths`` mask; its other cells stay ``None``. The
-    top's cell at ``root`` is the same integer a full evaluation gives.
+    ``succ_masks`` is a rooted frame, rooted at its last world. An op at box
+    depth 0 is read at the root; one at a depth of 1 or more at the worlds
+    below it, which in a rooted frame are all the others. Cells below
+    ``start`` keep the values of the frame evaluated before, which are right
+    for this frame when the two agree on the successors of every world below
+    ``start``: each world's successors carry lower labels, so its cells depend
+    only on the frame's successor masks up to it. Cells the root does not read
+    are left as they are; the top's cell at the root is the integer a full
+    evaluation gives.
     """
-    reach = [1 << root]
-    for _ in range(max(depths).bit_length() - 1):
-        worlds = reach[-1]
-        below = 0
-        while worlds:
-            low = worlds & -worlds
-            below |= succ_masks[low.bit_length() - 1]
-            worlds ^= low
-        reach.append(below)
-    demand: dict[int, list[int]] = {}
-    table: list[list[int | None]] = []
-    for op, depth in zip(ops, depths):
+    root = len(succ_masks) - 1
+    for op, depth, row in zip(ops, depths, table):
         kind = op[0]
         if kind == "atom":
-            table.append(atom_masks[atom_position[op[1]]])
             continue
-        worlds = demand.get(depth)
-        if worlds is None:
-            need = 0
-            for d, at_depth in enumerate(reach):
-                if depth >> d & 1:
-                    need |= at_depth
-            worlds = demand[depth] = [w for w in range(world_count) if need >> w & 1]
-        row: list[int | None] = [None] * world_count
+        worlds = range(start if depth > 1 else root, root + (depth & 1))
         if kind == "not":
             child = table[op[1]]
             for w in worlds:
@@ -262,8 +260,59 @@ def _evaluate_frame(
             a, b = table[op[1]], table[op[2]]
             for w in worlds:
                 row[w] = (full ^ a[w]) | b[w]
-        table.append(row)
-    return table
+
+
+def _first_failure(
+    ops: list[tuple],
+    depths: list[int],
+    atoms: list[int],
+    frames: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[int, ...], int] | None:
+    """The least (rooted frame, valuation index) where the formula fails at the root, or ``None``.
+
+    Frames are ordered as in ``frames``. Valuations go in ascending blocks of
+    ``2**_BLOCK_BITS`` indices: index bits at or past ``_BLOCK_BITS`` are
+    constant within a block, so their atom cells are ``0`` or ``full``. Within
+    a block the rooted frames go in order through one table, each overwriting
+    the cells from the first world whose successors differ from the frame
+    before. Once a frame fails, later blocks scan only the frames before it,
+    the only ones that can still fail first.
+    """
+    world_count = len(frames[0])
+    root = world_count - 1
+    rooted = [masks for masks in frames if masks[root] == (1 << root) - 1]
+    starts = [0] + [
+        next(w for w in range(root) if masks[w] != before[w])
+        for before, masks in zip(rooted, rooted[1:])
+    ]
+    total_bits = len(atoms) * world_count
+    block_bits = min(total_bits, _BLOCK_BITS)
+    full = (1 << (1 << block_bits)) - 1
+    low_masks = [_atom_bit_mask(bit, block_bits) for bit in range(block_bits)]
+    position = {atom: i for i, atom in enumerate(atoms)}
+    atom_bits = [
+        (i, range(position[op[1]] * world_count, (position[op[1]] + 1) * world_count))
+        for i, op in enumerate(ops)
+        if op[0] == "atom"
+    ]
+    table: list[list[int | None]] = [[None] * world_count for _ in ops]
+    failure = None
+    limit = len(rooted)
+    for block in range(1 << (total_bits - block_bits)):
+        base = block << block_bits
+        for i, bits in atom_bits:
+            table[i] = [
+                low_masks[bit] if bit < block_bits else full if base >> bit & 1 else 0
+                for bit in bits
+            ]
+        for f in range(limit):
+            _evaluate_frame(table, ops, depths, rooted[f], starts[f], full)
+            failing = full ^ table[-1][root]
+            if failing:
+                failure = rooted[f], base | (failing & -failing).bit_length() - 1
+                limit = f
+                break
+    return failure
 
 
 def _extract_countermodel(
@@ -325,42 +374,23 @@ def gl_decide(phi: ModalFormula, max_nodes: int = DEFAULT_MAX_NODES) -> Decision
 
     ops = _postorder_ops(phi)
     depths = _box_depths(ops)
-    top = len(ops) - 1
-    atom_position = {atom: i for i, atom in enumerate(atoms)}
     levels: list[SearchLevel] = []
-
     for world_count in range(1, bound + 1):
-        total_bits = len(atoms) * world_count
-        full = (1 << (1 << total_bits)) - 1
-        everyone = (1 << world_count) - 1
-        atom_masks = [
-            [_atom_bit_mask(i * world_count + w, total_bits) for w in range(world_count)]
-            for i in range(len(atoms))
-        ]
         frames = _representative_frames(world_count)
-        for succ_masks in frames:
-            root = next(
-                (w for w in range(world_count) if succ_masks[w] | (1 << w) == everyone), None
+        failure = _first_failure(ops, depths, atoms, frames)
+        if failure is not None:
+            succ_masks, valuation_index = failure
+            return DecisionResult(
+                verdict="invalid",
+                countermodel=_extract_countermodel(
+                    succ_masks, world_count, atoms, valuation_index, world_count - 1
+                ),
             )
-            if root is None:
-                continue
-            table = _evaluate_frame(
-                ops, atom_position, succ_masks, world_count, atom_masks, full, root, depths
-            )
-            failing = full ^ table[top][root]
-            if failing:
-                valuation_index = (failing & -failing).bit_length() - 1
-                return DecisionResult(
-                    verdict="invalid",
-                    countermodel=_extract_countermodel(
-                        succ_masks, world_count, atoms, valuation_index, root
-                    ),
-                )
         levels.append(
             SearchLevel(
                 world_count=world_count,
                 frames_checked=len(frames),
-                valuations_per_frame=1 << total_bits,
+                valuations_per_frame=1 << (len(atoms) * world_count),
             )
         )
 

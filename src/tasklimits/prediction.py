@@ -108,6 +108,13 @@ class ContextDistribution:
             raise ShapeError("context weights must be a non-empty 1-D vector")
         if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
             raise ValidationError("context weights must be finite and non-negative")
+        # Before summing, as weights past 1 can overflow ``fsum``; the sum check
+        # below would reject each such distribution too.
+        top = int(arr.argmax())
+        if arr[top] - 1.0 > ROW_SUM_TOLERANCE:
+            raise ValidationError(
+                f"weight of context {top} must be at most 1, got {float(arr[top])!r}"
+            )
         total = math.fsum(arr.tolist())
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise ValidationError(f"context weights sum to {total!r}, expected 1")

@@ -107,7 +107,7 @@ def _list_of(noun: str, value: Any, field: str, source: str) -> list:
 
 
 def _numeric(field: str, build, value: Any, source: str):
-    """``build(value)``, with an integer or a sum past float range reported against ``field``."""
+    """``build(value)``, with an integer past float range reported against ``field``."""
     try:
         return build(value)
     except OverflowError as exc:

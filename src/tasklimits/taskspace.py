@@ -33,6 +33,13 @@ class TaskMeasure:
         for i, w in enumerate(self.weights):
             if not math.isfinite(w) or w < 0.0:
                 raise ValidationError(f"weight of task {i} must be finite and >= 0, got {w}")
+        # Before summing, as weights past 1 can overflow ``fsum``; the sum check
+        # below would reject each such measure too.
+        top = max(self.weights)
+        if top - 1.0 > WEIGHT_SUM_TOLERANCE:
+            raise ValidationError(
+                f"weight of task {self.weights.index(top)} must be at most 1, got {top!r}"
+            )
         total = math.fsum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ValidationError(

@@ -17,7 +17,8 @@ reference structured report goes through ``json.dumps``, where the library
 writes the text directly. The reference representative frames are marked by
 relabeling orbits over every labelled order, where the library reads a
 literal table, and the reference frame table evaluates every subformula at
-every world, where the library evaluates only what the root reads.
+every world over the whole valuation space, where the library evaluates only
+what the root reads, block by block, reusing cells between frames.
 """
 
 from __future__ import annotations

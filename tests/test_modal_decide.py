@@ -2,8 +2,10 @@
 independent frame-enumeration oracle, and the search's work and order."""
 
 import random
+import re
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
@@ -204,9 +206,9 @@ def evaluated_frames(monkeypatch):
     frames = []
     original = decide_module._evaluate_frame
 
-    def counting(ops, atom_position, succ_masks, *rest):
+    def counting(table, ops, depths, succ_masks, *rest):
         frames.append(succ_masks)
-        return original(ops, atom_position, succ_masks, *rest)
+        return original(table, ops, depths, succ_masks, *rest)
 
     monkeypatch.setattr(decide_module, "_evaluate_frame", counting)
     return frames
@@ -310,6 +312,16 @@ class TestSearchHelpers:
             range(1, MAX_ENUM_WORLDS + 1)
         )
 
+    @pytest.mark.parametrize("world_count", range(1, MAX_ENUM_WORLDS + 1))
+    def test_successors_carry_lower_labels_and_roots_are_last(self, world_count):
+        # The sweep reuses a world's cells while the masks up to it agree, and
+        # reads each rooted frame at its last world.
+        everyone = (1 << world_count) - 1
+        for masks in decide_module._REPRESENTATIVE_FRAMES[world_count]:
+            assert all(succ < 1 << w for w, succ in enumerate(masks)), masks
+            roots = [w for w, succ in enumerate(masks) if succ | 1 << w == everyone]
+            assert roots in ([], [world_count - 1]), masks
+
     @pytest.mark.parametrize("total_bits", range(1, 11))
     def test_atom_bit_mask_selects_valuations_with_the_bit(self, total_bits):
         for bit in range(total_bits):
@@ -342,22 +354,46 @@ class TestRootDemand:
                     [decide_module._atom_bit_mask(i * k + w, total_bits) for w in range(k)]
                     for i in range(len(atoms))
                 ]
-                for masks in decide_module._representative_frames(k):
-                    everyone = (1 << k) - 1
-                    roots = [w for w in range(k) if masks[w] | 1 << w == everyone]
-                    if not roots:
-                        continue
-                    (root,) = roots
-                    args = (ops, position, masks, k, atom_masks, full)
-                    table = decide_module._evaluate_frame(*args, root, depths)
-                    reference = reference_frame_table(*args)
-                    assert table[-1][root] == reference[-1][root], print_formula(phi)
-                    for row, expected in zip(table, reference):
-                        for cell, value in zip(row, expected):
-                            if cell is None:
-                                skipped += 1
-                            else:
-                                assert cell == value, print_formula(phi)
+                everyone = (1 << k) - 1
+                rooted = [
+                    masks
+                    for masks in decide_module._representative_frames(k)
+                    if masks[k - 1] | 1 << (k - 1) == everyone
+                ]
+                references = [
+                    reference_frame_table(ops, position, masks, k, atom_masks, full)
+                    for masks in rooted
+                ]
+                # Up to four blocks, walked as the sweep walks them: frames in
+                # table order through one table, each from its first new world.
+                block_bits = max(total_bits - 2, 0)
+                block_full = (1 << (1 << block_bits)) - 1
+                for block in range(1 << (total_bits - block_bits)):
+                    shift = block << block_bits
+                    table = [
+                        [c >> shift & block_full for c in atom_masks[position[op[1]]]]
+                        if op[0] == "atom"
+                        else [None] * k
+                        for op in ops
+                    ]
+                    before = None
+                    for masks, reference in zip(rooted, references):
+                        start = 0 if before is None else min(
+                            w for w in range(k) if masks[w] != before[w]
+                        )
+                        decide_module._evaluate_frame(
+                            table, ops, depths, masks, start, block_full
+                        )
+                        root = k - 1
+                        cut = reference[-1][root] >> shift & block_full
+                        assert table[-1][root] == cut, print_formula(phi)
+                        for row, expected in zip(table, reference):
+                            for cell, value in zip(row, expected):
+                                if cell is None:
+                                    skipped += 1
+                                else:
+                                    assert cell == value >> shift & block_full, print_formula(phi)
+                        before = masks
         assert skipped > 1000
 
 
@@ -414,3 +450,175 @@ class TestCountermodelOrder:
         assert len(model.worlds) == 3
         result = gl_decide(phi)
         assert (result.countermodel.model, result.countermodel.world) == (model, world)
+
+
+@lru_cache(maxsize=128)
+def _index_bit_mask(bit, total_bits):
+    """Bitmask over all valuation indices whose ``bit`` is set, written out as text."""
+    period = "1" * (1 << bit) + "0" * (1 << bit)
+    return int(period * (1 << (total_bits - bit - 1)), 2)
+
+
+def _whole_space_failures(phi):
+    """(worlds, frame, root, least failing index) per failing rooted frame, in search order.
+
+    Each frame is evaluated at every world over the whole valuation space at
+    once, with ``reference_frame_table``: no blocks and no reuse between frames.
+    """
+    ops = decide_module._postorder_ops(phi)
+    atoms = atom_indices(phi)
+    position = {atom: i for i, atom in enumerate(atoms)}
+    for k in range(1, len(box_subformulas(phi)) + 2):
+        total_bits = len(atoms) * k
+        full = (1 << (1 << total_bits)) - 1
+        atom_masks = [
+            [_index_bit_mask(i * k + w, total_bits) for w in range(k)]
+            for i in range(len(atoms))
+        ]
+        everyone = (1 << k) - 1
+        for masks in decide_module._representative_frames(k):
+            roots = [w for w in range(k) if masks[w] | 1 << w == everyone]
+            if not roots:
+                continue
+            (root,) = roots
+            table = reference_frame_table(ops, position, masks, k, atom_masks, full)
+            failing = full ^ table[-1][root]
+            if failing:
+                yield k, masks, root, (failing & -failing).bit_length() - 1
+
+
+def _decided_failure(phi):
+    """``gl_decide``'s countermodel as (worlds, frame, world, valuation index), or ``None``."""
+    countermodel = gl_decide(phi).countermodel
+    if countermodel is None:
+        return None
+    model = countermodel.model
+    k = len(model.worlds)
+    masks = [0] * k
+    for a, b in model.relation:
+        masks[a] |= 1 << b
+    atoms = atom_indices(phi)
+    index = sum(
+        1 << (i * k + w)
+        for i, atom in enumerate(atoms)
+        for w in range(k)
+        if atom in model.true_atoms(w)
+    )
+    return k, tuple(masks), countermodel.world, index
+
+
+def _block_corpus(rng, count):
+    """Formulas over 17 to 21 valuation bits that often reach the last world count.
+
+    A random formula over two atoms is moved to the two highest atoms and
+    joined with a contradiction over the rest, so its failures land in the
+    high index bits. A whole-space scan past 21 bits needs hundreds of MB.
+    """
+    atoms_for_bound = {3: (6, 7), 4: (5,), 5: (4,)}
+    corpus = []
+    while len(corpus) < count:
+        psi = random_formula(rng, max_nodes=12, n_atoms=2, max_distinct_boxes=4)
+        choices = atoms_for_bound.get(len(box_subformulas(psi)) + 1)
+        if choices is None or len(atom_indices(psi)) < 2:
+            continue
+        atoms = rng.choice(choices)
+        moved = re.sub(r"p(\d+)", lambda m: f"p{int(m[1]) + atoms - 2}", print_formula(psi))
+        padding = " & ".join(f"p{i}" for i in range(atoms - 2))
+        corpus.append(parse_formula(f"({moved}) | ({padding} & ~p0)"))
+    return corpus
+
+
+class TestValuationBlocks:
+    def test_first_failure_past_block_zero(self):
+        # Fails only at the root of the five-world chain, the last rooted
+        # five-world frame, with p3 true there: index bit 3 * 5 + 4 = 19.
+        phi = parse_formula("[][][][](p0 & ~p0) | ~p3 | (p1 & p2 & ~p1)")
+        expected = (5, (0, 1, 3, 7, 15), 4, 1 << 19)
+        assert next(_whole_space_failures(phi)) == expected
+        assert _decided_failure(phi) == expected
+        cm = gl_decide(phi).countermodel
+        assert [cm.model.true_atoms(w) for w in range(5)] == [frozenset()] * 4 + [{3}]
+
+    def test_earlier_frame_failing_in_a_later_block_comes_first(self):
+        # Fails where the root sees b, d and an a-world that sees a c-world,
+        # four distinct worlds. The a-world is never world 0, which has no
+        # successors, and d needs p3, whose bits past world 0 are 16 and up.
+        # In (0,0,0,1,15) a is world 3, so d is world 1 or 2: block 1 or
+        # later. In (0,0,0,3,15), later in the table, d can be world 0: block 0.
+        phi = parse_formula(
+            "[]((p0 & ~p1) -> []~(~p0 & p1)) | []~(p0 & p1) | []~(~p0 & ~p1 & p3) | (p2 & ~p2)"
+        )
+        failures = list(_whole_space_failures(phi))
+        first = failures[0]
+        assert first[1] == (0, 0, 0, 1, 15) and first[3] >> 16 == 1
+        assert ((0, 0, 0, 3, 15), 32972) in [(masks, index) for _, masks, _, index in failures]
+        assert _decided_failure(phi) == first
+
+    def test_seeded_corpus_matches_the_whole_space_scan(self):
+        past_block_zero = reached = 0
+        for phi in _block_corpus(random.Random(1717), 60):
+            bits = len(atom_indices(phi)) * (len(box_subformulas(phi)) + 1)
+            assert 17 <= bits <= 21
+            expected = next(_whole_space_failures(phi), None)
+            assert _decided_failure(phi) == expected, print_formula(phi)
+            worlds = expected[0] if expected else len(box_subformulas(phi)) + 1
+            reached += len(atom_indices(phi)) * worlds > 16
+            past_block_zero += expected is not None and expected[3] >> 16 > 0
+        assert reached > 10 and past_block_zero > 3
+
+    def test_small_blocks_match_the_whole_space_scan(self, monkeypatch):
+        # Blocks of four valuations, so even small formulas span many.
+        monkeypatch.setattr(decide_module, "_BLOCK_BITS", 2)
+        rng = random.Random(3030)
+        deeper = 0
+        for _ in range(500):
+            phi = random_formula(rng, n_atoms=3, max_distinct_boxes=3)
+            expected = next(_whole_space_failures(phi), None)
+            assert _decided_failure(phi) == expected, print_formula(phi)
+            deeper += expected is not None and expected[3] >> 2 > 0
+        assert deeper > 15
+
+
+# Valid, with three world counts over 8 atoms: 8, 16 and 24 valuation bits.
+LOB_24_BITS = "[]([]A -> A) -> []A".replace("A", "((p0 & p1) | (p2 & p3) | (p4 & p5) | (p6 & p7))")
+
+
+class TestBoundedCells:
+    def test_no_cell_exceeds_one_block(self, monkeypatch):
+        widest = []
+        original = decide_module._evaluate_frame
+
+        def measuring(table, *rest):
+            original(table, *rest)
+            widest.append(max(c.bit_length() for row in table for c in row if c is not None))
+
+        monkeypatch.setattr(decide_module, "_evaluate_frame", measuring)
+        result = decide(LOB_24_BITS)
+        assert result.is_valid
+        assert [
+            (lvl.world_count, lvl.frames_checked, lvl.valuations_per_frame)
+            for lvl in result.trace.levels
+        ] == [(1, 1, 256), (2, 2, 65536), (3, 5, 16777216)]
+        assert max(widest) == 1 << 16
+
+    def test_the_24_bit_lob_instance_peaks_below_64_mb(self):
+        # Linux carries a process's peak RSS over exec into the program it
+        # starts, so a small launcher starts the decision and reads its peak
+        # from the children's usage, not this test process.
+        script = f"""
+import sys
+sys.path.insert(0, {str(Path(decide_module.__file__).parents[2])!r})
+from tasklimits.modal import gl_decide, parse_formula
+assert gl_decide(parse_formula({LOB_24_BITS!r})).is_valid
+"""
+        launcher = f"""
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c", {script!r}], check=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(peak // 1024 if sys.platform == "darwin" else peak)
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", launcher], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 64 * 1024  # KiB

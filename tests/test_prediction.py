@@ -65,6 +65,11 @@ class TestTypeValidation:
         with pytest.raises(ValidationError):
             ContextDistribution([0.5, 0.4])
 
+    def test_context_weight_past_one_rejected_before_summing(self):
+        # Summed first, these overflow ``fsum``.
+        with pytest.raises(ValidationError, match="weight of context 1 must be at most 1"):
+            ContextDistribution([0.0, 1e308, 1e308])
+
     def test_tables_are_frozen(self):
         kernel = ConditionalKernel([[0.5, 0.5]])
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Scenario file parsing, validation gates, and overrides."""
 
 import json
+import re
 
 import pytest
 
@@ -240,17 +241,18 @@ class TestLoadTimeChecks:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, data",
+        "field, noun, data",
         [
-            ("task_weights", minimal_trajectory_dict()),
-            ("context_weights", two_context(bernoulli_dict())),
+            ("task_weights", "task", minimal_trajectory_dict()),
+            ("context_weights", "context", two_context(bernoulli_dict())),
         ],
         ids=["task_weights", "context_weights"],
     )
-    def test_weights_summing_past_float_range_name_the_field(self, field, data):
+    def test_weights_summing_past_float_range_name_the_field(self, field, noun, data):
+        # Rejected weight by weight before the sum could overflow.
         weights = data["payload"][field]
         weights[:2] = [1e308, 1e308]
-        message = f"field '{field}' is past float range: intermediate overflow in fsum"
+        message = re.escape(f"weight of {noun} 0 must be at most 1, got 1e+308")
         with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(data)
 
