@@ -8,9 +8,10 @@ Subcommands::
     tasklimits verify <directory>           run every *.json scenario; gate on pass
     tasklimits emit <scenario.json> --format {csv,structured} --out <path>
 
-Common flags ``--seed``, ``--n-max``, ``--epsilon`` override scenario
-fields; ``--tolerance`` sets the additive slack for inequality checks.
-Exit code 0 iff every check in every scenario passes.
+Flags ``--seed``, ``--n-max``, ``--epsilon`` override scenario fields;
+``--tolerance`` sets the additive slack for inequality checks. A command
+takes only the flags that act on what it runs. Exit code 0 iff every check
+in every scenario passes.
 """
 
 from __future__ import annotations
@@ -40,16 +41,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--n-max", type=int, default=None, help="override the scenario n_max")
-    parser.add_argument("--epsilon", type=float, default=None, help="override the scenario epsilon")
-    parser.add_argument(
-        "--tolerance",
-        type=_tolerance,
-        default=BOUND_SLACK,
-        help="additive slack for inequality checks (default 1e-9)",
-    )
+_FLAGS = {
+    "--seed": dict(type=int, help="override the scenario seed"),
+    "--n-max": dict(type=int, help="override the scenario n_max"),
+    "--epsilon": dict(type=float, help="override the scenario epsilon"),
+    "--tolerance": dict(
+        type=_tolerance, help="additive slack for inequality checks (default 1e-9)"
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the override ``flags``; a flag the command does not take reads as no override."""
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+    parser.set_defaults(seed=None, n_max=None, epsilon=None, tolerance=BOUND_SLACK)
 
 
 def _load(path: str, args: argparse.Namespace) -> Scenario:
@@ -167,29 +173,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a trajectory scenario")
     p_sim.add_argument("scenario")
-    _add_common_flags(p_sim)
+    _add_flags(p_sim, "--seed", "--n-max", "--epsilon")
     p_sim.set_defaults(func=_cmd_run)
 
     p_pred = sub.add_parser("predict", help="run a prediction-bounds scenario")
     p_pred.add_argument("scenario")
-    _add_common_flags(p_pred)
+    _add_flags(p_pred, "--n-max", "--tolerance")
     p_pred.set_defaults(func=_cmd_run)
 
     p_logic = sub.add_parser("logic", help="decide formulas from a scenario file or direct text")
     p_logic.add_argument("scenario", metavar="target")
-    _add_common_flags(p_logic)
+    _add_flags(p_logic)
     p_logic.set_defaults(func=_cmd_logic)
 
     p_verify = sub.add_parser("verify", help="run every scenario in a directory")
     p_verify.add_argument("directory")
-    _add_common_flags(p_verify)
+    _add_flags(p_verify, *_FLAGS)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_emit = sub.add_parser("emit", help="run a scenario and write its report to a file")
     p_emit.add_argument("scenario")
     p_emit.add_argument("--format", choices=FORMATS, required=True)
     p_emit.add_argument("--out", required=True)
-    _add_common_flags(p_emit)
+    _add_flags(p_emit, *_FLAGS)
     p_emit.set_defaults(func=_cmd_emit)
 
     return parser

@@ -345,7 +345,7 @@ def _extract_countermodel(
     return Countermodel(model=model, world=world)
 
 
-def gl_decide(phi: ModalFormula, max_nodes: int = DEFAULT_MAX_NODES) -> DecisionResult:
+def gl_decide(phi: ModalFormula) -> DecisionResult:
     """Decide validity of ``phi`` over finite transitive irreflexive frames.
 
     Covers every frame with up to ``b + 1`` worlds (``b`` = distinct boxed
@@ -356,8 +356,8 @@ def gl_decide(phi: ModalFormula, max_nodes: int = DEFAULT_MAX_NODES) -> Decision
     are all checked before any frame is evaluated.
     """
     size = count_nodes(phi)
-    if size > max_nodes:
-        raise ResourceLimitError(f"formula has {size} nodes, limit is {max_nodes}")
+    if size > DEFAULT_MAX_NODES:
+        raise ResourceLimitError(f"formula has {size} nodes, limit is {DEFAULT_MAX_NODES}")
     atoms = atom_indices(phi)
     if len(atoms) > MAX_ATOMS:
         raise ResourceLimitError(f"formula uses {len(atoms)} atoms, limit is {MAX_ATOMS}")

@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .prior import MAX_CODE_LENGTH, HypothesisClass, prior_weights, truncate
+from .prior import MAX_CODE_LENGTH, HypothesisClass, TruncatedPrior, prior_weights, truncate
 
 ROW_SUM_TOLERANCE = 1e-12
 ENTRY_TOLERANCE = 1e-12
@@ -176,22 +176,22 @@ class BoundRecord:
 
 
 @dataclass(frozen=True)
-class LevelSummary:
-    """Per-level prior split and predictive utility."""
+class LevelSummary(TruncatedPrior):
+    """A level's prior split and its predictive utility."""
 
-    level: int
-    z_n: float
-    tau_n: float
     utility: float
 
 
 @dataclass(frozen=True)
 class PredictionBoundsReport:
+    """The levels with a non-empty head, and every record of the sweep."""
+
     levels: tuple[LevelSummary, ...]
     records: tuple[BoundRecord, ...]
-    skipped: tuple[tuple[int, str], ...]
-    decomposition_skipped: tuple[tuple[int, str], ...]
-    all_passed: bool
+
+    @property
+    def all_passed(self) -> bool:
+        return all(r.passed for r in self.records)
 
 
 KernelStore = Mapping[str, ConditionalKernel]
@@ -236,7 +236,7 @@ def truncated_mixture(
 
 def tail_mixture(hclass: HypothesisClass, n: int, kernels: KernelStore) -> PredictiveDistribution:
     """Renormalized mixture over hypotheses with code length > n."""
-    if hclass.head_mass(n) == hclass.kraft_sum:
+    if truncate(hclass, n).tau_n == 0.0:
         raise EmptyTailError(f"every hypothesis has code length <= {n}")
     return _mix(_kernel_stack(hclass, kernels), prior_weights(hclass, n, MAX_CODE_LENGTH))
 
@@ -292,60 +292,56 @@ def verify_prediction_bounds(
 ) -> PredictionBoundsReport:
     """Check the tail-mass bounds and the decomposition at every truncation level.
 
-    Per level n with nonzero head mass:
+    Per level n with a non-empty head (``z_n > 0``):
       * worst per-context tv_half(full, truncated) <= tau_n * TV_CAP
       * |risk(full) - risk(truncated)| <= tau_n
       * |utility(n+1) - utility(n)| <= tau_n + tau_{n+1}  (consecutive levels)
       * max entrywise |full - z_n * truncated - tau_n * tail| <= IDENTITY_TOLERANCE,
-        where the tail is non-empty
+        where the tail is non-empty (``tau_n > 0``)
 
     One pass: the kernels are stacked and the full mixture built once, and
-    each level reads its raw head mass from the class's prefix table. A
-    level's head and tail mixtures are built only where its head mass differs
-    from the previous level's (equal masses are equal heads, as every weight
-    is positive); other levels reuse them. Records come in the order tv and
-    risk per level, then gains, then decomposition residuals.
+    each level's split is ``truncate(hclass, n)``, a lookup in the class's
+    prefix table. A level's head and tail mixtures are built only where its
+    ``z_n`` differs from the previous level's; other levels reuse them. That
+    key is exact: heads are whole multiples of ``2**-52`` and the Kraft sum
+    is at most ``1 + 1e-12``, so distinct heads give distinct quotients.
+
+    ``levels`` holds only the levels with a non-empty head, which follow a
+    prefix of empty ones; the levels with an empty tail are those with
+    ``tau_n == 0``. Records come in the order tv and risk per level, then
+    gains, then decomposition residuals.
     """
     if n_max < 0:
         raise ConfigurationError(f"n_max must be >= 0, got {n_max}")
     stack = _kernel_stack(hclass, kernels)
     q = _mix(stack, prior_weights(hclass))
     risk_full = averaged_risk(q, loss, pi)
-    z = hclass.kraft_sum
 
     levels: list[LevelSummary] = []
     records: list[BoundRecord] = []
     residuals: list[BoundRecord] = []
-    skipped: list[tuple[int, str]] = []
-    decomposition_skipped: list[tuple[int, str]] = []
-    head_previous = 0.0
+    z_previous = 0.0
 
     for n in range(n_max + 1):
-        head = hclass.head_mass(n)
-        if head == 0.0:
-            skipped.append((n, "empty truncation: no hypothesis within the level"))
-            decomposition_skipped.append((n, "empty truncation"))
+        split = truncate(hclass, n)
+        z_n, tau_n = split.z_n, split.tau_n
+        if z_n == 0.0:
             continue
-        # The same split as ``truncate(hclass, n)``.
-        z_n, tau_n = head / z, (z - head) / z
-        if head != head_previous:
-            head_previous = head
+        if z_n != z_previous:
+            z_previous = z_n
             q_n = _mix(stack, prior_weights(hclass, -1, n))
             utility = -averaged_risk(q_n, loss, pi)
             tv_worst = 0.5 * float(np.abs(q.table - q_n.table).sum(axis=1).max())
-            residual = None
             if tau_n != 0.0:
                 r_n = _mix(stack, prior_weights(hclass, n, MAX_CODE_LENGTH)).table
                 residual = float(np.abs(q.table - z_n * q_n.table - tau_n * r_n).max())
-        levels.append(LevelSummary(level=n, z_n=z_n, tau_n=tau_n, utility=utility))
+        levels.append(LevelSummary(n, z_n, tau_n, utility))
         records.append(
             BoundRecord.check("tv_vs_tail", n, tv_worst, tau_n * TV_CAP, slack_tolerance)
         )
         risk_gap = abs(risk_full - (-utility))
         records.append(BoundRecord.check("risk_vs_tail", n, risk_gap, tau_n, slack_tolerance))
-        if residual is None:
-            decomposition_skipped.append((n, "empty tail"))
-        else:
+        if tau_n != 0.0:
             residuals.append(
                 BoundRecord.check("decomposition_residual", n, residual, IDENTITY_TOLERANCE)
             )
@@ -355,12 +351,5 @@ def verify_prediction_bounds(
         gain = abs(after.utility - before.utility)
         rhs = before.tau_n + after.tau_n
         records.append(BoundRecord.check("gain_vs_tails", before.level, gain, rhs, slack_tolerance))
-    records += residuals
 
-    return PredictionBoundsReport(
-        levels=tuple(levels),
-        records=tuple(records),
-        skipped=tuple(skipped),
-        decomposition_skipped=tuple(decomposition_skipped),
-        all_passed=all(r.passed for r in records),
-    )
+    return PredictionBoundsReport(levels=tuple(levels), records=tuple(records + residuals))

@@ -81,10 +81,14 @@ def _run_prediction(scenario: Scenario, payload: PredictionPayload, slack: float
         slack_tolerance=slack,
     )
 
-    notes = [f"level {n}: skipped ({reason})" for n, reason in result.skipped]
-    notes += [
-        f"level {n}: decomposition skipped ({reason})" for n, reason in result.decomposition_skipped
+    # The levels before the first summarized one are those with an empty head.
+    empty_heads = range(result.levels[0].level if result.levels else scenario.n_max + 1)
+    empty_tails = [summary.level for summary in result.levels if summary.tau_n == 0.0]
+    notes = [
+        f"level {n}: skipped (empty truncation: no hypothesis within the level)" for n in empty_heads
     ]
+    notes += [f"level {n}: decomposition skipped (empty truncation)" for n in empty_heads]
+    notes += [f"level {n}: decomposition skipped (empty tail)" for n in empty_tails]
 
     by_level: dict[int, list[BoundRecord]] = {}
     for record in result.records:

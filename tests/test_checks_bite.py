@@ -1,0 +1,150 @@
+"""Each report check fails when one route it compares is broken.
+
+A case injects one fault into one route of one check and runs a bundled
+scenario: that check's record must fail, and ``verify`` on a copy of the
+scenario must exit 1. Its control runs the same scenario unpatched and
+passes, so the fault, not the scenario, is what makes the check fail.
+"""
+
+import shutil
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
+
+import pytest
+
+from tasklimits import prediction, runner
+from tasklimits.cli import main
+from tasklimits.modal import Countermodel, DecisionResult, KripkeModel, atom_indices
+from tasklimits.prior import MAX_CODE_LENGTH, TruncatedPrior
+from tasklimits.runner import run_experiment
+from tasklimits.scenario import parse_scenario
+from support import SCENARIO_DIR
+
+
+def drop_a_weight_at_the_last_level(monkeypatch):
+    """U(N) misses the weight of one task first solved at level N."""
+    utility_sequence = runner.utility_sequence
+
+    def faulty(traj):
+        utilities = utility_sequence(traj)
+        weights = zip(traj.mu.weights, traj.first_level)
+        dropped = next(w for w, level in weights if level == traj.levels)
+        return utilities[:-1] + [utilities[-1] - dropped]
+
+    monkeypatch.setattr(runner, "utility_sequence", faulty)
+
+
+def inflate_the_gains(monkeypatch):
+    marginal_gains = runner.marginal_gains
+    monkeypatch.setattr(runner, "marginal_gains", lambda traj: [g + 1.0 for g in marginal_gains(traj)])
+
+
+def halve_the_tail_mass(monkeypatch):
+    """Every split keeps its ``z_n`` but reports half its ``tau_n``."""
+    truncate = prediction.truncate
+
+    def faulty(hclass, n):
+        split = truncate(hclass, n)
+        return TruncatedPrior(split.level, split.z_n, split.tau_n / 2)
+
+    monkeypatch.setattr(prediction, "truncate", faulty)
+
+
+class _TailWeights(list):
+    """Prior weights over a tail band, the code lengths past a level."""
+
+
+def perturb_one_tail_cell(monkeypatch):
+    """Each tail mixture is 1e-9 off in one cell; the full and head mixtures are exact."""
+    prior_weights, mix = prediction.prior_weights, prediction._mix
+
+    def tagged(hclass, lo=-1, hi=MAX_CODE_LENGTH):
+        weights = prior_weights(hclass, lo, hi)
+        return _TailWeights(weights) if lo >= 0 else weights
+
+    def faulty(stack, weights):
+        mixture = mix(stack, weights)
+        if not isinstance(weights, _TailWeights):
+            return mixture
+        table = mixture.table.copy()
+        table[0, 0] += 1e-9
+        # Its row no longer sums to 1 within 1e-12, so it cannot be a
+        # ``PredictiveDistribution``; the sweep reads only the table.
+        return SimpleNamespace(table=table)
+
+    monkeypatch.setattr(prediction, "prior_weights", tagged)
+    monkeypatch.setattr(prediction, "_mix", faulty)
+
+
+def claim_a_countermodel_where_the_formula_holds(monkeypatch):
+    """Every formula is called invalid, at a lone world where every atom is true.
+
+    Each box holds there vacuously, so each ``logic_basics`` formula holds too.
+    """
+
+    def faulty(phi):
+        model = KripkeModel(frozenset({0}), frozenset(), ((0, frozenset(atom_indices(phi))),))
+        return DecisionResult("invalid", countermodel=Countermodel(model, 0))
+
+    monkeypatch.setattr(runner, "gl_decide", faulty)
+
+
+@dataclass(frozen=True)
+class Case:
+    scenario: str
+    #: A bound record's name, or ``witness_ok`` for the verdict of formula ``level``.
+    check: str
+    level: int
+    inject: Callable[[pytest.MonkeyPatch], None]
+    epsilon: float | None = None
+
+
+CASES = {
+    "telescoping": Case(
+        "uniform_threshold.json", "telescoping_residual", 5, drop_a_weight_at_the_last_level
+    ),
+    # At epsilon 0.5 at most two gains may reach epsilon; the scenario has four.
+    "epsilon-count": Case(
+        "uniform_threshold.json", "gains_at_or_above_epsilon", 5, inflate_the_gains, epsilon=0.5
+    ),
+    "tv": Case("bernoulli_pair.json", "tv_vs_tail", 1, halve_the_tail_mass),
+    "risk": Case("bernoulli_pair.json", "risk_vs_tail", 1, halve_the_tail_mass),
+    "gain": Case("bernoulli_pair.json", "gain_vs_tails", 1, halve_the_tail_mass),
+    "decomposition": Case(
+        "bernoulli_pair.json", "decomposition_residual", 1, perturb_one_tail_cell
+    ),
+    "witness": Case(
+        "logic_basics.json", "witness_ok", 1, claim_a_countermodel_where_the_formula_holds
+    ),
+}
+
+
+def check_passed(case: Case) -> bool:
+    scenario = parse_scenario(SCENARIO_DIR / case.scenario, epsilon=case.epsilon)
+    report = run_experiment(scenario)
+    if case.check == "witness_ok":
+        return report.verdicts[case.level - 1].witness_ok
+    [record] = [r for r in report.bounds if (r.name, r.level) == (case.check, case.level)]
+    return record.passed
+
+
+def verify_copy(case: Case, tmp_path, capsys) -> int:
+    shutil.copy(SCENARIO_DIR / case.scenario, tmp_path)
+    flags = [] if case.epsilon is None else ["--epsilon", repr(case.epsilon)]
+    code = main(["verify", str(tmp_path), *flags])
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_control_passes(case, tmp_path, capsys):
+    assert check_passed(case)
+    assert verify_copy(case, tmp_path, capsys) == 0
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_fault_fails_the_check(case, monkeypatch, tmp_path, capsys):
+    case.inject(monkeypatch)
+    assert not check_passed(case)
+    assert verify_copy(case, tmp_path, capsys) == 1

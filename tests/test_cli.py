@@ -217,9 +217,27 @@ class TestFlagOverrides:
         main(["emit", target, "--format", "structured", "--out", str(out_b), "--seed", "2"])
         assert out_a.read_bytes() != out_b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, scenario, flag",
+        [
+            ("simulate", "uniform_threshold.json", "--tolerance"),
+            ("predict", "bernoulli_pair.json", "--seed"),
+            ("predict", "bernoulli_pair.json", "--epsilon"),
+            ("logic", "logic_basics.json", "--seed"),
+            ("logic", "logic_basics.json", "--n-max"),
+            ("logic", "logic_basics.json", "--epsilon"),
+            ("logic", "logic_basics.json", "--tolerance"),
+        ],
+    )
+    def test_flag_the_command_never_reads_exits_2(self, command, scenario, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(SCENARIO_DIR / scenario), flag, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
 
 class TestBenchmarkTracer:
-    """``perfbench/tracing.py`` still runs over the library and counts the chain right."""
+    """``perfbench/tracing.py`` still runs over the library and counts what it wraps."""
 
     def test_trace_counts_match_the_first_levels(self):
         root = Path(__file__).resolve().parent.parent
@@ -227,6 +245,7 @@ class TestBenchmarkTracer:
             ["simulate", str(SCENARIO_DIR / "random_coverage.json")],
             ["logic", str(SCENARIO_DIR / "logic_basics.json")],
             ["logic", "p0 &"],
+            ["predict", str(SCENARIO_DIR / "bernoulli_pair.json")],
         ]
         script = f"""
 import contextlib, io, json, sys
@@ -240,14 +259,23 @@ statuses = []
 for argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         statuses.append(cli.main(argv))
-print(json.dumps({{"statuses": statuses, "counts": tracer.counts}}))
+print(json.dumps({{"statuses": statuses, "counts": tracer.counts, "missing": tracer.missing}}))
 """
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout)
-        assert result["statuses"] == [0, 0, 2]
+        assert result["statuses"] == [0, 0, 2, 0]
+        # The sites the library no longer calls through; any other missing
+        # site is one a refactor untraced.
+        assert result["missing"] == [
+            "tasklimits.cli.gl_decide",
+            "tasklimits.cli.model_check",
+            "tasklimits.runner.decomposition_residual",
+        ]
+        # One prior split per level of bernoulli_pair (n_max 3).
+        assert result["counts"]["prior.truncate_calls"] == 4
         scenario = parse_scenario(SCENARIO_DIR / "random_coverage.json")
         traj = build_trajectory(scenario.payload.rule, scenario.n_max, scenario.payload.mu)
         solved = [level for level in traj.first_level if level > 0]

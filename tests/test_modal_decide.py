@@ -112,7 +112,7 @@ class TestWitnesses:
 class TestResourceLimits:
     def test_node_limit(self):
         with pytest.raises(ResourceLimitError, match="nodes"):
-            gl_decide(parse_formula("p0 -> p0"), max_nodes=2)
+            gl_decide(parse_formula("p0" + " & p0" * 100))
 
     def test_atom_limit(self):
         phi = Atom(0)

@@ -28,6 +28,8 @@ from tasklimits.prediction import (
 )
 from tasklimits import prediction
 from tasklimits.prior import MAX_CODE_LENGTH, HypothesisClass, HypothesisDescriptor, truncate
+from tasklimits.runner import run_experiment
+from tasklimits.scenario import PredictionPayload, Scenario
 from support import brute_force_bayes_risk, random_prediction_scenario
 
 IDENTITY_TOL = 1e-12
@@ -119,6 +121,12 @@ class TestMixtures:
         with pytest.raises(EmptyTailError):
             tail_mixture(hclass, 2, kernels)
 
+    @pytest.mark.parametrize("mixture", [truncated_mixture, tail_mixture])
+    def test_negative_level_is_refused(self, mixture):
+        hclass, kernels = two_bernoulli_class()
+        with pytest.raises(ConfigurationError, match="truncation level must be >= 0"):
+            mixture(hclass, -1, kernels)
+
     def test_whole_class_tail_equals_full_mixture(self):
         hclass, kernels = two_bernoulli_class()
         assert np.array_equal(
@@ -163,6 +171,24 @@ def sweep_residuals(report):
     return {r.level: r for r in report.records if r.name == "decomposition_residual"}
 
 
+def runner_notes(hclass, kernels, loss, pi, n_max):
+    payload = PredictionPayload(hclass, dict(kernels), loss, pi)
+    scenario = Scenario(name="s", kind="prediction", seed=0, payload=payload, n_max=n_max)
+    return run_experiment(scenario).notes
+
+
+def expected_notes(hclass, n_max):
+    """The runner's skip notes, from ``truncate`` at every level."""
+    splits = [truncate(hclass, n) for n in range(n_max + 1)]
+    heads = [s.level for s in splits if s.z_n == 0.0]
+    tails = [s.level for s in splits if s.tau_n == 0.0]
+    return (
+        tuple(f"level {n}: skipped (empty truncation: no hypothesis within the level)" for n in heads)
+        + tuple(f"level {n}: decomposition skipped (empty truncation)" for n in heads)
+        + tuple(f"level {n}: decomposition skipped (empty tail)" for n in tails)
+    )
+
+
 class TestDecomposition:
     """The sweep's decomposition records against the public mixtures as the oracle."""
 
@@ -178,11 +204,31 @@ class TestDecomposition:
     def test_degenerate_levels_are_skipped_with_reason(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        report = verify_prediction_bounds(hclass, kernels, loss, ContextDistribution([1.0]), 3)
-        assert report.decomposition_skipped == (
-            (0, "empty truncation"),
-            (2, "empty tail"),
-            (3, "empty tail"),
+        pi = ContextDistribution([1.0])
+        report = verify_prediction_bounds(hclass, kernels, loss, pi, 3)
+        # Level 0 has an empty head; levels 2 and 3 have an empty tail.
+        assert [(s.level, s.tau_n == 0.0) for s in report.levels] == [
+            (1, False),
+            (2, True),
+            (3, True),
+        ]
+        assert set(sweep_residuals(report)) == {1}
+        assert runner_notes(hclass, kernels, loss, pi, 3) == (
+            "level 0: skipped (empty truncation: no hypothesis within the level)",
+            "level 0: decomposition skipped (empty truncation)",
+            "level 2: decomposition skipped (empty tail)",
+            "level 3: decomposition skipped (empty tail)",
+        )
+
+    def test_no_level_summarized_when_every_head_is_empty(self):
+        hclass, kernels = two_bernoulli_class()
+        loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
+        pi = ContextDistribution([1.0])
+        report = verify_prediction_bounds(hclass, kernels, loss, pi, 0)
+        assert report.levels == () and report.records == () and report.all_passed
+        assert runner_notes(hclass, kernels, loss, pi, 0) == (
+            "level 0: skipped (empty truncation: no hypothesis within the level)",
+            "level 0: decomposition skipped (empty truncation)",
         )
 
     def test_random_classes_decompose_exactly(self):
@@ -193,19 +239,22 @@ class TestDecomposition:
             n_max = hclass.max_code_length + 3
             report = verify_prediction_bounds(hclass, kernels, loss, pi, n_max)
             residuals = sweep_residuals(report)
-            skipped = dict(report.decomposition_skipped)
+            summaries = {s.level: s for s in report.levels}
             for n in range(n_max + 1):
+                split = truncate(hclass, n)
+                if split.z_n == 0.0:
+                    assert n not in summaries
+                else:
+                    assert summaries[n].tau_n == split.tau_n
                 expected = oracle_residual(hclass, n, kernels)
                 if expected is None:
-                    split = truncate(hclass, n)
-                    reason = "empty truncation" if split.z_n == 0.0 else "empty tail"
-                    assert n not in residuals and skipped[n] == reason
+                    assert n not in residuals
                     continue
                 tails += 1
-                assert n not in skipped
                 assert residuals[n].lhs == expected
                 assert residuals[n].passed and expected <= IDENTITY_TOL
             assert list(residuals) == sorted(residuals)
+            assert runner_notes(hclass, kernels, loss, pi, n_max) == expected_notes(hclass, n_max)
         assert tails > 100
 
     def test_contraction_identity_links_the_three_mixtures(self):
@@ -376,7 +425,8 @@ class TestVerifyPredictionBounds:
         pi = ContextDistribution([1.0])
         report = verify_prediction_bounds(hclass, kernels, loss, pi, 3)
         assert report.all_passed
-        assert report.skipped == ((0, "empty truncation: no hypothesis within the level"),)
+        # Level 0 is the only one with an empty head.
+        assert [s.level for s in report.levels] == [1, 2, 3]
         names = {r.name for r in report.records}
         assert names == {"tv_vs_tail", "risk_vs_tail", "gain_vs_tails", "decomposition_residual"}
 
@@ -388,12 +438,21 @@ class TestVerifyPredictionBounds:
             bands.append(band)
             return weights(hclass, *band)
 
+        splits = []
+        split = prediction.truncate
+
+        def counting_splits(hclass, n):
+            splits.append(n)
+            return split(hclass, n)
+
         monkeypatch.setattr(prediction, "prior_weights", counting)
-        monkeypatch.setattr(prediction, "truncate", lambda *args: pytest.fail("truncate called"))
+        monkeypatch.setattr(prediction, "truncate", counting_splits)
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
         report = verify_prediction_bounds(hclass, kernels, loss, ContextDistribution([1.0]), 50)
         assert len(report.levels) == 50
+        # One split per level, 0..50: ``truncate`` is a table lookup.
+        assert splits == list(range(51))
         # Full prior, then the head and tail at level 1, then the head at level 2.
         assert bands == [(), (-1, 1), (1, MAX_CODE_LENGTH), (-1, 2)]
 
