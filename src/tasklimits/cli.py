@@ -8,10 +8,11 @@ Subcommands::
     tasklimits verify <directory>           run every *.json scenario; gate on pass
     tasklimits emit <scenario.json> --format {csv,structured} --out <path>
 
-Flags ``--seed``, ``--n-max``, ``--epsilon`` override scenario fields;
-``--tolerance`` sets the additive slack for inequality checks. A command
-takes only the flags that act on what it runs. Exit code 0 iff every check
-in every scenario passes.
+Flags ``--seed``, ``--n-max``, ``--epsilon`` override scenario fields and are
+checked as the fields they replace; ``--tolerance`` sets the additive slack for
+inequality checks. A command takes only the flags that act on what it runs.
+Exit code 0 iff every check in every scenario passes; unusable input raises a
+``TaskLimitsError``, which ``main`` alone prints as one ``error:`` line, exit 2.
 """
 
 from __future__ import annotations
@@ -137,12 +138,10 @@ def _cmd_logic(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return 2
+        raise TaskLimitsError(f"{directory} is not a directory")
     paths = sorted(directory.glob("*.json"))
     if not paths:
-        print(f"error: no *.json scenarios in {directory}", file=sys.stderr)
-        return 2
+        raise TaskLimitsError(f"no *.json scenarios in {directory}")
     all_passed = True
     for path in paths:
         report = run_experiment(_load(str(path), args), slack_tolerance=args.tolerance)
@@ -159,8 +158,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     try:
         out.write_bytes(payload)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 2
+        raise TaskLimitsError(f"cannot write {out}: {exc}") from exc
     print(f"wrote {len(payload)} bytes to {out}")
     return 0 if report.passed else 1
 

@@ -213,7 +213,10 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, int, int]]):
         self.tokens = tokens
         self.pos = 0
+        # Levels open on the way down bound the parser's recursion; the height of the node
+        # built last bounds the tree's, which an ``&`` or ``|`` chain grows with no descent.
         self.depth = 0
+        self.height = 0
 
     def peek(self) -> tuple[str, int, int]:
         return self.tokens[self.pos]
@@ -223,52 +226,58 @@ class _Parser:
         self.pos += 1
         return token
 
-    def descend(self, position: int) -> None:
-        """Enter one more level of nesting; refuse before the call stack runs out."""
-        self.depth += 1
-        if self.depth > DEFAULT_MAX_NODES:
+    def limit(self, levels: int, position: int) -> int:
+        """``levels`` if it is within the nesting limit; refuse before any stack runs out."""
+        if levels > DEFAULT_MAX_NODES:
             raise ResourceLimitError(
                 f"formula nests deeper than {DEFAULT_MAX_NODES} levels (position {position})"
             )
+        return levels
 
     def implication(self) -> ModalFormula:
         left = self.disjunction()
         kind, position, _ = self.peek()
         if kind == _TOKEN_IMPLIES:
             self.advance()
-            self.descend(position)
+            self.depth = self.limit(self.depth + 1, position)
+            height = self.height
             node = Implies(left, self.implication())
             self.depth -= 1
+            self.height = self.limit(1 + max(height, self.height), position)
             return node
         return left
 
     def disjunction(self) -> ModalFormula:
         node = self.conjunction()
         while self.peek()[0] == _TOKEN_OR:
-            self.advance()
+            position = self.advance()[1]
+            height = self.height
             node = Or(node, self.conjunction())
+            self.height = self.limit(1 + max(height, self.height), position)
         return node
 
     def conjunction(self) -> ModalFormula:
         node = self.unary()
         while self.peek()[0] == _TOKEN_AND:
-            self.advance()
+            position = self.advance()[1]
+            height = self.height
             node = And(node, self.unary())
+            self.height = self.limit(1 + max(height, self.height), position)
         return node
 
     def unary(self) -> ModalFormula:
         kind, position, atom = self.peek()
         if kind == _TOKEN_ATOM:
             self.advance()
+            self.height = 0
             return Atom(atom)
         if kind not in (_TOKEN_NOT, _TOKEN_BOX, _TOKEN_LPAREN):
             raise FormulaSyntaxError("expected a formula", position)
         self.advance()
-        self.descend(position)
-        if kind == _TOKEN_NOT:
-            node = Not(self.unary())
-        elif kind == _TOKEN_BOX:
-            node = Box(self.unary())
+        self.depth = self.limit(self.depth + 1, position)
+        if kind != _TOKEN_LPAREN:
+            node = (Not if kind == _TOKEN_NOT else Box)(self.unary())
+            self.height = self.limit(self.height + 1, position)
         else:
             node = self.implication()
             closing, close_pos, _ = self.peek()

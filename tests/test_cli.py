@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -107,6 +108,9 @@ class TestUnusableInput:
     def test_deeply_nested_formula_exits_2(self, capsys):
         assert main(["logic", "~" * 600 + "p0"]) == 2
         assert "nests deeper than" in capsys.readouterr().err
+        # A flat chain nests one level per operator.
+        assert main(["logic", " & ".join(["p0"] * 1500)]) == 2
+        assert "nests deeper than" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "index, message",
@@ -152,6 +156,44 @@ class TestUnusableInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "field 'name' is not Unicode text" in err
+
+    def test_no_input_escapes_main_in_a_fresh_interpreter(self, tmp_path):
+        """From a fresh interpreter's stack, each input returns 2 with one error line."""
+        chain = " & ".join(["p0"] * 1500)
+        logic = {"name": "chain", "kind": "logic", "seed": 0, "payload": {"formulas": [chain]}}
+        (tmp_path / "chain.json").write_text(json.dumps(logic), encoding="utf-8")
+        argv = [["logic", chain], ["logic", str(tmp_path / "chain.json")]]
+        for field, value in [("context_weights", [True]), ("loss", [["0", "1"], ["1", "0"]])]:
+            data = json.loads((SCENARIO_DIR / "bernoulli_pair.json").read_text(encoding="utf-8"))
+            data["payload"][field] = value
+            (tmp_path / f"{field}.json").write_text(json.dumps(data), encoding="utf-8")
+            argv.append(["predict", str(tmp_path / f"{field}.json")])
+        argv.append(["verify", str(tmp_path / "missing")])
+        out = str(tmp_path / "no" / "such" / "dir.csv")
+        target = str(SCENARIO_DIR / "uniform_threshold.json")
+        argv.append(["emit", target, "--format", "csv", "--out", out])
+        script = f"""
+import contextlib, io, json, sys
+sys.path[:0] = [{str(Path(tasklimits.__file__).parents[1])!r}]
+from tasklimits.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append([main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(argv),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        for args, (code, err) in zip(argv, json.loads(done.stdout), strict=True):
+            assert code == 2 and re.fullmatch(r"error: [^\n]+\n", err), (args, code, err)
 
 
 class TestVerify:
@@ -216,6 +258,13 @@ class TestFlagOverrides:
         main(["emit", target, "--format", "structured", "--out", str(out_a), "--seed", "1"])
         main(["emit", target, "--format", "structured", "--out", str(out_b), "--seed", "2"])
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_override_is_checked_as_the_field_it_replaces(self, tmp_path, capsys):
+        # A logic scenario never reads n_max, yet the override is refused as a file value is.
+        target = str(SCENARIO_DIR / "logic_basics.json")
+        out = str(tmp_path / "report.csv")
+        assert main(["emit", target, "--format", "csv", "--out", out, "--n-max", "-1"]) == 2
+        assert "field 'n_max' must be an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, scenario, flag",

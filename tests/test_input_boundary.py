@@ -142,7 +142,10 @@ def test_file_bytes_are_rejected_or_run(content):
         path.write_bytes(content)
         try:
             scenario = parse_scenario(path)
-        except ScenarioError:
+        except ScenarioError as exc:
+            # The loader adds the path once, whichever layer refused the file.
+            message = str(exc)
+            assert message.startswith(f"{path}: ") and message.count(f"{path}: ") == 1
             return
     try:
         run_experiment(scenario)

@@ -86,7 +86,15 @@ class TestNestingLimit:
 
     @pytest.mark.parametrize(
         "opening, closing, levels",
-        [("~", "", 1), ("[]", "", 1), ("(", ")", 1), ("p0 -> ", "", 1), ("~(", ")", 2)],
+        [
+            ("~", "", 1),
+            ("[]", "", 1),
+            ("(", ")", 1),
+            ("p0 -> ", "", 1),
+            ("~(", ")", 2),
+            ("p0 & ", "", 1),
+            ("p0 | ", "", 1),
+        ],
     )
     def test_nesting_at_the_limit_parses_and_past_it_is_refused(self, opening, closing, levels):
         repeats = DEFAULT_MAX_NODES // levels

@@ -99,7 +99,8 @@ class TestParseScenario:
             parse_scenario(write_scenario(tmp_path, data))
 
     def test_unknown_kind(self):
-        with pytest.raises(ScenarioError, match="kind"):
+        # Decoded data has no file, so the message has no prefix.
+        with pytest.raises(ScenarioError, match="^kind must be one of"):
             scenario_from_dict({"name": "x", "kind": "nope", "seed": 0, "payload": {}})
 
     def test_unknown_rule_kind(self, tmp_path):
@@ -271,8 +272,10 @@ class TestLoadTimeChecks:
             scenario_from_dict(data)
 
     def test_fewer_explicit_sets_than_levels(self):
+        data = explicit_sets_dict()
+        data["n_max"] = 4
         with pytest.raises(ScenarioError, match="'sets' supplies 3 sets, n_max is 4"):
-            scenario_from_dict(explicit_sets_dict(), n_max=4)
+            scenario_from_dict(data)
 
     def test_difficulties_must_cover_the_weighted_tasks(self):
         data = minimal_trajectory_dict()
@@ -317,6 +320,53 @@ class TestLoadTimeChecks:
         data["payload"]["hypotheses"] = hypotheses
         with pytest.raises(ScenarioError, match="field 'hypotheses' must be a list of objects"):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("case", ["true", "string", "null", "ragged", "object"])
+    @pytest.mark.parametrize(
+        "field, keys, shape",
+        [
+            ("context_weights", ["context_weights"], "a list of numbers"),
+            ("loss", ["loss"], "a list of equal-length lists of numbers"),
+            ("kernels", ["kernels", "mostly-one"], "a list of equal-length lists of numbers"),
+        ],
+        ids=["context_weights", "loss", "kernel"],
+    )
+    def test_prediction_numbers_are_json_numbers(
+        self, field, keys, shape, case, tmp_path, capsys
+    ):
+        data = bernoulli_dict()
+        *parents, last = ["payload", *keys]
+        container = data
+        for key in parents:
+            container = container[key]
+        value = container[last]
+        row = value if field == "context_weights" else value[0]
+        if case == "object":
+            container[last] = {"0": value[0]}
+        elif case == "ragged" and row is value:
+            value[0] = [value[0]]  # a row where the weight vector holds a number
+        elif case == "ragged":
+            value.append([1.0])
+        else:
+            row[0] = {"true": True, "string": "1.0", "null": None}[case]
+        message = f"field '{field}' must be {shape}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(data)
+        assert main(["predict", str(write_scenario(tmp_path, data))]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kernel", [5, None, ["mostly-one"]], ids=["int", "null", "list"])
+    def test_hypothesis_kernel_must_be_a_string(self, kernel, tmp_path, capsys):
+        # A kernel named ``str(kernel)`` exists, so only the type check can refuse it.
+        data = bernoulli_dict()
+        kernels = data["payload"]["kernels"]
+        kernels[str(kernel)] = kernels["mostly-one"]
+        data["payload"]["hypotheses"][0]["kernel"] = kernel
+        message = "field 'kernel' of hypothesis 0 must be a string"
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(data)
+        assert main(["predict", str(write_scenario(tmp_path, data))]) == 2
+        assert message in capsys.readouterr().err
 
     def test_fractional_hypothesis_id_rejected(self):
         data = bernoulli_dict()
@@ -365,8 +415,10 @@ class TestLoadTimeChecks:
         assert parse_scenario(path).n_max == MAX_LEVELS
         with pytest.raises(ScenarioError, match="'n_max'"):
             parse_scenario(path, n_max=100_000_000)
+        data = minimal_trajectory_dict()
+        data["n_max"] = MAX_LEVELS + 1
         with pytest.raises(ScenarioError, match="'n_max'"):
-            scenario_from_dict(minimal_trajectory_dict(), n_max=MAX_LEVELS + 1)
+            scenario_from_dict(data)
 
 
 class TestExplicitChainConversion:
