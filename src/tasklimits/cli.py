@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ScenarioError, TaskLimitsError
+from .errors import FormulaSyntaxError, ScenarioError, TaskLimitsError
 from .modal import parse_formula, print_formula
 from .prediction import BOUND_SLACK
 from .report import FORMATS, Report, VerdictRecord, emit_report
@@ -125,10 +125,15 @@ def _print_bare_verdict(v: VerdictRecord) -> None:
 
 
 def _cmd_logic(args: argparse.Namespace) -> int:
-    if os.path.exists(args.scenario):
-        return _cmd_run(args)
-    # Bare formula text runs as a one-formula logic scenario.
-    phi = parse_formula(args.scenario)
+    """Decide text that parses as a formula; read any other target as a scenario file."""
+    try:
+        phi = parse_formula(args.scenario)
+    except FormulaSyntaxError as exc:
+        if os.path.exists(args.scenario):
+            return _cmd_run(args)
+        raise ScenarioError(
+            f"{args.scenario}: cannot read scenario file: no such file; not a formula either: {exc}"
+        ) from exc
     payload = LogicPayload(texts=(print_formula(phi),), formulas=(phi,))
     report = run_experiment(Scenario(name="formula", kind="logic", seed=0, payload=payload))
     _print_bare_verdict(report.verdicts[0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring
 
@@ -70,6 +71,10 @@ class Report:
     notes: tuple[str, ...] = ()
 
 
+#: A step's cells in ``CSV_COLUMNS`` order; the ``pass`` column is the ``passed`` field.
+_CSV_ROW = operator.attrgetter(*CSV_COLUMNS[:-1], "passed")
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -103,70 +108,58 @@ def _from_json(value, record=None):
 #: The text ``json`` writes for the two infinities; any other non-finite float is NaN.
 _NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
+#: How ``json`` writes each scalar, by exact type; a subclass is written as its base.
+_SCALARS = {
+    str: encode_basestring,
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: lambda value: (
+        float.__repr__(value) if math.isfinite(value) else _NON_FINITE.get(value, "NaN")
+    ),
+}
+
 
 @functools.cache
-def _record_fields(record: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The field names of a record type in sorted order, and each one's written key."""
-    names = tuple(sorted(f.name for f in fields(record)))
-    return names, tuple(encode_basestring(name) + ": " for name in names)
+def _layout(record: type, indent: str):
+    """A ``%`` template of a ``record`` object written at ``indent``, and its field getter."""
+    names = sorted(f.name for f in fields(record))
+    inner = indent + "  "
+    keys = [inner + encode_basestring(name) + ": %s" for name in names]
+    template = "{" + ",".join(keys) + indent + "}" if names else "{}"
+    if len(names) > 1:
+        return template, operator.attrgetter(*names)
+    return template, lambda value: [getattr(value, name) for name in names]
 
 
-def _write(value, newline: str, out: list[str]) -> None:
-    """Append ``value`` to ``out`` as ``json`` writes it with ``sort_keys=True, indent=2,
-    ensure_ascii=False``, records as objects and tuples as arrays; ``newline`` is
-    the line break and indent before the value's closing bracket."""
-    if isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(float.__repr__(value) if math.isfinite(value) else _NON_FINITE.get(value, "NaN"))
-    else:
-        if isinstance(value, (tuple, list)):
-            brackets, keys, items = "[]", ("",) * len(value), value
-        elif is_dataclass(value):
-            names, keys = _record_fields(type(value))
-            brackets, items = "{}", [getattr(value, name) for name in names]
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        inner = newline + "  "
-        separator = brackets[0] + inner
-        for key, item in zip(keys, items):
-            out.append(separator + key)
-            separator = "," + inner
-            _write(item, inner, out)
-        out.append(newline + brackets[1] if items else brackets)
+def _text(value, indent: str = "\n") -> str:
+    """``value`` as ``json`` writes it with ``sort_keys=True, indent=2, ensure_ascii=False``,
+    records as objects and tuples as arrays; ``indent`` is the line break and indent
+    before the value's closing bracket."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, (tuple, list)):
+        items = [_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if is_dataclass(value):
+        template, get = _layout(type(value), indent)
+        return template % tuple([_text(item, inner) for item in get(value)])
+    for base, write in _SCALARS.items():
+        if isinstance(value, base):
+            return write(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_report(report: Report, format: str) -> bytes:
     """Serialize ``report`` as UTF-8 bytes in the requested format."""
     if format == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for s in report.steps:
-            lines.append(
-                ",".join(
-                    _csv_cell(v)
-                    for v in (
-                        s.n,
-                        s.utility,
-                        s.delta,
-                        s.tau,
-                        s.bound_lhs,
-                        s.bound_rhs,
-                        s.slack,
-                        s.passed,
-                    )
-                )
-            )
+        lines += [",".join(map(_csv_cell, _CSV_ROW(step))) for step in report.steps]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "structured":
-        out: list[str] = []
-        _write(report, "\n", out)
-        return ("".join(out) + "\n").encode("utf-8")
+        return (_text(report) + "\n").encode("utf-8")
     raise ConfigurationError(f"unknown report format {format!r}; expected one of {FORMATS}")
 
 

@@ -34,14 +34,8 @@ def _run_trajectory(scenario: Scenario, payload: TrajectoryPayload) -> Report:
     utilities = utility_sequence(traj)
     gains = marginal_gains(traj) if traj.levels >= 2 else []
 
-    steps = tuple(
-        StepRecord(
-            n=i + 1,
-            utility=utilities[i],
-            delta=gains[i] if i < len(gains) else None,
-        )
-        for i in range(traj.levels)
-    )
+    # The last level has no gain.
+    steps = tuple(map(StepRecord, range(1, traj.levels + 1), utilities, [*gains, None]))
 
     bounds: list[BoundRecord] = []
     if gains:

@@ -101,10 +101,11 @@ _ITEM_TYPES = {"integers": {int}, "numbers": {int, float}}
 _SHAPES = ("a number", "a list of {}", "a list of equal-length lists of {}")
 
 
-def _numeric(field: str, value: Any, depth: int = 0, build=float, noun: str = "numbers"):
+def _numeric(field: str, value: Any, depth: int = 0, build=float, noun="numbers", kernel=None):
     """``build(value)`` once ``value`` is ``noun`` nested ``depth`` lists deep.
 
     Types, not ``isinstance``: a bool is an int too. One flat pass keeps big kernels cheap.
+    A message from ``build`` is prefixed with the field and, if given, the ``kernel`` name.
     """
     rows = value if depth == 2 else [value] if depth == 1 else [[value]]
     if (
@@ -118,6 +119,9 @@ def _numeric(field: str, value: Any, depth: int = 0, build=float, noun: str = "n
         return build(value)
     except OverflowError as exc:
         raise ScenarioError(f"field {field!r} is past float range: {exc}") from exc
+    except TaskLimitsError as exc:
+        name = "" if kernel is None else f", kernel {kernel!r}"
+        raise ScenarioError(f"field {field!r}{name}: {exc}") from exc
 
 
 def _explicit_chain(sets: Any, n_max: int, size: int) -> DifficultyThreshold:
@@ -132,7 +136,7 @@ def _explicit_chain(sets: Any, n_max: int, size: int) -> DifficultyThreshold:
     if max(first, default=-1) >= size:
         raise ScenarioError(f"field 'sets' names task {max(first)}, 'task_weights' has {size}")
     never = len(sets) + 1
-    return DifficultyThreshold(tuple(first.get(t, never) for t in range(size)))
+    return DifficultyThreshold(tuple(map(first.get, range(size), itertools.repeat(never))))
 
 
 def _build_rule(rule_data: Any, seed: int, n_max: int, size: int) -> SolverRule:
@@ -153,10 +157,11 @@ def _build_rule(rule_data: Any, seed: int, n_max: int, size: int) -> SolverRule:
 def _build_trajectory_payload(payload: dict, seed: int, n_max: int) -> TrajectoryPayload:
     mu = _numeric("task_weights", _require(payload, "task_weights"), 1, TaskMeasure)
     rule = _build_rule(_require(payload, "rule"), seed, n_max, mu.size)
-    last_weighted = max(mu.support)
-    if isinstance(rule, DifficultyThreshold) and last_weighted >= len(rule.difficulties):
+    if isinstance(rule, DifficultyThreshold) and any(past := mu.weights[len(rule.difficulties):]):
+        covered = len(rule.difficulties)
+        last_weighted = covered + max(t for t, w in enumerate(past) if w > 0.0)
         raise ScenarioError(
-            f"field 'difficulties' covers {len(rule.difficulties)} tasks, but "
+            f"field 'difficulties' covers {covered} tasks, but "
             f"'task_weights' gives task {last_weighted} positive weight"
         )
     return TrajectoryPayload(mu=mu, rule=rule)
@@ -175,10 +180,10 @@ def _build_prediction_payload(payload: dict) -> PredictionPayload:
             raise ScenarioError(f"field 'kernel' of hypothesis {hid} must be a string")
         descriptors.append(HypothesisDescriptor(hid, code_length, kernel_ref))
     hclass = HypothesisClass(tuple(descriptors))
-    kernel_data = _require(payload, "kernels")
-    if not isinstance(kernel_data, dict):
+    tables = _require(payload, "kernels")
+    if not isinstance(tables, dict):
         raise ScenarioError("'kernels' must map names to matrices")
-    kernels = {k: _numeric("kernels", v, 2, ConditionalKernel) for k, v in kernel_data.items()}
+    kernels = {k: _numeric("kernels", t, 2, ConditionalKernel, kernel=k) for k, t in tables.items()}
     for h in hclass.hypotheses:
         if h.kernel_ref not in kernels:
             raise ScenarioError(

@@ -27,12 +27,13 @@ class TaskMeasure:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if not self.weights:
             raise ValidationError("task measure needs at least one task")
-        for i, w in enumerate(self.weights):
-            if not math.isfinite(w) or w < 0.0:
-                raise ValidationError(f"weight of task {i} must be finite and >= 0, got {w}")
+        if not all(map(math.isfinite, self.weights)) or min(self.weights) < 0.0:
+            # Scan only on failure, to name the first bad task.
+            i, w = next((i, w) for i, w in enumerate(self.weights) if not 0.0 <= w < math.inf)
+            raise ValidationError(f"weight of task {i} must be finite and >= 0, got {w}")
         # Before summing, as weights past 1 can overflow ``fsum``; the sum check
         # below would reject each such measure too.
         top = max(self.weights)

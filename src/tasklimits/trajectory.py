@@ -28,12 +28,13 @@ def _first_solved_levels(sets: Iterable[AbstractSet[TaskId]]) -> dict[TaskId, in
     first: dict[TaskId, int] = {}
     solved: AbstractSet[TaskId] = frozenset()
     for n, level in enumerate(sets, 1):
-        if not solved <= level:
+        new = level - solved
+        # |L - S| = |L| - |S| exactly when S is a subset of L.
+        if len(new) != len(level) - len(solved):
             raise NestednessError(
                 f"solved set at level {n} drops previously solved tasks {sorted(solved - level)}"
             )
-        for t in level - solved:
-            first[t] = n
+        first.update(dict.fromkeys(new, n))
         solved = level
     return first
 
@@ -49,10 +50,10 @@ class DifficultyThreshold:
     difficulties: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "difficulties", tuple(int(d) for d in self.difficulties))
-        for t, d in enumerate(self.difficulties):
-            if d < 1:
-                raise ConfigurationError(f"difficulty of task {t} must be >= 1, got {d}")
+        object.__setattr__(self, "difficulties", tuple(map(int, self.difficulties)))
+        if min(self.difficulties, default=1) < 1:
+            t, d = next((t, d) for t, d in enumerate(self.difficulties) if d < 1)
+            raise ConfigurationError(f"difficulty of task {t} must be >= 1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ def build_trajectory(rule: SolverRule, n_max: int, mu: TaskMeasure) -> SystemTra
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
 
     if isinstance(rule, DifficultyThreshold):
-        missing = [t for t in sorted(mu.support) if t >= len(rule.difficulties)]
-        if missing:
+        past = mu.weights[len(rule.difficulties):]
+        if any(past):
+            missing = [t for t, w in enumerate(past, len(rule.difficulties)) if w > 0.0]
             raise ConfigurationError(f"no difficulty declared for tasks {missing} in the support")
         padded = rule.difficulties[: mu.size] + (0,) * (mu.size - len(rule.difficulties))
         first_level = tuple(d if d <= n_max else 0 for d in padded)

@@ -39,6 +39,23 @@ class TestRunCommands:
         assert main(["logic", "[]([]p0 -> p0) -> []p0"]) == 0
         assert "verdict: valid" in capsys.readouterr().out
 
+    def test_formula_text_is_decided_before_a_file_of_that_name(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p0 -> p0").write_text("{}", encoding="utf-8")
+        assert main(["logic", "p0 -> p0"]) == 0
+        assert "verdict: valid" in capsys.readouterr().out
+        # A target that is no formula is still read as a scenario file.
+        shutil.copy(SCENARIO_DIR / "logic_basics.json", tmp_path)
+        assert main(["logic", "logic_basics.json"]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+
+    def test_mistyped_scenario_path_is_reported_as_a_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["logic", "scenarios/nope.json"]) == 2
+        assert "error: scenarios/nope.json: cannot read scenario file" in capsys.readouterr().err
+
     def test_bad_formula_exits_2(self, capsys):
         assert main(["logic", "[]("]) == 2
         assert "position 3" in capsys.readouterr().err

@@ -123,7 +123,13 @@ def tuples(elements, max_size=3):
     return st.lists(elements, max_size=max_size).map(tuple)
 
 
-NESTED = tuples(SCALARS) | tuples(tuples(SCALARS)) | st.lists(SCALARS, max_size=3)
+#: Records with fields, drawn again inside ``NESTED`` and ``notes``, so each one is
+#: also written one or more levels deeper than where a report keeps it.
+INNER_RECORDS = record(StepRecord) | record(CountermodelRecord)
+
+NESTED = (
+    tuples(SCALARS | INNER_RECORDS) | tuples(tuples(SCALARS)) | st.lists(SCALARS, max_size=3)
+)
 
 REPORTS = record(
     Report,
@@ -136,7 +142,7 @@ REPORTS = record(
             search_levels=NESTED,
         )
     ),
-    notes=tuples(SCALARS | NESTED | st.builds(EmptyRecord)),
+    notes=tuples(SCALARS | NESTED | INNER_RECORDS | st.builds(EmptyRecord)),
 )
 
 

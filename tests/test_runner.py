@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from tasklimits import prediction, runner, trajectory
+from tasklimits import prediction, runner, scenario, trajectory
 from tasklimits.prior import truncate
 from tasklimits.runner import run_experiment
-from tasklimits.scenario import PredictionPayload, Scenario, parse_scenario
-from support import SCENARIO_DIR, random_prediction_scenario
+from tasklimits.scenario import PredictionPayload, Scenario, parse_scenario, scenario_from_dict
+from tasklimits.taskspace import TaskMeasure
+from support import SCENARIO_DIR, explicit_chain_dict, random_prediction_scenario
 
 SPREAD = Path(__file__).resolve().parent / "golden" / "spread_prediction.scenario.json"
 
@@ -41,6 +42,21 @@ def test_trajectory_run_computes_each_sequence_once(path, monkeypatch):
         count_calls(monkeypatch, (trajectory, runner), name, calls)
     run_experiment(scenario)
     assert calls == {"utility_sequence": 1, "marginal_gains": 1}
+
+
+def test_trajectory_load_never_reads_the_support(monkeypatch):
+    def support(self):
+        raise AssertionError("TaskMeasure.support was read")
+
+    monkeypatch.setattr(TaskMeasure, "support", property(support))
+    calls: Counter = Counter()
+    count_calls(monkeypatch, (trajectory, scenario), "_first_solved_levels", calls)
+    chain = [{0}, {0, 2}, {0, 2, 3}]
+    loaded = [parse_scenario(path) for path in TRAJECTORY_SCENARIOS]
+    loaded.append(scenario_from_dict(explicit_chain_dict(chain, 3, TaskMeasure.uniform(5))))
+    for each in loaded:
+        run_experiment(each)
+    assert calls == {"_first_solved_levels": 1}
 
 
 def prediction_scenarios():

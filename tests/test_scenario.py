@@ -16,7 +16,7 @@ from tasklimits.scenario import (
 )
 from tasklimits import trajectory
 from tasklimits.cli import main
-from tasklimits.errors import ScenarioError
+from tasklimits.errors import NestednessError, ScenarioError
 from tasklimits.taskspace import TaskSet
 from tasklimits.trajectory import DifficultyThreshold, RandomCoverage
 from support import SCENARIO_DIR
@@ -367,6 +367,64 @@ class TestLoadTimeChecks:
             scenario_from_dict(data)
         assert main(["predict", str(write_scenario(tmp_path, data))]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, keys, value, text",
+        [
+            ("bernoulli_pair.json", ["kernels", "mostly-one"], [], "kernel must be a 2-D matrix"),
+            ("bernoulli_pair.json", ["kernels", "mostly-one"], [[]], "kernel must be a 2-D"),
+            ("bernoulli_pair.json", ["loss"], [], "loss table must be a 2-D matrix"),
+            ("bernoulli_pair.json", ["loss"], [[]], "loss table must be a 2-D matrix"),
+            ("bernoulli_pair.json", ["context_weights"], [], "context weights must be a non-empty"),
+            ("uniform_threshold.json", ["task_weights"], [], "task measure needs at least one"),
+        ],
+        ids=["kernel", "kernel-row", "loss", "loss-row", "context_weights", "task_weights"],
+    )
+    def test_empty_numbers_name_the_field(self, scenario, keys, value, text):
+        data = json.loads((SCENARIO_DIR / scenario).read_text(encoding="utf-8"))
+        *parents, last = ["payload", *keys]
+        container = data
+        for key in parents:
+            container = container[key]
+        container[last] = value
+        # The field, and for a kernel its name, before the constructor's own text.
+        where = f"field {keys[0]!r}" + "".join(f", kernel {name!r}" for name in keys[1:])
+        with pytest.raises(ScenarioError, match="^" + re.escape(f"{where}: {text}")):
+            scenario_from_dict(data)
+
+    def test_duplicate_id_cannot_hide_a_dropped_task(self):
+        # Level 2 lists two ids but holds one task, so it drops task 1.
+        data = explicit_sets_dict()
+        data["payload"]["rule"]["sets"] = [[1], [2, 2], [2, 2]]
+        message = re.escape("solved set at level 2 drops previously solved tasks [1]")
+        with pytest.raises(ScenarioError, match=message) as info:
+            scenario_from_dict(data)
+        assert isinstance(info.value.__cause__, NestednessError)
+
+    @pytest.mark.parametrize("sets", [[[1, True]], [[2], [2, 2.0]]], ids=["bool", "float"])
+    def test_explicit_set_ids_are_json_integers(self, sets):
+        data = explicit_sets_dict()
+        data["n_max"] = len(sets)
+        data["payload"]["rule"]["sets"] = sets
+        with pytest.raises(ScenarioError, match="field 'sets' must be a list of integers"):
+            scenario_from_dict(data)
+
+    def test_first_bad_weight_is_named(self):
+        # The smallest weight is task 3's; the first bad one is task 1's.
+        data = minimal_trajectory_dict()
+        data["payload"]["task_weights"] = [0.6, -0.1, 0.7, -0.2, 0.0]
+        message = "weight of task 1 must be finite and >= 0, got -0.1$"
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(data)
+        data["payload"]["task_weights"] = [0.6, -0.1, float("nan"), -0.2, 0.0]
+        with pytest.raises(ScenarioError, match="weight of task 1 must be finite"):
+            scenario_from_dict(data)
+
+    def test_first_difficulty_below_one_is_named(self):
+        data = minimal_trajectory_dict()
+        data["payload"]["rule"]["difficulties"] = [2, 0, 1, -1, 3]
+        with pytest.raises(ScenarioError, match="difficulty of task 1 must be >= 1, got 0"):
+            scenario_from_dict(data)
 
     def test_fractional_hypothesis_id_rejected(self):
         data = bernoulli_dict()
