@@ -61,11 +61,11 @@ from .formula import (
     And,
     Atom,
     Box,
+    Implies,
     ModalFormula,
     Not,
     Or,
-    atom_indices,
-    box_subformulas,
+    _children,
     count_nodes,
     subformulas,
 )
@@ -153,25 +153,19 @@ def _representative_frames(world_count: int) -> tuple[tuple[int, ...], ...]:
     return _REPRESENTATIVE_FRAMES[world_count]
 
 
+_OP_KIND = {Atom: "atom", Not: "not", Box: "box", And: "and", Or: "or", Implies: "implies"}
+
+
 def _postorder_ops(phi: ModalFormula) -> list[tuple]:
     """Unique subformulas as (kind, operand indices or atom index), children first."""
     order = subformulas(phi)
     index = {node: i for i, node in enumerate(order)}
-    ops: list[tuple] = []
-    for node in order:
-        if isinstance(node, Atom):
-            ops.append(("atom", node.index))
-        elif isinstance(node, Not):
-            ops.append(("not", index[node.operand]))
-        elif isinstance(node, Box):
-            ops.append(("box", index[node.operand]))
-        elif isinstance(node, And):
-            ops.append(("and", index[node.left], index[node.right]))
-        elif isinstance(node, Or):
-            ops.append(("or", index[node.left], index[node.right]))
-        else:
-            ops.append(("implies", index[node.left], index[node.right]))
-    return ops
+    return [
+        (_OP_KIND[type(node)], node.index)
+        if isinstance(node, Atom)
+        else (_OP_KIND[type(node)], *[index[child] for child in _children(node)])
+        for node in order
+    ]
 
 
 def _atom_bit_mask(bit: int, total_bits: int) -> int:
@@ -358,10 +352,11 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
     size = count_nodes(phi)
     if size > DEFAULT_MAX_NODES:
         raise ResourceLimitError(f"formula has {size} nodes, limit is {DEFAULT_MAX_NODES}")
-    atoms = atom_indices(phi)
+    ops = _postorder_ops(phi)
+    atoms = sorted(op[1] for op in ops if op[0] == "atom")
     if len(atoms) > MAX_ATOMS:
         raise ResourceLimitError(f"formula uses {len(atoms)} atoms, limit is {MAX_ATOMS}")
-    bound = len(box_subformulas(phi)) + 1
+    bound = sum(op[0] == "box" for op in ops) + 1
     if bound > MAX_ENUM_WORLDS:
         raise ResourceLimitError(
             f"needs frames of up to {bound} worlds; enumeration is capped at {MAX_ENUM_WORLDS}"
@@ -372,7 +367,6 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
             f"limit is {MAX_VALUATION_BITS}"
         )
 
-    ops = _postorder_ops(phi)
     depths = _box_depths(ops)
     levels: list[SearchLevel] = []
     for world_count in range(1, bound + 1):

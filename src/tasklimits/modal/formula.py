@@ -1,20 +1,21 @@
 """Modal formula syntax: AST nodes, a parser, and a round-tripping printer.
 
-Grammar (whitespace insensitive)::
+Grammar::
 
-    formula     := implication
-    implication := disjunction ('->' implication)?      # right associative
-    disjunction := conjunction ('|' conjunction)*
-    conjunction := unary ('&' unary)*
-    unary       := '~' unary | '[]' unary | ATOM | '(' formula ')'
-    ATOM        := 'p' DIGITS                           # ASCII 0-9 only
+    formula := unary (BINARY unary)*
+    unary   := UNARY unary | ATOM | '(' formula ')'
+    ATOM    := 'p' DIGITS                    # ASCII 0-9 only
 
-Precedence from loosest to tightest: ``->``, ``|``, ``&``, then the unary
-operators ``~`` and ``[]``.
+One table, ``_BINARY`` and ``_UNARY``, spells each connective once; the
+tokenizer, the parser, the printer and every walk read it. Binding strength is
+1 for ``->`` (Implies), 2 for ``|`` (Or) and 3 for ``&`` (And); a higher one
+binds tighter, and the unary ``~`` (Not) and ``[]`` (Box) bind tightest. Only
+``->`` groups to the right. Whitespace is exactly space, tab, CR and LF.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -64,6 +65,24 @@ class Implies:
 
 ModalFormula = Union[Atom, Not, Box, And, Or, Implies]
 
+#: Binary connectives by symbol: node class and binding strength. Only ``Implies`` groups right.
+_BINARY = {"->": (Implies, 1), "|": (Or, 2), "&": (And, 3)}
+#: Unary connectives by symbol; they bind tighter than every binary one.
+_UNARY = {"~": Not, "[]": Box}
+
+#: Symbol and binding strength by node class, for the printer.
+_SYNTAX = {cls: (symbol, strength) for symbol, (cls, strength) in _BINARY.items()}
+_SYNTAX.update((cls, (symbol, len(_BINARY) + 1)) for symbol, cls in _UNARY.items())
+
+
+def _children(node: ModalFormula) -> tuple[ModalFormula, ...]:
+    """The operands of ``node``, left to right; none for an atom."""
+    if isinstance(node, Atom):
+        return ()
+    if isinstance(node, (Not, Box)):
+        return (node.operand,)
+    return (node.left, node.right)
+
 
 def subformulas(phi: ModalFormula) -> list[ModalFormula]:
     """Distinct subformulas of ``phi`` in postorder (children first)."""
@@ -72,11 +91,8 @@ def subformulas(phi: ModalFormula) -> list[ModalFormula]:
     def walk(node: ModalFormula) -> None:
         if node in seen:
             return
-        if isinstance(node, (Not, Box)):
-            walk(node.operand)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.left)
-            walk(node.right)
+        for child in _children(node):
+            walk(child)
         seen[node] = None
 
     walk(phi)
@@ -94,118 +110,56 @@ def atom_indices(phi: ModalFormula) -> list[int]:
 
 def count_nodes(phi: ModalFormula) -> int:
     """Total AST node count (shared structure counted per occurrence)."""
-    if isinstance(phi, Atom):
-        return 1
-    if isinstance(phi, (Not, Box)):
-        return 1 + count_nodes(phi.operand)
-    return 1 + count_nodes(phi.left) + count_nodes(phi.right)
-
-
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-_PREC_ATOM = 5
-
-
-def _prec(phi: ModalFormula) -> int:
-    if isinstance(phi, Atom):
-        return _PREC_ATOM
-    if isinstance(phi, (Not, Box)):
-        return _PREC_UNARY
-    if isinstance(phi, And):
-        return _PREC_AND
-    if isinstance(phi, Or):
-        return _PREC_OR
-    return _PREC_IMPLIES
+    return 1 + sum(map(count_nodes, _children(phi)))
 
 
 def print_formula(phi: ModalFormula) -> str:
     """Render with minimal parentheses; ``parse_formula`` inverts it exactly."""
 
     def render(node: ModalFormula, context: int) -> str:
-        text: str
         if isinstance(node, Atom):
-            text = f"p{node.index}"
-        elif isinstance(node, Not):
-            text = f"~{render(node.operand, _PREC_UNARY)}"
-        elif isinstance(node, Box):
-            text = f"[]{render(node.operand, _PREC_UNARY)}"
-        elif isinstance(node, And):
-            text = f"{render(node.left, _PREC_AND)} & {render(node.right, _PREC_AND + 1)}"
-        elif isinstance(node, Or):
-            text = f"{render(node.left, _PREC_OR)} | {render(node.right, _PREC_OR + 1)}"
-        else:
-            text = f"{render(node.left, _PREC_IMPLIES + 1)} -> {render(node.right, _PREC_IMPLIES)}"
-        if _prec(node) < context:
-            return f"({text})"
-        return text
+            return f"p{node.index}"
+        symbol, strength = _SYNTAX[type(node)]
+        if isinstance(node, (Not, Box)):
+            return symbol + render(node.operand, strength)
+        groups_right = isinstance(node, Implies)
+        left_text = render(node.left, strength + groups_right)
+        text = f"{left_text} {symbol} {render(node.right, strength + (not groups_right))}"
+        return f"({text})" if strength < context else text
 
     return render(phi, 0)
 
 
-_TOKEN_ATOM = "atom"
-_TOKEN_NOT = "~"
-_TOKEN_AND = "&"
-_TOKEN_OR = "|"
-_TOKEN_IMPLIES = "->"
-_TOKEN_BOX = "[]"
-_TOKEN_LPAREN = "("
-_TOKEN_RPAREN = ")"
-_TOKEN_END = "end"
+_SYMBOLS = [*_BINARY, *_UNARY, "(", ")"]
+#: A two-character symbol by its first character, for the message when the second is missing.
+_PREFIXES = {symbol[0]: symbol for symbol in _SYMBOLS if len(symbol) > 1}
+#: Whitespace, then an atom, a symbol, another character or the end: no search ever rescans.
+_LEXEME = re.compile(r"[ \t\r\n]*(p[0-9]*|" + "|".join(map(re.escape, _SYMBOLS)) + r"|.|\Z)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """Tokens as (kind, position, atom_index)."""
+    """Tokens as (kind, position, atom_index): kind is the symbol, ``"p"`` or ``""`` at the end."""
     tokens: list[tuple[str, int, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == "p":
-            j = i + 1
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j == i + 1:
-                raise FormulaSyntaxError("expected digits after 'p'", i + 1)
+    for match in _LEXEME.finditer(text):
+        token = match[1]
+        if not token:
+            break
+        position = match.start(1)
+        if token[0] == "p":
+            if len(token) == 1:
+                raise FormulaSyntaxError("expected digits after 'p'", position + 1)
             try:
-                index = int(text[i + 1 : j])
+                index = int(token[1:])
             except ValueError as exc:  # past the int conversion digit limit
-                raise FormulaSyntaxError(f"unreadable atom index: {exc}", i) from exc
-            tokens.append((_TOKEN_ATOM, i, index))
-            i = j
-        elif ch == "~":
-            tokens.append((_TOKEN_NOT, i, -1))
-            i += 1
-        elif ch == "&":
-            tokens.append((_TOKEN_AND, i, -1))
-            i += 1
-        elif ch == "|":
-            tokens.append((_TOKEN_OR, i, -1))
-            i += 1
-        elif ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append((_TOKEN_IMPLIES, i, -1))
-                i += 2
-            else:
-                raise FormulaSyntaxError("expected '->'", i)
-        elif ch == "[":
-            if i + 1 < n and text[i + 1] == "]":
-                tokens.append((_TOKEN_BOX, i, -1))
-                i += 2
-            else:
-                raise FormulaSyntaxError("expected '[]'", i)
-        elif ch == "(":
-            tokens.append((_TOKEN_LPAREN, i, -1))
-            i += 1
-        elif ch == ")":
-            tokens.append((_TOKEN_RPAREN, i, -1))
-            i += 1
+                raise FormulaSyntaxError(f"unreadable atom index: {exc}", position) from exc
+            tokens.append(("p", position, index))
+        elif token in _SYMBOLS:
+            tokens.append((token, position, -1))
+        elif token in _PREFIXES:
+            raise FormulaSyntaxError(f"expected {_PREFIXES[token]!r}", position)
         else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append((_TOKEN_END, n, -1))
+            raise FormulaSyntaxError(f"unexpected character {token!r}", position)
+    tokens.append(("", len(text), -1))
     return tokens
 
 
@@ -218,14 +172,6 @@ class _Parser:
         self.depth = 0
         self.height = 0
 
-    def peek(self) -> tuple[str, int, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, int, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
     def limit(self, levels: int, position: int) -> int:
         """``levels`` if it is within the nesting limit; refuse before any stack runs out."""
         if levels > DEFAULT_MAX_NODES:
@@ -234,56 +180,41 @@ class _Parser:
             )
         return levels
 
-    def implication(self) -> ModalFormula:
-        left = self.disjunction()
-        kind, position, _ = self.peek()
-        if kind == _TOKEN_IMPLIES:
-            self.advance()
-            self.depth = self.limit(self.depth + 1, position)
-            height = self.height
-            node = Implies(left, self.implication())
-            self.depth -= 1
-            self.height = self.limit(1 + max(height, self.height), position)
-            return node
-        return left
-
-    def disjunction(self) -> ModalFormula:
-        node = self.conjunction()
-        while self.peek()[0] == _TOKEN_OR:
-            position = self.advance()[1]
-            height = self.height
-            node = Or(node, self.conjunction())
-            self.height = self.limit(1 + max(height, self.height), position)
-        return node
-
-    def conjunction(self) -> ModalFormula:
+    def binary(self, minimum: int) -> ModalFormula:
+        """Unary formulas joined by binary connectives binding with at least ``minimum``."""
         node = self.unary()
-        while self.peek()[0] == _TOKEN_AND:
-            position = self.advance()[1]
+        while True:
+            kind, position, _ = self.tokens[self.pos]
+            cls, strength = _BINARY.get(kind, (None, 0))
+            if strength < minimum:
+                return node
+            self.pos += 1
+            # A right-grouping connective opens a level and takes the rest of its chain at once.
+            groups_right = cls is Implies
+            self.depth = self.limit(self.depth + groups_right, position)
             height = self.height
-            node = And(node, self.unary())
+            node = cls(node, self.binary(strength + (not groups_right)))
+            self.depth -= groups_right
             self.height = self.limit(1 + max(height, self.height), position)
-        return node
 
     def unary(self) -> ModalFormula:
-        kind, position, atom = self.peek()
-        if kind == _TOKEN_ATOM:
-            self.advance()
+        kind, position, atom = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "p":
             self.height = 0
             return Atom(atom)
-        if kind not in (_TOKEN_NOT, _TOKEN_BOX, _TOKEN_LPAREN):
+        if kind not in _UNARY and kind != "(":
             raise FormulaSyntaxError("expected a formula", position)
-        self.advance()
         self.depth = self.limit(self.depth + 1, position)
-        if kind != _TOKEN_LPAREN:
-            node = (Not if kind == _TOKEN_NOT else Box)(self.unary())
+        if kind in _UNARY:
+            node = _UNARY[kind](self.unary())
             self.height = self.limit(self.height + 1, position)
         else:
-            node = self.implication()
-            closing, close_pos, _ = self.peek()
-            if closing != _TOKEN_RPAREN:
+            node = self.binary(1)
+            closing, close_pos, _ = self.tokens[self.pos]
+            if closing != ")":
                 raise FormulaSyntaxError("expected ')'", close_pos)
-            self.advance()
+            self.pos += 1
         self.depth -= 1
         return node
 
@@ -291,8 +222,8 @@ class _Parser:
 def parse_formula(text: str) -> ModalFormula:
     """Parse formula text; raises :class:`FormulaSyntaxError` with a position."""
     parser = _Parser(_tokenize(text))
-    node = parser.implication()
-    kind, position, _ = parser.peek()
-    if kind != _TOKEN_END:
+    node = parser.binary(1)
+    kind, position, _ = parser.tokens[parser.pos]
+    if kind:
         raise FormulaSyntaxError("unexpected trailing input", position)
     return node

@@ -81,7 +81,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)  # a numpy float's own repr names its type
     return str(value)
 
 

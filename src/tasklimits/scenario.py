@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
 
-from .errors import FormulaSyntaxError, ScenarioError, TaskLimitsError
+from .errors import FormulaSyntaxError, ResourceLimitError, ScenarioError, TaskLimitsError
 from .modal import ModalFormula, parse_formula
 from .prediction import ConditionalKernel, ContextDistribution, LossTable
 from .prior import HypothesisClass, HypothesisDescriptor
@@ -211,8 +211,13 @@ def _build_logic_payload(payload: dict) -> LogicPayload:
     texts = _require(payload, "formulas")
     if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
         raise ScenarioError("'formulas' must be a non-empty list of strings")
-    formulas = tuple(parse_formula(t) for t in texts)
-    return LogicPayload(texts=tuple(texts), formulas=formulas)
+    formulas = []
+    for number, text in enumerate(texts, 1):
+        try:
+            formulas.append(parse_formula(text))
+        except (FormulaSyntaxError, ResourceLimitError) as exc:
+            raise ScenarioError(f"field 'formulas', formula {number}: {exc}") from exc
+    return LogicPayload(texts=tuple(texts), formulas=tuple(formulas))
 
 
 def scenario_from_dict(data: Any) -> Scenario:
@@ -261,8 +266,6 @@ def scenario_from_dict(data: Any) -> Scenario:
             payload = _build_logic_payload(payload_data)
     except ScenarioError:
         raise
-    except FormulaSyntaxError as exc:
-        raise ScenarioError(f"bad formula: {exc}") from exc
     except (TaskLimitsError, TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -60,6 +60,14 @@ class TestRunCommands:
         assert main(["logic", "[]("]) == 2
         assert "position 3" in capsys.readouterr().err
 
+    def test_bad_formula_in_a_file_names_the_field_and_the_formula(self, tmp_path, capsys):
+        path = tmp_path / "logic.json"
+        logic = {"name": "l", "kind": "logic", "seed": 0, "payload": {"formulas": ["p0", "p0 &"]}}
+        path.write_text(json.dumps(logic), encoding="utf-8")
+        assert main(["logic", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: field 'formulas', formula 2: expected a formula (position 4)" in err
+
     def test_missing_scenario_exits_2(self, capsys):
         assert main(["simulate", "/nonexistent/path.json"]) == 2
         assert "error" in capsys.readouterr().err

@@ -10,8 +10,9 @@ levels repeat the split of the level before, and the last levels have an
 empty tail. It also holds the ``simulate`` stdout and both emitted reports of
 ``explicit_chain.scenario.json``, an ``explicit_sets`` chain with a zero-weight
 task, a task no set names, a level that repeats the set before it and more
-sets than ``n_max``. A change that moves any of these bytes must re-record the
-file and say why.
+sets than ``n_max``; and, in ``parser_outcomes.jsonl``, what the formula
+parser makes of about a thousand texts. A change that moves any of these bytes
+must re-record the file and say why.
 """
 
 import json
@@ -20,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from tasklimits.cli import COMMAND_KINDS, main
+from tasklimits.errors import FormulaSyntaxError, ResourceLimitError
+from tasklimits.modal import parse_formula, print_formula
 from support import SCENARIO_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -88,3 +91,29 @@ def test_explicit_chain_report(format, suffix, tmp_path):
     out = tmp_path / f"report.{suffix}"
     assert main(["emit", str(CHAIN), "--format", format, "--out", str(out)]) == 0
     assert out.read_bytes() == golden(f"explicit_chain.{suffix}")
+
+
+def _parser_outcome(text: str) -> dict:
+    try:
+        return {"printed": print_formula(parse_formula(text))}
+    except (FormulaSyntaxError, ResourceLimitError) as exc:
+        outcome = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, FormulaSyntaxError):
+            outcome["position"] = exc.position
+        return outcome
+
+
+def test_parser_outcomes():
+    """Each formula text of ``parser_outcomes.jsonl`` keeps its printed form or its error.
+
+    One ``[text, outcome]`` pair per line: hand-picked edge cases (``\\f``, ``\\v``,
+    U+00A0 and a non-ASCII digit, none of them formula text; a trailing ``-`` or
+    ``[``; a bare ``p``), nesting at and one past the limit of every operator, then
+    token strings drawn with a fixed seed, half from the grammar with at most one
+    token inserted or deleted and half at random.
+    """
+    lines = golden("parser_outcomes.jsonl").decode("ascii").splitlines()
+    for line in lines:
+        text, expected = json.loads(line)
+        assert _parser_outcome(text) == expected, text
+    assert len(lines) > 900

@@ -129,6 +129,26 @@ class TestResourceLimits:
         with pytest.raises(ResourceLimitError, match="worlds"):
             gl_decide(phi)
 
+    def test_atom_limit_is_checked_before_box_limit(self):
+        phi = parse_formula(" & ".join(f"[]p{i}" for i in range(9)))
+        with pytest.raises(ResourceLimitError, match="9 atoms"):
+            gl_decide(phi)
+
+    @pytest.mark.parametrize("text", ["[]([]p0 -> p0) -> []p0", "[]p0 -> p0", "p1 & ~p1"])
+    def test_one_subformula_walk_per_decision(self, text, monkeypatch):
+        """Atoms, the box count and the evaluation order all come from one walk."""
+        calls = []
+
+        def counted(phi):
+            calls.append(phi)
+            return subformulas(phi)
+
+        monkeypatch.setattr("tasklimits.modal.formula.subformulas", counted)
+        monkeypatch.setattr(decide_module, "subformulas", counted)
+        phi = parse_formula(text)
+        gl_decide(phi)
+        assert calls == [phi]
+
 
 class TestAgainstFrameOracle:
     def test_agreement_on_random_corpus(self):

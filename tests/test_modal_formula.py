@@ -1,6 +1,7 @@
 """Parser, printer, and structural helpers for modal formulas."""
 
 import random
+import time
 
 import pytest
 
@@ -50,6 +51,13 @@ class TestParsing:
 
     def test_whitespace_is_insignificant(self):
         assert parse_formula(" []p0->p0 ") == parse_formula("[] p0 -> p0")
+
+    def test_whitespace_runs_are_read_in_linear_time(self):
+        """Trailing whitespace is read once, not rescanned from each of its positions."""
+        start = time.perf_counter()
+        for text in ("p0" + " " * 50_000, " " * 50_000 + "p0", "p0" + " \t\r\n" * 12_500 + "& p1"):
+            parse_formula(text)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSyntaxErrors:
@@ -116,6 +124,33 @@ class TestPrinting:
         assert print_formula(parse_formula("~(p0 & p1)")) == "~(p0 & p1)"
         assert print_formula(parse_formula("p0 -> (p1 -> p2)")) == "p0 -> p1 -> p2"
         assert print_formula(parse_formula("(p0 -> p1) -> p2")) == "(p0 -> p1) -> p2"
+
+    @pytest.mark.parametrize(
+        "phi, text",
+        [
+            (Implies(Implies(Atom(0), Atom(1)), Atom(2)), "(p0 -> p1) -> p2"),
+            (Implies(Or(Atom(0), Atom(1)), Atom(2)), "p0 | p1 -> p2"),
+            (Implies(And(Atom(0), Atom(1)), Atom(2)), "p0 & p1 -> p2"),
+            (Or(Implies(Atom(0), Atom(1)), Atom(2)), "(p0 -> p1) | p2"),
+            (Or(Or(Atom(0), Atom(1)), Atom(2)), "p0 | p1 | p2"),
+            (Or(And(Atom(0), Atom(1)), Atom(2)), "p0 & p1 | p2"),
+            (And(Implies(Atom(0), Atom(1)), Atom(2)), "(p0 -> p1) & p2"),
+            (And(Or(Atom(0), Atom(1)), Atom(2)), "(p0 | p1) & p2"),
+            (And(And(Atom(0), Atom(1)), Atom(2)), "p0 & p1 & p2"),
+            (Implies(Atom(0), Implies(Atom(1), Atom(2))), "p0 -> p1 -> p2"),
+            (Implies(Atom(0), Or(Atom(1), Atom(2))), "p0 -> p1 | p2"),
+            (Implies(Atom(0), And(Atom(1), Atom(2))), "p0 -> p1 & p2"),
+            (Or(Atom(0), Implies(Atom(1), Atom(2))), "p0 | (p1 -> p2)"),
+            (Or(Atom(0), Or(Atom(1), Atom(2))), "p0 | (p1 | p2)"),
+            (Or(Atom(0), And(Atom(1), Atom(2))), "p0 | p1 & p2"),
+            (And(Atom(0), Implies(Atom(1), Atom(2))), "p0 & (p1 -> p2)"),
+            (And(Atom(0), Or(Atom(1), Atom(2))), "p0 & (p1 | p2)"),
+            (And(Atom(0), And(Atom(1), Atom(2))), "p0 & (p1 & p2)"),
+        ],
+    )
+    def test_each_pair_of_binary_connectives_nested_left_and_right(self, phi, text):
+        assert print_formula(phi) == text
+        assert parse_formula(text) == phi
 
     def test_round_trip_on_random_formulas(self):
         rng = random.Random(2024)

@@ -66,6 +66,16 @@ class TestCsv:
         assert lines[1].endswith("true")
         assert lines[2].endswith("false")
 
+    def test_numpy_float_cell_is_written_as_a_float(self):
+        report = Report(
+            scenario="np",
+            kind="prediction",
+            passed=True,
+            steps=(StepRecord(n=1, utility=np.float64(0.1), tau=np.float64(-math.inf)),),
+        )
+        lines = emit_report(report, "csv").decode().split("\n")
+        assert lines[1] == "1,0.1,,-inf,,,,"
+
     def test_unknown_format_rejected(self):
         report = Report(scenario="x", kind="logic", passed=True)
         with pytest.raises(ConfigurationError):

@@ -127,6 +127,19 @@ class TestParseScenario:
                 {"name": "l", "kind": "logic", "seed": 0, "payload": {"formulas": ["[]("]}}
             )
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p0 &", "expected a formula (position 4)"),
+            ("~" * 201 + "p0", "formula nests deeper than 200 levels (position 200)"),
+        ],
+    )
+    def test_bad_formula_names_the_field_and_the_formula(self, text, message):
+        data = {"name": "l", "kind": "logic", "seed": 0, "payload": {"formulas": ["p0", text]}}
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(data)
+        assert str(err.value) == f"field 'formulas', formula 2: {message}"
+
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), "many"])
     def test_unusable_epsilon_rejected(self, epsilon):
         data = minimal_trajectory_dict()
