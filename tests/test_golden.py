@@ -10,9 +10,10 @@ levels repeat the split of the level before, and the last levels have an
 empty tail. It also holds the ``simulate`` stdout and both emitted reports of
 ``explicit_chain.scenario.json``, an ``explicit_sets`` chain with a zero-weight
 task, a task no set names, a level that repeats the set before it and more
-sets than ``n_max``; and, in ``parser_outcomes.jsonl``, what the formula
-parser makes of about a thousand texts. A change that moves any of these bytes
-must re-record the file and say why.
+sets than ``n_max``; in ``parser_outcomes.jsonl``, what the formula parser
+makes of about a thousand texts; and, in ``loader_outcomes.jsonl``, what the
+run commands make of about a thousand malformed scenario files. A change that
+moves any of these bytes must re-record the file and say why.
 """
 
 import json
@@ -116,4 +117,35 @@ def test_parser_outcomes():
     for line in lines:
         text, expected = json.loads(line)
         assert _parser_outcome(text) == expected, text
+    assert len(lines) > 900
+
+
+def test_loader_outcomes(tmp_path, capsys):
+    """Each malformed scenario text of ``loader_outcomes.jsonl`` keeps its exit code and error.
+
+    One ``[command, text, exit code, error line]`` row per line; bytes that are not
+    UTF-8 are stored as the lone surrogates of ``surrogateescape``. The texts are
+    the bundled scenarios, the explicit chain above, a ``tests/support.py`` chain
+    and a two-context prediction, each with one mutation drawn with a fixed seed:
+    a field or an item deleted; a value swapped for ``true``, ``"1.0"``, ``null``,
+    ``[]`` or ``{}``; a negative, zero, huge, NaN or infinite number; a ragged
+    matrix; a value nested in lists, or the file nested past the decoder's limit;
+    a byte that is not UTF-8; or a bad formula. Every outcome is exit 0 with no
+    error, or exit 2 with one ``error:`` line naming the file; the row keeps that
+    line with the temporary path stripped.
+    """
+    path = tmp_path / "scenario.json"
+    prefix = f"error: {path}: "
+    lines = golden("loader_outcomes.jsonl").decode("ascii").splitlines()
+    for line in lines:
+        command, text, code, error = json.loads(line)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        outcome = main([command, str(path)])
+        stderr = capsys.readouterr().err
+        if outcome == 0:
+            assert stderr == "", text
+            assert (0, None) == (code, error), text
+        else:
+            assert outcome == 2 and stderr.startswith(prefix) and stderr.count("\n") == 1, text
+            assert (2, "error: " + stderr[len(prefix):-1]) == (code, error), text
     assert len(lines) > 900
