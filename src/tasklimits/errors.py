@@ -32,15 +32,11 @@ class ShapeError(ValidationError):
     """Array dimensions of kernels, losses, or distributions disagree."""
 
 
-class DegenerateMixtureError(TaskLimitsError):
-    """A mixture was requested over an empty hypothesis slice."""
-
-
-class EmptyTruncationError(DegenerateMixtureError):
+class EmptyTruncationError(TaskLimitsError):
     """Truncation level keeps no hypotheses (head mass is zero)."""
 
 
-class EmptyTailError(DegenerateMixtureError):
+class EmptyTailError(TaskLimitsError):
     """Truncation level leaves no tail hypotheses (tail mass is zero)."""
 
 

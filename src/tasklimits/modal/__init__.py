@@ -22,27 +22,3 @@ from .formula import (
 )
 from .kripke import KripkeModel, enumerate_frames, model_check
 from .decide import Countermodel, DecisionResult, SearchLevel, ValidityTrace, gl_decide
-
-__all__ = [
-    "And",
-    "Atom",
-    "Box",
-    "Implies",
-    "ModalFormula",
-    "Not",
-    "Or",
-    "atom_indices",
-    "box_subformulas",
-    "count_nodes",
-    "parse_formula",
-    "print_formula",
-    "subformulas",
-    "KripkeModel",
-    "enumerate_frames",
-    "model_check",
-    "Countermodel",
-    "DecisionResult",
-    "SearchLevel",
-    "ValidityTrace",
-    "gl_decide",
-]

@@ -26,9 +26,31 @@ from ..errors import FormulaSyntaxError, ResourceLimitError, ValidationError
 DEFAULT_MAX_NODES = 200
 
 
+class _Node:
+    """A node's hash, ``hash((type(node), *fields))``, is computed on first use and kept.
+
+    A frozen dataclass's own hash rehashes the whole subtree on every dict lookup, and
+    hashing at construction slows parsing. Each node class sets ``__hash__`` in its body,
+    where ``dataclass`` keeps it. ``pickle`` and ``copy`` leave the kept hash out, as a
+    type's hash differs between processes.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((type(self), *vars(self).values()))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     index: int
+    __hash__ = _Node.__hash__
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -36,31 +58,36 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     operand: ModalFormula
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Node):
     operand: ModalFormula
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: ModalFormula
     right: ModalFormula
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: ModalFormula
     right: ModalFormula
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
     left: ModalFormula
     right: ModalFormula
+    __hash__ = _Node.__hash__
 
 
 ModalFormula = Union[Atom, Not, Box, And, Or, Implies]

@@ -31,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .prior import MAX_CODE_LENGTH, HypothesisClass, TruncatedPrior, prior_weights, truncate
+from .taskspace import TaskMeasure
 
 ROW_SUM_TOLERANCE = 1e-12
 ENTRY_TOLERANCE = 1e-12
@@ -67,14 +68,13 @@ def _check_rows_stochastic(arr: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ConditionalKernel:
-    """Contexts-by-outcomes matrix of conditional outcome probabilities."""
+    """Contexts-by-outcomes matrix of outcome probabilities: a kernel or a mixture of them."""
 
     table: np.ndarray
-    _label = "kernel"
 
     def __post_init__(self) -> None:
-        arr = _as_matrix(self.table, self._label)
-        _check_rows_stochastic(arr, self._label)
+        arr = _as_matrix(self.table, "kernel")
+        _check_rows_stochastic(arr, "kernel")
         object.__setattr__(self, "table", arr)
 
     @property
@@ -85,45 +85,8 @@ class ConditionalKernel:
     def n_outcomes(self) -> int:
         return self.table.shape[1]
 
-
-@dataclass(frozen=True, eq=False)
-class PredictiveDistribution(ConditionalKernel):
-    """Per-context outcome distribution (a mixture or a single kernel)."""
-
-    _label = "predictive distribution"
-
     def row(self, context: int) -> np.ndarray:
         return self.table[context]
-
-
-@dataclass(frozen=True, eq=False)
-class ContextDistribution:
-    """Probability weights over contexts."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.weights, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ShapeError("context weights must be a non-empty 1-D vector")
-        if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
-            raise ValidationError("context weights must be finite and non-negative")
-        # Before summing, as weights past 1 can overflow ``fsum``; the sum check
-        # below would reject each such distribution too.
-        top = int(arr.argmax())
-        if arr[top] - 1.0 > ROW_SUM_TOLERANCE:
-            raise ValidationError(
-                f"weight of context {top} must be at most 1, got {float(arr[top])!r}"
-            )
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-            raise ValidationError(f"context weights sum to {total!r}, expected 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
-
-    @property
-    def n_contexts(self) -> int:
-        return self.weights.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +96,9 @@ class LossTable:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.table, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] < 1:
-            raise ShapeError("loss table must be a 2-D matrix with at least one outcome")
+        arr = _as_matrix(self.table, "loss table")
         if arr.size and not ((arr >= 0.0).all() and (arr <= 1.0).all()):
             raise ValidationError("loss entries must lie in [0, 1]")
-        arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
 
     @property
@@ -215,26 +175,24 @@ def _kernel_stack(hclass: HypothesisClass, kernels: KernelStore) -> np.ndarray:
     return np.stack(tables)
 
 
-def _mix(stack: np.ndarray, weights: list[float]) -> PredictiveDistribution:
+def _mix(stack: np.ndarray, weights: list[float]) -> ConditionalKernel:
     """The mixture of the stacked kernels under one weight per hypothesis."""
-    return PredictiveDistribution(np.tensordot(np.array(weights), stack, axes=1))
+    return ConditionalKernel(np.tensordot(np.array(weights), stack, axes=1))
 
 
-def full_mixture(hclass: HypothesisClass, kernels: KernelStore) -> PredictiveDistribution:
+def full_mixture(hclass: HypothesisClass, kernels: KernelStore) -> ConditionalKernel:
     """Prior-weighted mixture of all hypothesis kernels."""
     return _mix(_kernel_stack(hclass, kernels), prior_weights(hclass))
 
 
-def truncated_mixture(
-    hclass: HypothesisClass, n: int, kernels: KernelStore
-) -> PredictiveDistribution:
+def truncated_mixture(hclass: HypothesisClass, n: int, kernels: KernelStore) -> ConditionalKernel:
     """Renormalized mixture over hypotheses with code length <= n."""
     if truncate(hclass, n).z_n == 0.0:
         raise EmptyTruncationError(f"no hypothesis has code length <= {n}")
     return _mix(_kernel_stack(hclass, kernels), prior_weights(hclass, -1, n))
 
 
-def tail_mixture(hclass: HypothesisClass, n: int, kernels: KernelStore) -> PredictiveDistribution:
+def tail_mixture(hclass: HypothesisClass, n: int, kernels: KernelStore) -> ConditionalKernel:
     """Renormalized mixture over hypotheses with code length > n."""
     if truncate(hclass, n).tau_n == 0.0:
         raise EmptyTailError(f"every hypothesis has code length <= {n}")
@@ -272,21 +230,21 @@ def bayes_risk(rho_row, loss: LossTable) -> BayesRisk:
     return BayesRisk(value=float(expected[action]), argmin_action=action)
 
 
-def averaged_risk(rho: PredictiveDistribution, loss: LossTable, pi: ContextDistribution) -> float:
+def averaged_risk(rho: ConditionalKernel, loss: LossTable, pi: TaskMeasure) -> float:
     """Context-weighted average of the per-context Bayes risk."""
-    if rho.n_contexts != pi.n_contexts:
+    if rho.n_contexts != pi.size:
         raise ShapeError(
-            f"distribution has {rho.n_contexts} contexts, context weights have {pi.n_contexts}"
+            f"distribution has {rho.n_contexts} contexts, context weights have {pi.size}"
         )
     values = [bayes_risk(rho.row(c), loss).value for c in range(rho.n_contexts)]
-    return math.fsum(w * v for w, v in zip(pi.weights.tolist(), values))
+    return math.fsum(w * v for w, v in zip(pi.weights, values))
 
 
 def verify_prediction_bounds(
     hclass: HypothesisClass,
     kernels: KernelStore,
     loss: LossTable,
-    pi: ContextDistribution,
+    pi: TaskMeasure,
     n_max: int,
     slack_tolerance: float = BOUND_SLACK,
 ) -> PredictionBoundsReport:

@@ -14,9 +14,10 @@ inequality records:
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .modal import gl_decide, model_check
+from .modal import KripkeModel, atom_indices, gl_decide, model_check
 from .prediction import BOUND_SLACK, IDENTITY_TOLERANCE, BoundRecord, verify_prediction_bounds
 from .report import CountermodelRecord, Report, StepRecord, VerdictRecord
 from .scenario import LogicPayload, PredictionPayload, Scenario, TrajectoryPayload
@@ -39,7 +40,15 @@ def _run_trajectory(scenario: Scenario, payload: TrajectoryPayload) -> Report:
 
     bounds: list[BoundRecord] = []
     if gains:
-        residual = telescoping_residual(utilities, gains)
+        # U(1) and U(N) from the definition, apart from the level buckets both sequences read.
+        weights, first_level = traj.mu.weights, traj.first_level
+        u_first = math.fsum(itertools.compress(weights, map((1).__eq__, first_level)))
+        u_last = math.fsum(itertools.compress(weights, first_level))
+        residual = max(
+            telescoping_residual(utilities, gains),
+            abs(u_first - utilities[0]),
+            abs(u_last - utilities[-1]),
+        )
         bounds.append(
             BoundRecord.check("telescoping_residual", traj.levels, residual, IDENTITY_TOLERANCE)
         )
@@ -123,7 +132,15 @@ def _run_logic(scenario: Scenario, payload: LogicPayload) -> Report:
     for i, (text, phi) in enumerate(zip(payload.texts, payload.formulas)):
         result = gl_decide(phi)
         if result.is_valid:
-            witness_ok = True
+            # A sound but incomplete probe: a valid formula holds at every one-world model,
+            # here world w with no relation, where the atoms of the set bits of w are true.
+            atoms = atom_indices(phi)
+            true = {
+                w: {atom for bit, atom in enumerate(atoms) if w >> bit & 1}
+                for w in range(1 << len(atoms))
+            }
+            model = KripkeModel.build(true, (), true)
+            witness_ok = all(model_check(phi, model, w) for w in true)
             countermodel = None
             search_levels = tuple(
                 (lvl.world_count, lvl.frames_checked, lvl.valuations_per_frame)

@@ -35,7 +35,7 @@ from typing import Any, Union
 
 from .errors import FormulaSyntaxError, ResourceLimitError, ScenarioError, TaskLimitsError
 from .modal import ModalFormula, parse_formula
-from .prediction import ConditionalKernel, ContextDistribution, LossTable
+from .prediction import ConditionalKernel, LossTable
 from .prior import HypothesisClass, HypothesisDescriptor
 from .taskspace import TaskMeasure
 from .trajectory import DifficultyThreshold, RandomCoverage, SolverRule, _first_solved_levels
@@ -57,7 +57,7 @@ class PredictionPayload:
     hypotheses: HypothesisClass
     kernels: dict[str, ConditionalKernel]
     loss: LossTable
-    contexts: ContextDistribution
+    contexts: TaskMeasure
 
 
 @dataclass(frozen=True)
@@ -199,10 +199,10 @@ def _build_prediction_payload(payload: dict) -> PredictionPayload:
             f"field 'loss' has {loss.n_outcomes} outcomes, the kernels have {outcomes}"
         )
     weights = _require(payload, "context_weights")
-    contexts = _numeric("context_weights", weights, 1, ContextDistribution)
-    if contexts.n_contexts != rows:
+    contexts = _numeric("context_weights", weights, 1, TaskMeasure)
+    if contexts.size != rows:
         raise ScenarioError(
-            f"field 'context_weights' has {contexts.n_contexts} contexts, the kernels {rows}"
+            f"field 'context_weights' has {contexts.size} contexts, the kernels {rows}"
         )
     return PredictionPayload(hypotheses=hclass, kernels=kernels, loss=loss, contexts=contexts)
 

@@ -2,7 +2,8 @@
 
 Tasks are opaque non-negative integers indexing into a finite, enumerated
 space. A :class:`TaskMeasure` fixes the probability of each task; the mass
-of a set of tasks is the ``math.fsum`` of their weights.
+of a set of tasks is the ``math.fsum`` of their weights. It is the toolkit's
+one finite measure: a prediction scenario's context weights are one too.
 """
 
 from __future__ import annotations
@@ -22,24 +23,24 @@ WEIGHT_SUM_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class TaskMeasure:
-    """Finite-support probability measure over task ids ``0..size-1``."""
+    """Finite-support probability measure over ids ``0..size-1``: tasks or contexts."""
 
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if not self.weights:
-            raise ValidationError("task measure needs at least one task")
+            raise ValidationError("measure needs at least one weight")
         if not all(map(math.isfinite, self.weights)) or min(self.weights) < 0.0:
-            # Scan only on failure, to name the first bad task.
+            # Scan only on failure, to name the first bad weight.
             i, w = next((i, w) for i, w in enumerate(self.weights) if not 0.0 <= w < math.inf)
-            raise ValidationError(f"weight of task {i} must be finite and >= 0, got {w}")
+            raise ValidationError(f"weight {i} must be finite and >= 0, got {w}")
         # Before summing, as weights past 1 can overflow ``fsum``; the sum check
         # below would reject each such measure too.
         top = max(self.weights)
         if top - 1.0 > WEIGHT_SUM_TOLERANCE:
             raise ValidationError(
-                f"weight of task {self.weights.index(top)} must be at most 1, got {top!r}"
+                f"weight {self.weights.index(top)} must be at most 1, got {top!r}"
             )
         total = math.fsum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:

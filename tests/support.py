@@ -47,7 +47,7 @@ from tasklimits.modal import (
     enumerate_frames,
 )
 from tasklimits.modal.kripke import successor_mask_orders
-from tasklimits.prediction import ConditionalKernel, ContextDistribution, LossTable
+from tasklimits.prediction import ConditionalKernel, LossTable
 from tasklimits.prior import HypothesisClass, HypothesisDescriptor
 from tasklimits.scenario import scenario_from_dict
 from tasklimits.taskspace import TaskMeasure
@@ -106,7 +106,7 @@ def random_prediction_scenario(seed: int):
         for i in range(n_hypotheses)
     }
     loss = LossTable([[rng.random() for _ in range(n_outcomes)] for _ in range(n_actions)])
-    contexts = ContextDistribution(random_stochastic_rows(rng, 1, n_contexts)[0])
+    contexts = TaskMeasure(random_stochastic_rows(rng, 1, n_contexts)[0])
     return hclass, kernels, loss, contexts
 
 

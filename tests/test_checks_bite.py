@@ -13,9 +13,16 @@ from typing import Callable
 
 import pytest
 
-from tasklimits import prediction, runner
+from tasklimits import prediction, runner, trajectory
 from tasklimits.cli import main
-from tasklimits.modal import Countermodel, DecisionResult, KripkeModel, atom_indices
+from tasklimits.modal import (
+    Countermodel,
+    DecisionResult,
+    KripkeModel,
+    SearchLevel,
+    ValidityTrace,
+    atom_indices,
+)
 from tasklimits.prior import MAX_CODE_LENGTH, TruncatedPrior
 from tasklimits.runner import run_experiment
 from tasklimits.scenario import parse_scenario
@@ -33,6 +40,26 @@ def drop_a_weight_at_the_last_level(monkeypatch):
         return utilities[:-1] + [utilities[-1] - dropped]
 
     monkeypatch.setattr(runner, "utility_sequence", faulty)
+
+
+def drop_a_solved_weight(monkeypatch):
+    """Both sequences miss the weight of one task first solved at level 3, so they agree."""
+    weights_first_solved = trajectory._weights_first_solved
+
+    def faulty(traj):
+        runs = weights_first_solved(traj)
+        runs[2] = runs[2][1:]
+        return runs
+
+    monkeypatch.setattr(trajectory, "_weights_first_solved", faulty)
+
+
+def book_every_task_a_level_late(monkeypatch):
+    """Both sequences see each task one level after it is solved, the last level's never."""
+    weights_first_solved = trajectory._weights_first_solved
+    monkeypatch.setattr(
+        trajectory, "_weights_first_solved", lambda traj: [[], *weights_first_solved(traj)[:-1]]
+    )
 
 
 def inflate_the_gains(monkeypatch):
@@ -70,7 +97,7 @@ def perturb_one_tail_cell(monkeypatch):
         table = mixture.table.copy()
         table[0, 0] += 1e-9
         # Its row no longer sums to 1 within 1e-12, so it cannot be a
-        # ``PredictiveDistribution``; the sweep reads only the table.
+        # ``ConditionalKernel``; the sweep reads only the table.
         return SimpleNamespace(table=table)
 
     monkeypatch.setattr(prediction, "prior_weights", tagged)
@@ -90,6 +117,12 @@ def claim_a_countermodel_where_the_formula_holds(monkeypatch):
     monkeypatch.setattr(runner, "gl_decide", faulty)
 
 
+def call_every_formula_valid(monkeypatch):
+    """Every formula is called valid, after a search of one frame at one world."""
+    trace = ValidityTrace(1, (SearchLevel(1, 1, 1),))
+    monkeypatch.setattr(runner, "gl_decide", lambda phi: DecisionResult("valid", trace=trace))
+
+
 @dataclass(frozen=True)
 class Case:
     scenario: str
@@ -104,6 +137,13 @@ CASES = {
     "telescoping": Case(
         "uniform_threshold.json", "telescoping_residual", 5, drop_a_weight_at_the_last_level
     ),
+    # Each fault is in the buckets that both the utilities and the gains read.
+    "utility-endpoints-drop": Case(
+        "uniform_threshold.json", "telescoping_residual", 5, drop_a_solved_weight
+    ),
+    "utility-endpoints-late": Case(
+        "uniform_threshold.json", "telescoping_residual", 5, book_every_task_a_level_late
+    ),
     # At epsilon 0.5 at most two gains may reach epsilon; the scenario has four.
     "epsilon-count": Case(
         "uniform_threshold.json", "gains_at_or_above_epsilon", 5, inflate_the_gains, epsilon=0.5
@@ -117,6 +157,8 @@ CASES = {
     "witness": Case(
         "logic_basics.json", "witness_ok", 1, claim_a_countermodel_where_the_formula_holds
     ),
+    # Formula 3 is ``[]p0 -> p0``, false at a lone world where p0 is false.
+    "valid-verdict": Case("logic_basics.json", "witness_ok", 3, call_every_formula_valid),
 }
 
 

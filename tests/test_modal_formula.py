@@ -1,10 +1,18 @@
 """Parser, printer, and structural helpers for modal formulas."""
 
+import builtins
+import copy
+import dataclasses
+import pickle
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tasklimits
 from tasklimits.errors import FormulaSyntaxError, ResourceLimitError
 from tasklimits.modal import (
     And,
@@ -20,6 +28,7 @@ from tasklimits.modal import (
     print_formula,
     subformulas,
 )
+from tasklimits.modal import formula
 from tasklimits.modal.formula import DEFAULT_MAX_NODES
 from support import random_formula
 
@@ -173,3 +182,43 @@ class TestStructure:
         subs = subformulas(phi)
         assert len(subs) == 3
         assert subs.index(Atom(0)) < subs.index(Box(Atom(0))) < subs.index(phi)
+
+
+class TestHashing:
+    """A node's hash is computed on first use and kept; the kept value never leaves the process."""
+
+    def test_a_walk_hashes_each_node_once(self, monkeypatch):
+        # A frozen dataclass's own hash rehashed the whole chain below a node on every
+        # dict lookup, without calling the module's hash body at all.
+        phi = parse_formula("~" * (DEFAULT_MAX_NODES - 1) + "p0")
+        bodies = []
+
+        def counted(value):
+            bodies.append(value)
+            return builtins.hash(value)
+
+        monkeypatch.setattr(formula, "hash", counted, raising=False)
+        assert len(subformulas(phi)) == DEFAULT_MAX_NODES
+        assert len(bodies) == DEFAULT_MAX_NODES
+
+    def test_copies_and_replacements_equal_and_hash_as_the_original(self):
+        phi = parse_formula("[]([]p0 -> p0) -> []p0")
+        kept = hash(phi)
+        for other in (copy.copy(phi), copy.deepcopy(phi), dataclasses.replace(phi)):
+            assert other == phi and hash(other) == kept and repr(other) == repr(phi)
+
+    def test_a_node_pickled_in_another_process_hashes_as_a_fresh_one(self):
+        text = "[]([]p0 -> p0) -> [](p1 & ~p0)"
+        script = f"""
+import pickle, sys
+sys.path[:0] = [{str(Path(tasklimits.__file__).parents[1])!r}]
+from tasklimits.modal import parse_formula, subformulas
+phi = parse_formula({text!r})
+subformulas(phi)
+sys.stdout.buffer.write(pickle.dumps(phi))
+"""
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        loaded, fresh = pickle.loads(done.stdout), parse_formula(text)
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        assert set(subformulas(loaded)) == set(subformulas(fresh))

@@ -14,9 +14,7 @@ from tasklimits.errors import (
 )
 from tasklimits.prediction import (
     ConditionalKernel,
-    ContextDistribution,
     LossTable,
-    PredictiveDistribution,
     averaged_risk,
     bayes_risk,
     full_mixture,
@@ -30,6 +28,7 @@ from tasklimits import prediction
 from tasklimits.prior import MAX_CODE_LENGTH, HypothesisClass, HypothesisDescriptor, truncate
 from tasklimits.runner import run_experiment
 from tasklimits.scenario import PredictionPayload, Scenario
+from tasklimits.taskspace import TaskMeasure
 from support import brute_force_bayes_risk, random_prediction_scenario
 
 IDENTITY_TOL = 1e-12
@@ -65,12 +64,12 @@ class TestTypeValidation:
 
     def test_context_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
-            ContextDistribution([0.5, 0.4])
+            TaskMeasure([0.5, 0.4])
 
     def test_context_weight_past_one_rejected_before_summing(self):
         # Summed first, these overflow ``fsum``.
-        with pytest.raises(ValidationError, match="weight of context 1 must be at most 1"):
-            ContextDistribution([0.0, 1e308, 1e308])
+        with pytest.raises(ValidationError, match="weight 1 must be at most 1"):
+            TaskMeasure([0.0, 1e308, 1e308])
 
     def test_tables_are_frozen(self):
         kernel = ConditionalKernel([[0.5, 0.5]])
@@ -195,7 +194,7 @@ class TestDecomposition:
     def test_two_bernoulli_residual_is_tiny(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        report = verify_prediction_bounds(hclass, kernels, loss, ContextDistribution([1.0]), 3)
+        report = verify_prediction_bounds(hclass, kernels, loss, TaskMeasure([1.0]), 3)
         residuals = sweep_residuals(report)
         assert set(residuals) == {1}
         assert residuals[1].passed and residuals[1].lhs <= IDENTITY_TOL
@@ -204,7 +203,7 @@ class TestDecomposition:
     def test_degenerate_levels_are_skipped_with_reason(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        pi = ContextDistribution([1.0])
+        pi = TaskMeasure([1.0])
         report = verify_prediction_bounds(hclass, kernels, loss, pi, 3)
         # Level 0 has an empty head; levels 2 and 3 have an empty tail.
         assert [(s.level, s.tau_n == 0.0) for s in report.levels] == [
@@ -223,7 +222,7 @@ class TestDecomposition:
     def test_no_level_summarized_when_every_head_is_empty(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        pi = ContextDistribution([1.0])
+        pi = TaskMeasure([1.0])
         report = verify_prediction_bounds(hclass, kernels, loss, pi, 0)
         assert report.levels == () and report.records == () and report.all_passed
         assert runner_notes(hclass, kernels, loss, pi, 0) == (
@@ -345,30 +344,30 @@ class TestBayesRisk:
 
 class TestAveragedRisk:
     def test_single_context_equals_bayes_risk(self):
-        rho = PredictiveDistribution([[0.2, 0.8]])
+        rho = ConditionalKernel([[0.2, 0.8]])
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        pi = ContextDistribution([1.0])
+        pi = TaskMeasure([1.0])
         assert averaged_risk(rho, loss, pi) == bayes_risk(rho.row(0), loss).value
 
     def test_point_mass_context(self):
-        rho = PredictiveDistribution([[0.2, 0.8], [0.9, 0.1]])
+        rho = ConditionalKernel([[0.2, 0.8], [0.9, 0.1]])
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        pi = ContextDistribution([0.0, 1.0])
+        pi = TaskMeasure([0.0, 1.0])
         assert averaged_risk(rho, loss, pi) == bayes_risk(rho.row(1), loss).value
 
     def test_uniform_two_contexts_average(self):
-        rho = PredictiveDistribution([[0.2, 0.8], [0.9, 0.1]])
+        rho = ConditionalKernel([[0.2, 0.8], [0.9, 0.1]])
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        pi = ContextDistribution([0.5, 0.5])
+        pi = TaskMeasure([0.5, 0.5])
         a = bayes_risk(rho.row(0), loss).value
         b = bayes_risk(rho.row(1), loss).value
         assert averaged_risk(rho, loss, pi) == pytest.approx((a + b) / 2, abs=IDENTITY_TOL)
 
     def test_context_count_mismatch(self):
-        rho = PredictiveDistribution([[0.2, 0.8]])
+        rho = ConditionalKernel([[0.2, 0.8]])
         loss = LossTable([[0.0, 1.0]])
         with pytest.raises(ShapeError):
-            averaged_risk(rho, loss, ContextDistribution([0.5, 0.5]))
+            averaged_risk(rho, loss, TaskMeasure([0.5, 0.5]))
 
 
 class TestPredictiveUtility:
@@ -377,14 +376,14 @@ class TestPredictiveUtility:
     def test_constant_loss_pins_utility(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.5, 0.5]])
-        pi = ContextDistribution([1.0])
+        pi = TaskMeasure([1.0])
         for n in (1, 2, 3):
             assert -averaged_risk(truncated_mixture(hclass, n, kernels), loss, pi) == -0.5
 
     def test_full_class_utility_is_negated_full_risk(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        pi = ContextDistribution([1.0])
+        pi = TaskMeasure([1.0])
         expected = -averaged_risk(full_mixture(hclass, kernels), loss, pi)
         assert -averaged_risk(truncated_mixture(hclass, 5, kernels), loss, pi) == expected
 
@@ -414,7 +413,7 @@ class TestVerifyPredictionBounds:
         shared = ConditionalKernel([[0.4, 0.6]])
         kernels = {"k0": shared, "k1": shared}
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        pi = ContextDistribution([1.0])
+        pi = TaskMeasure([1.0])
         report = verify_prediction_bounds(hclass, kernels, loss, pi, 3)
         assert report.all_passed
         assert all(r.lhs <= IDENTITY_TOL for r in report.records)
@@ -422,7 +421,7 @@ class TestVerifyPredictionBounds:
     def test_two_bernoulli_bounds_hold(self):
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        pi = ContextDistribution([1.0])
+        pi = TaskMeasure([1.0])
         report = verify_prediction_bounds(hclass, kernels, loss, pi, 3)
         assert report.all_passed
         # Level 0 is the only one with an empty head.
@@ -449,7 +448,7 @@ class TestVerifyPredictionBounds:
         monkeypatch.setattr(prediction, "truncate", counting_splits)
         hclass, kernels = two_bernoulli_class()
         loss = LossTable([[0.0, 1.0], [1.0, 0.0]])
-        report = verify_prediction_bounds(hclass, kernels, loss, ContextDistribution([1.0]), 50)
+        report = verify_prediction_bounds(hclass, kernels, loss, TaskMeasure([1.0]), 50)
         assert len(report.levels) == 50
         # One split per level, 0..50: ``truncate`` is a table lookup.
         assert splits == list(range(51))

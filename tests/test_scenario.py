@@ -255,18 +255,18 @@ class TestLoadTimeChecks:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, noun, data",
+        "field, data",
         [
-            ("task_weights", "task", minimal_trajectory_dict()),
-            ("context_weights", "context", two_context(bernoulli_dict())),
+            ("task_weights", minimal_trajectory_dict()),
+            ("context_weights", two_context(bernoulli_dict())),
         ],
         ids=["task_weights", "context_weights"],
     )
-    def test_weights_summing_past_float_range_name_the_field(self, field, noun, data):
+    def test_weights_summing_past_float_range_name_the_field(self, field, data):
         # Rejected weight by weight before the sum could overflow.
         weights = data["payload"][field]
         weights[:2] = [1e308, 1e308]
-        message = re.escape(f"weight of {noun} 0 must be at most 1, got 1e+308")
+        message = re.escape(f"field '{field}': weight 0 must be at most 1, got 1e+308")
         with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(data)
 
@@ -310,7 +310,7 @@ class TestLoadTimeChecks:
 
     def test_context_count_against_kernel_rows(self):
         data = two_context(bernoulli_dict())
-        assert scenario_from_dict(data).payload.contexts.n_contexts == 2
+        assert scenario_from_dict(data).payload.contexts.size == 2
         data["payload"]["context_weights"] = [1.0]
         with pytest.raises(ScenarioError, match="'context_weights' has 1 contexts, the kernels 2"):
             scenario_from_dict(data)
@@ -388,8 +388,8 @@ class TestLoadTimeChecks:
             ("bernoulli_pair.json", ["kernels", "mostly-one"], [[]], "kernel must be a 2-D"),
             ("bernoulli_pair.json", ["loss"], [], "loss table must be a 2-D matrix"),
             ("bernoulli_pair.json", ["loss"], [[]], "loss table must be a 2-D matrix"),
-            ("bernoulli_pair.json", ["context_weights"], [], "context weights must be a non-empty"),
-            ("uniform_threshold.json", ["task_weights"], [], "task measure needs at least one"),
+            ("bernoulli_pair.json", ["context_weights"], [], "measure needs at least one weight"),
+            ("uniform_threshold.json", ["task_weights"], [], "measure needs at least one weight"),
         ],
         ids=["kernel", "kernel-row", "loss", "loss-row", "context_weights", "task_weights"],
     )
@@ -426,11 +426,11 @@ class TestLoadTimeChecks:
         # The smallest weight is task 3's; the first bad one is task 1's.
         data = minimal_trajectory_dict()
         data["payload"]["task_weights"] = [0.6, -0.1, 0.7, -0.2, 0.0]
-        message = "weight of task 1 must be finite and >= 0, got -0.1$"
+        message = "field 'task_weights': weight 1 must be finite and >= 0, got -0.1$"
         with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(data)
         data["payload"]["task_weights"] = [0.6, -0.1, float("nan"), -0.2, 0.0]
-        with pytest.raises(ScenarioError, match="weight of task 1 must be finite"):
+        with pytest.raises(ScenarioError, match="field 'task_weights': weight 1 must be finite"):
             scenario_from_dict(data)
 
     def test_first_difficulty_below_one_is_named(self):
@@ -448,7 +448,8 @@ class TestLoadTimeChecks:
     def test_nan_context_weight_rejected(self):
         data = two_context(bernoulli_dict())
         data["payload"]["context_weights"] = [float("nan"), 1.0]
-        with pytest.raises(ScenarioError, match="context weights must be finite"):
+        message = "field 'context_weights': weight 0 must be finite and >= 0, got nan$"
+        with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(data)
 
     def test_epsilon_with_infinite_reciprocal_rejected(self):
@@ -546,4 +547,4 @@ class TestBundledScenarios:
         payload = scenario.payload
         assert isinstance(payload, PredictionPayload)
         assert payload.loss.n_actions == 2
-        assert payload.contexts.n_contexts == 1
+        assert payload.contexts.size == 1

@@ -45,7 +45,7 @@ class TestTaskMeasure:
 
     def test_rejects_a_weight_past_one_before_summing(self):
         # Summed first, these overflow ``fsum``.
-        with pytest.raises(ValidationError, match="weight of task 1 must be at most 1"):
+        with pytest.raises(ValidationError, match="weight 1 must be at most 1"):
             TaskMeasure((0.0, 1e308, 1e308))
 
     def test_rejects_empty(self):
