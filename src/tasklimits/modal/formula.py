@@ -31,17 +31,17 @@ class _Node:
 
     A frozen dataclass's own hash rehashes the whole subtree on every dict lookup, and
     hashing at construction slows parsing. Each node class sets ``__hash__`` in its body,
-    where ``dataclass`` keeps it. ``pickle`` and ``copy`` leave the kept hash out, as a
-    type's hash differs between processes.
+    where ``dataclass`` keeps it. The hash is kept in the instance dict, as the frozen
+    ``__setattr__`` is slower. ``pickle`` and ``copy`` leave it out, as a type's hash
+    differs between processes.
     """
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((type(self), *vars(self).values()))
-            object.__setattr__(self, "_hash", value)
-            return value
+        fields = vars(self)
+        value = fields.get("_hash")
+        if value is None:
+            value = fields["_hash"] = hash((type(self), *fields.values()))
+        return value
 
     def __getstate__(self) -> dict:
         return {name: value for name, value in vars(self).items() if name != "_hash"}
