@@ -31,9 +31,9 @@ class _Node:
 
     A frozen dataclass's own hash rehashes the whole subtree on every dict lookup, and
     hashing at construction slows parsing. Each node class sets ``__hash__`` in its body,
-    where ``dataclass`` keeps it. The hash is kept in the instance dict, as the frozen
-    ``__setattr__`` is slower. ``pickle`` and ``copy`` leave it out, as a type's hash
-    differs between processes.
+    where ``dataclass`` keeps it. The hash is written straight into the instance dict,
+    which is faster than ``object.__setattr__``. ``pickle`` and ``copy`` leave it out, as
+    a type's hash differs between processes.
     """
 
     def __hash__(self) -> int:
