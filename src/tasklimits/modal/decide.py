@@ -309,34 +309,15 @@ def _first_failure(
     return failure
 
 
-def _extract_countermodel(
-    succ_masks: tuple[int, ...],
-    world_count: int,
-    atoms: list[int],
-    valuation_index: int,
-    world: int,
-) -> Countermodel:
-    relation = frozenset(
-        (w, v)
-        for w in range(world_count)
-        for v in range(world_count)
-        if succ_masks[w] >> v & 1
-    )
-    valuation = tuple(
-        (
-            w,
-            frozenset(
-                atom
-                for i, atom in enumerate(atoms)
-                if valuation_index >> (i * world_count + w) & 1
-            ),
-        )
-        for w in range(world_count)
-    )
+def _extract_countermodel(atoms: list[int], succ_masks: tuple[int, ...], index: int) -> Countermodel:
+    """The rooted frame ``succ_masks`` under valuation ``index``, refuted at its root."""
+    worlds = range(len(succ_masks))
     model = KripkeModel(
-        worlds=frozenset(range(world_count)), relation=relation, valuation=valuation
+        worlds,
+        ((w, v) for w in worlds for v in worlds if succ_masks[w] >> v & 1),
+        {w: {a for i, a in enumerate(atoms) if index >> (i * len(worlds) + w) & 1} for w in worlds},
     )
-    return Countermodel(model=model, world=world)
+    return Countermodel(model=model, world=len(worlds) - 1)
 
 
 def gl_decide(phi: ModalFormula) -> DecisionResult:
@@ -373,13 +354,8 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
         frames = _representative_frames(world_count)
         failure = _first_failure(ops, depths, atoms, frames)
         if failure is not None:
-            succ_masks, valuation_index = failure
-            return DecisionResult(
-                verdict="invalid",
-                countermodel=_extract_countermodel(
-                    succ_masks, world_count, atoms, valuation_index, world_count - 1
-                ),
-            )
+            countermodel = _extract_countermodel(atoms, *failure)
+            return DecisionResult(verdict="invalid", countermodel=countermodel)
         levels.append(
             SearchLevel(
                 world_count=world_count,

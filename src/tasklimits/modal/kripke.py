@@ -7,9 +7,9 @@ frame class whose validities this package decides.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
 
 from ..errors import ConfigurationError, ModelError, ResourceLimitError
 from .formula import And, Atom, Box, Implies, ModalFormula, Not, Or
@@ -20,53 +20,46 @@ MAX_ENUM_WORLDS = 5
 
 @dataclass(frozen=True, eq=True)
 class KripkeModel:
-    """Worlds, a transitive irreflexive relation, and per-world true atoms."""
+    """Worlds, a transitive irreflexive relation, and per-world true atoms.
+
+    Takes any iterables of worlds and of world pairs, and the valuation as
+    ``(world, atoms)`` pairs or as a mapping from world to atoms; the fields
+    hold them as frozensets and as a sorted tuple of pairs.
+    """
 
     worlds: frozenset[int]
     relation: frozenset[tuple[int, int]]
-    valuation: tuple[tuple[int, frozenset[int]], ...]
+    valuation: tuple[tuple[int, frozenset[int]], ...] = ()
 
     def __post_init__(self) -> None:
         worlds = frozenset(int(w) for w in self.worlds)
         if not worlds:
             raise ModelError("model needs at least one world")
         relation = frozenset((int(a), int(b)) for a, b in self.relation)
+        successors: dict[int, set[int]] = {w: set() for w in worlds}
         for a, b in relation:
             if a not in worlds or b not in worlds:
                 raise ModelError(f"relation pair ({a}, {b}) mentions an unknown world")
             if a == b:
                 raise ModelError(f"relation must be irreflexive, found ({a}, {a})")
-        for a, b in relation:
-            for c, d in relation:
-                if b == c and (a, d) not in relation:
-                    raise ModelError(
-                        f"relation must be transitive, missing ({a}, {d}) given ({a}, {b}), ({b}, {d})"
-                    )
-        valuation = tuple(sorted((int(w), frozenset(int(i) for i in atoms)) for w, atoms in self.valuation))
+            successors[a].add(b)
+        # Transitive iff every successor's successors are the world's own.
+        for a, b in sorted(relation):
+            if not successors[b] <= successors[a]:
+                d = min(successors[b] - successors[a])
+                raise ModelError(
+                    f"relation must be transitive, missing ({a}, {d}) given ({a}, {b}), ({b}, {d})"
+                )
+        pairs = self.valuation.items() if isinstance(self.valuation, Mapping) else self.valuation
+        valuation = tuple(sorted((int(w), frozenset(int(i) for i in atoms)) for w, atoms in pairs))
         for w, _ in valuation:
             if w not in worlds:
                 raise ModelError(f"valuation mentions unknown world {w}")
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(
-            self, "_successors", {w: frozenset(b for a, b in relation if a == w) for w in worlds}
-        )
-        object.__setattr__(self, "_atoms", {w: atoms for w, atoms in valuation})
-
-    @classmethod
-    def build(
-        cls,
-        worlds,
-        relation,
-        valuation: Mapping[int, frozenset[int]] | Mapping[int, set[int]] | None = None,
-    ) -> KripkeModel:
-        valuation = valuation or {}
-        return cls(
-            worlds=frozenset(worlds),
-            relation=frozenset(tuple(pair) for pair in relation),
-            valuation=tuple((w, frozenset(atoms)) for w, atoms in valuation.items()),
-        )
+        object.__setattr__(self, "_successors", {w: frozenset(s) for w, s in successors.items()})
+        object.__setattr__(self, "_atoms", dict(valuation))
 
     def successors(self, world: int) -> frozenset[int]:
         return self._successors[world]

@@ -63,7 +63,7 @@ def _check_rows_stochastic(arr: np.ndarray, name: str) -> None:
     bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValidationError(f"{name} row {row} sums to {sums[row]!r}, expected 1")
+        raise ValidationError(f"{name} row {row} sums to {float(sums[row])!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)

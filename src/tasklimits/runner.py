@@ -139,7 +139,7 @@ def _run_logic(scenario: Scenario, payload: LogicPayload) -> Report:
                 w: {atom for bit, atom in enumerate(atoms) if w >> bit & 1}
                 for w in range(1 << len(atoms))
             }
-            model = KripkeModel.build(true, (), true)
+            model = KripkeModel(true, (), true)
             witness_ok = all(model_check(phi, model, w) for w in true)
             countermodel = None
             search_levels = tuple(

@@ -44,6 +44,8 @@ KINDS = ("trajectory", "prediction", "logic")
 
 #: Every level adds report records, so ``n_max`` is capped before any work starts.
 MAX_LEVELS = 100_000
+#: A scenario file is read whole, so its size is capped before it is read.
+MAX_SCENARIO_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -282,12 +284,18 @@ def parse_scenario(
     """Load and validate one scenario file (UTF-8 JSON).
 
     An override that is not ``None`` replaces the file's field before validation,
-    so it is checked as that field. Every error message starts with the path.
+    so it is checked as that field. A file over ``MAX_SCENARIO_BYTES`` is refused
+    before it is read. Every error message starts with the path.
     """
     path = Path(path)
     try:
         try:
+            size = path.stat().st_size
+            if size > MAX_SCENARIO_BYTES:
+                raise ScenarioError(f"scenario file is {size} bytes, limit is {MAX_SCENARIO_BYTES}")
             data = json.loads(path.read_text(encoding="utf-8"))
+        except ScenarioError:
+            raise  # the size limit, kept from the ValueError clause below
         except OSError as exc:
             raise ScenarioError(f"cannot read scenario file: {exc}") from exc
         except UnicodeDecodeError as exc:

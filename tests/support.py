@@ -18,7 +18,10 @@ writes the text directly. The reference representative frames are marked by
 relabeling orbits over every labelled order, where the library reads a
 literal table, and the reference frame table evaluates every subformula at
 every world over the whole valuation space, where the library evaluates only
-what the root reads, block by block, reusing cells between frames.
+what the root reads, block by block, reusing cells between frames. The
+Hintikka-type reference decides validity by eliminating types of atoms and
+boxed subformulas, where the library sweeps frames, and builds its
+countermodels from witness types, not from any frame the sweep visits.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from tasklimits.modal import (
     Atom,
     Box,
     Implies,
+    KripkeModel,
     ModalFormula,
     Not,
     Or,
@@ -209,6 +213,77 @@ def frame_validity_oracle(phi: ModalFormula, world_bound: int) -> bool:
             if not evaluate(phi).all():
                 return False
     return True
+
+
+def hintikka_type_reference(phi: ModalFormula) -> tuple[bool, tuple[KripkeModel, int] | None]:
+    """Validity of ``phi`` over finite transitive irreflexive frames by elimination of
+    Hintikka types (Pratt 1979; Boolos 1993), with a countermodel when invalid.
+
+    A type is an integer: bit ``i`` makes the ``i``-th atom true and bit
+    ``atoms + j`` the ``j``-th boxed subformula ``[]A_j``; every other subformula
+    follows. A type with box set ``B`` is realisable iff, for each ``j`` outside
+    ``B``, some realisable type holds ``A_k`` and ``[]A_k`` for every ``k`` in
+    ``B``, holds ``[]A_j`` and fails ``A_j``: in a conversely well-founded frame
+    a world that fails ``[]A_j`` sees a last world that fails ``A_j``. Witnesses
+    have strictly larger box sets, so types go from the largest box set down.
+    ``phi`` is valid iff it holds at every realisable type. Otherwise the
+    countermodel's worlds are the least failing type and the types reachable
+    from it through each type's least witnesses; its relation is the transitive
+    closure of the witness edges, and ``phi`` fails at the returned root.
+    """
+    atoms = atom_indices(phi)
+    boxes = {box: j for j, box in enumerate(box_subformulas(phi))}
+    n_atoms = len(atoms)
+    position = {atom: i for i, atom in enumerate(atoms)}
+
+    def holds(node: ModalFormula, t: int) -> bool:
+        if isinstance(node, Atom):
+            return bool(t >> position[node.index] & 1)
+        if isinstance(node, Box):
+            return bool(t >> (n_atoms + boxes[node]) & 1)
+        if isinstance(node, Not):
+            return not holds(node.operand, t)
+        if isinstance(node, And):
+            return holds(node.left, t) and holds(node.right, t)
+        if isinstance(node, Or):
+            return holds(node.left, t) or holds(node.right, t)
+        return not holds(node.left, t) or holds(node.right, t)
+
+    types = range(1 << (n_atoms + len(boxes)))
+    # Bit j of inner[t]: the operand A_j of the j-th box holds at t.
+    inner = {t: sum(holds(box.operand, t) << j for box, j in boxes.items()) for t in types}
+    below: dict[int, frozenset[int]] = {}  # realisable type -> the types its witnesses reach
+    for t in sorted(types, key=lambda t: -bin(t >> n_atoms).count("1")):
+        kept = t >> n_atoms
+        reach: set[int] = set()
+        for j in range(len(boxes)):
+            if kept >> j & 1:
+                continue
+            need = kept | 1 << j
+            witness = min(
+                (
+                    u
+                    for u in below
+                    if u >> n_atoms & need == need and inner[u] & kept == kept
+                    and not inner[u] >> j & 1
+                ),
+                default=None,
+            )
+            if witness is None:
+                break
+            reach |= below[witness] | {witness}
+        else:
+            below[t] = frozenset(reach)
+    root = min((t for t in below if not holds(phi, t)), default=None)
+    if root is None:
+        return True, None
+    worlds = below[root] | {root}
+    model = KripkeModel(
+        worlds,
+        ((u, v) for u in worlds for v in below[u]),
+        {u: {atom for i, atom in enumerate(atoms) if u >> i & 1} for u in worlds},
+    )
+    return False, (model, root)
 
 
 @lru_cache(maxsize=None)

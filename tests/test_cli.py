@@ -12,7 +12,7 @@ import pytest
 
 import tasklimits
 from tasklimits.cli import build_parser, main
-from tasklimits.scenario import parse_scenario
+from tasklimits.scenario import MAX_SCENARIO_BYTES, parse_scenario
 from tasklimits.trajectory import build_trajectory
 from support import SCENARIO_DIR
 
@@ -55,6 +55,19 @@ class TestRunCommands:
         monkeypatch.chdir(tmp_path)
         assert main(["logic", "scenarios/nope.json"]) == 2
         assert "error: scenarios/nope.json: cannot read scenario file" in capsys.readouterr().err
+
+    def test_oversized_scenario_file_is_refused_before_reading(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "huge.json"
+        with path.open("wb") as f:  # sparse: no block is written
+            f.truncate(MAX_SCENARIO_BYTES + 1)
+        monkeypatch.setattr(Path, "read_text", lambda *a, **k: pytest.fail("file was read"))
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: scenario file is {MAX_SCENARIO_BYTES + 1} bytes, "
+            f"limit is {MAX_SCENARIO_BYTES}\n"
+        )
 
     def test_bad_formula_exits_2(self, capsys):
         assert main(["logic", "[]("]) == 2

@@ -29,6 +29,7 @@ from tasklimits.modal import (
 from tasklimits.modal.kripke import MAX_ENUM_WORLDS, successor_mask_orders
 from support import (
     frame_validity_oracle,
+    hintikka_type_reference,
     random_formula,
     reference_frame_table,
     reference_representative_frames,
@@ -176,6 +177,60 @@ class TestAgainstFrameOracle:
             bound = len(box_subformulas(phi)) + 1
             assert frame_validity_oracle(phi, bound) == expected
             assert gl_decide(phi).is_valid == expected
+
+
+class TestHintikkaTypeReference:
+    """The type elimination of ``tests/support.py`` against the frame sweep and the oracle.
+
+    Its countermodels come from the witness DAG, not from any frame the sweep
+    visits, and each is built through ``KripkeModel`` and re-checked.
+    """
+
+    def test_agreement_on_random_corpus(self):
+        rng = random.Random(1979)
+        seen = {True: 0, False: 0}
+        for i in range(1000):
+            phi = random_formula(rng)
+            valid, countermodel = hintikka_type_reference(phi)
+            assert valid == gl_decide(phi).is_valid, print_formula(phi)
+            if i < 120:
+                bound = len(box_subformulas(phi)) + 1
+                assert valid == frame_validity_oracle(phi, bound), print_formula(phi)
+            assert (countermodel is None) == valid
+            if countermodel is not None:
+                model, root = countermodel
+                assert not model_check(phi, model, root), print_formula(phi)
+            seen[valid] += 1
+        assert seen[True] > 50 and seen[False] > 50
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("[]([]p0 -> p0) -> []p0", True),
+            ("[]p0 -> [][]p0", True),
+            ("[]p0 -> p0", False),
+            ("[][]p0 -> []p0", False),
+            ("~[]p0 -> ~[]~[]p0", True),
+            ("[]p0 | []~p0", False),
+        ],
+    )
+    def test_named_formulas(self, text, expected):
+        phi = parse_formula(text)
+        valid, countermodel = hintikka_type_reference(phi)
+        assert valid == expected == gl_decide(phi).is_valid
+        if countermodel is not None:
+            assert not model_check(phi, *countermodel)
+
+    def test_decides_past_the_sweep_cap(self):
+        # Three Löb instances need 7-world frames, which the sweep refuses.
+        lob = parse_formula(" & ".join(f"([]([]p{i} -> p{i}) -> []p{i})" for i in range(3)))
+        with pytest.raises(ResourceLimitError):
+            gl_decide(lob)
+        assert hintikka_type_reference(lob) == (True, None)
+        boxes = parse_formula(" | ".join(f"[]p{i}" for i in range(5)))
+        valid, (model, root) = hintikka_type_reference(boxes)
+        assert not valid and len(model.worlds) == 81
+        assert not model_check(boxes, model, root)
 
 
 class TestWorldBoundRobustness:
@@ -429,7 +484,7 @@ def _first_refutation(phi):
         for masks in decide_module._representative_frames(k):
             relation = {(w, v) for w in range(k) for v in range(k) if masks[w] >> v & 1}
             models = [
-                KripkeModel.build(
+                KripkeModel(
                     range(k),
                     relation,
                     {

@@ -1,5 +1,7 @@
 """Kripke model invariants, evaluation, and frame enumeration counts."""
 
+import time
+
 import pytest
 
 from tasklimits.errors import ConfigurationError, ModelError, ResourceLimitError
@@ -8,7 +10,7 @@ from tasklimits.modal import KripkeModel, enumerate_frames, model_check, parse_f
 
 def chain_model(p_true_at=(1,)):
     """Two worlds with w0 -> w1."""
-    return KripkeModel.build(
+    return KripkeModel(
         worlds=[0, 1],
         relation=[(0, 1)],
         valuation={w: {0} for w in p_true_at},
@@ -17,32 +19,65 @@ def chain_model(p_true_at=(1,)):
 
 class TestModelValidation:
     def test_reflexive_pair_rejected(self):
-        with pytest.raises(ModelError, match="irreflexive"):
-            KripkeModel.build([0], [(0, 0)])
+        with pytest.raises(ModelError, match=r"^relation must be irreflexive, found \(0, 0\)$"):
+            KripkeModel([0], [(0, 0)])
 
     def test_intransitive_relation_rejected(self):
-        with pytest.raises(ModelError, match="transitive"):
-            KripkeModel.build([0, 1, 2], [(0, 1), (1, 2)])
+        message = r"^relation must be transitive, missing \(0, 2\) given \(0, 1\), \(1, 2\)$"
+        with pytest.raises(ModelError, match=message):
+            KripkeModel([0, 1, 2], [(0, 1), (1, 2)])
 
     def test_transitive_chain_accepted(self):
-        KripkeModel.build([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+        KripkeModel([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
 
     def test_unknown_world_in_relation(self):
-        with pytest.raises(ModelError, match="unknown world"):
-            KripkeModel.build([0], [(0, 1)])
+        with pytest.raises(ModelError, match=r"^relation pair \(0, 1\) mentions an unknown world$"):
+            KripkeModel([0], [(0, 1)])
 
     def test_unknown_world_in_valuation(self):
-        with pytest.raises(ModelError, match="unknown world"):
-            KripkeModel.build([0], [], valuation={1: {0}})
+        with pytest.raises(ModelError, match="^valuation mentions unknown world 1$"):
+            KripkeModel([0], [], valuation={1: {0}})
 
     def test_empty_model_rejected(self):
-        with pytest.raises(ModelError):
-            KripkeModel.build([], [])
+        with pytest.raises(ModelError, match="^model needs at least one world$"):
+            KripkeModel([], [])
+
+    def test_transitivity_names_the_least_missing_pair(self):
+        # (1, 0) is closed; (2, 1) misses (2, 0) before (3, 2) misses (3, 1) and (3, 0).
+        with pytest.raises(ModelError) as exc:
+            KripkeModel(range(4), [(3, 2), (2, 1), (1, 0)])
+        assert str(exc.value) == "relation must be transitive, missing (2, 0) given (2, 1), (1, 0)"
+        # (0, 1) misses both (0, 2) and (0, 3); the lesser is named.
+        with pytest.raises(ModelError) as exc:
+            KripkeModel(range(4), [(1, 3), (0, 1), (1, 2)])
+        assert str(exc.value) == "relation must be transitive, missing (0, 2) given (0, 1), (1, 2)"
+
+    def test_valuation_as_pairs_or_mapping(self):
+        pairs = KripkeModel([0, 1], [(1, 0)], [(1, [2, 0]), (0, ())])
+        mapping = KripkeModel(frozenset({0, 1}), {(1, 0)}, {0: set(), 1: {0, 2}})
+        assert pairs == mapping
+        assert pairs.valuation == ((0, frozenset()), (1, frozenset({0, 2})))
+        assert pairs.successors(1) == frozenset({0}) and pairs.successors(0) == frozenset()
+        assert pairs.true_atoms(1) == frozenset({0, 2})
+        assert KripkeModel([0], []).valuation == ()
+
+    def test_long_chain_builds_quickly(self):
+        """A 120-world strict chain, 7 140 pairs, checked in one pass per pair."""
+        n = 120
+        relation = [(a, b) for a in range(n) for b in range(a)]
+        start = time.perf_counter()
+        model = KripkeModel(range(n), relation)
+        elapsed = time.perf_counter() - start
+        assert len(model.relation) == 7140
+        assert all(model.successors(a) == frozenset(range(a)) for a in range(n))
+        assert elapsed < 0.5
+        with pytest.raises(ModelError, match=r"missing \(119, 0\) given \(119, 1\), \(1, 0\)"):
+            KripkeModel(range(n), [pair for pair in relation if pair != (119, 0)])
 
 
 class TestModelCheck:
     def test_box_is_vacuously_true_at_terminal_world(self):
-        model = KripkeModel.build([0], [])
+        model = KripkeModel([0], [])
         for text in ("[]p0", "[](p0 & ~p0)", "[][]p5"):
             assert model_check(parse_formula(text), model, 0)
 
@@ -71,7 +106,7 @@ class TestModelCheck:
                     valuation = {
                         w: {0} for w in range(world_count) if valuation_bits >> w & 1
                     }
-                    model = KripkeModel.build(range(world_count), relation, valuation)
+                    model = KripkeModel(range(world_count), relation, valuation)
                     for w in range(world_count):
                         assert model_check(lob, model, w)
 

@@ -86,6 +86,38 @@ class TestBuildTrajectory:
         assert len(a.first_level) == 30 and set(a.first_level) <= set(range(41))
 
 
+#: The 0.999 quantile of the chi-square distribution with 40 degrees of freedom.
+CHI2_40_999 = 73.40
+
+
+def first_level_chi_square(rule: RandomCoverage, p: float, tasks: int, n_max: int) -> float:
+    """Pearson's statistic of ``rule``'s first-level histogram against rate ``p``.
+
+    Bin ``n`` in 1..``n_max`` expects ``tasks * p * (1-p)**(n-1)`` first
+    solves and bin 0, never solved, ``tasks * (1-p)**n_max``.
+    """
+    first = build_trajectory(rule, n_max, TaskMeasure.uniform(tasks)).first_level
+    observed = [0] * (n_max + 1)
+    for level in first:
+        observed[level] += 1
+    expected = [tasks * (1 - p) ** n_max] + [
+        tasks * p * (1 - p) ** (n - 1) for n in range(1, n_max + 1)
+    ]
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+
+
+class TestRandomCoverageDistribution:
+    """Random coverage solves a task first at level ``n`` with probability ``p(1-p)^(n-1)``."""
+
+    def test_first_levels_are_geometric(self):
+        rule = RandomCoverage(step_probability=0.1, seed=0)
+        assert first_level_chi_square(rule, 0.1, 5000, 40) < CHI2_40_999
+
+    def test_a_sampler_at_another_rate_is_rejected(self):
+        rule = RandomCoverage(step_probability=0.09, seed=0)
+        assert first_level_chi_square(rule, 0.1, 5000, 40) > CHI2_40_999
+
+
 class TestAgainstReferenceChain:
     """The first-level form against chains built whole, level by level, as sets."""
 
