@@ -1,20 +1,32 @@
 """Validity decision over finite transitive irreflexive frames.
 
-The decision method is exhaustive semantic search up to a world bound. For
-a formula with ``b`` distinct boxed subformulas the procedure's search
-bound is ``b + 1`` worlds: the formula is reported valid when it holds in
-every model with at most that many worlds. That bound is the procedure's,
-not a proven theorem; it held on every in-cap input tried, but nothing here
-proves that a countermodel, when one exists, fits in ``b + 1`` worlds.
+Validity is decided by elimination of Hintikka types (Pratt 1979; Boolos,
+*The Logic of Provability*, 1993), complete by construction: no world bound
+enters the verdict. A type is an atom valuation plus the set ``B`` of boxed
+subformulas true at a world; every other subformula follows. Each
+subformula's cell is one integer over all ``2**(atoms + boxes)`` types,
+whose bit ``t`` says whether the subformula holds at type ``t``. A box set
+``B`` is realisable iff, for each box ``[]A_j`` outside it, some realisable
+type holds ``A_k`` and ``[]A_k`` for every ``[]A_k`` in ``B``, holds
+``[]A_j`` and fails ``A_j``: in a conversely well-founded frame a world
+that fails ``[]A_j`` sees a last world that fails ``A_j``. Such a witness
+has a strictly larger box set, so box sets are walked from the largest
+down. The formula is valid iff it holds at every type of every realisable
+box set.
 
-Within the bound the search is exact. It sweeps world counts upward, one
-representative frame per relabeling class. The representatives are a literal
-table, the first frame of each class in ``successor_mask_orders`` order; the
-tests check it against orbit marking over every labelled order, so no
-process enumerates orders or relabelings to decide a formula. Valuations are
-batched as bitmasks: the truth of a subformula at a world is one integer
-whose bit ``v`` says whether the subformula holds at that world under
-valuation ``v`` of the current block.
+An invalid formula's countermodel comes from a frame sweep: the least
+countermodel of at most ``b + 1`` worlds, for ``b`` distinct boxed
+subformulas. The sweep goes up world counts, one
+representative frame per relabeling class. The representatives are a
+literal table, the first frame of each class in ``successor_mask_orders``
+order; the tests check it against orbit marking over every labelled order,
+so no process enumerates orders or relabelings to decide a formula.
+Valuations are batched as bitmasks: the truth of a subformula at a world is
+one integer whose bit ``v`` says whether the subformula holds at that world
+under valuation ``v`` of the current block. That ``b + 1`` worlds suffice is
+not proven, only seen on every input tried; an invalid formula with no
+countermodel that small is refused with a ``ResourceLimitError``, never
+called valid.
 
 Only rooted frames are evaluated, and only at their root. A world's truth
 depends only on the subframe it generates (the generated-subframe lemma,
@@ -23,9 +35,7 @@ every valuation, a world of a ``k``-world frame that does not see every
 other world generates a subframe of fewer than ``k`` worlds, isomorphic to
 a frame already swept, so it cannot fail. Only a root, the one world that
 sees every other, can. Every world's successors carry lower labels, so a
-root is the last world. A level's ``frames_checked`` still counts every
-representative frame of its size: all are covered, the rooted ones are
-evaluated.
+root is the last world.
 
 Each world count's valuations go in ascending blocks of at most ``2**16``
 indices, so a cell is an integer of at most 8 KiB however large the space.
@@ -41,14 +51,15 @@ frames before it. So it is the frame, world and lowest valuation index that
 a sweep of every frame at every world over the whole space would find
 first.
 
-The cap of ``MAX_VALUATION_BITS`` bounds the time a decision takes, the
-number of blocks swept, not its memory.
-
-Every resource limit is checked before the search starts.
+The caps on atoms, worlds and valuation bits (``MAX_VALUATION_BITS`` bounds
+the blocks a sweep takes, not its memory) keep every formula the sweep
+could be asked to refute within reach; each is checked before any work.
 
 An invalid verdict carries a concrete countermodel, re-checkable with
-``model_check``; a valid verdict carries the exhaustive search trace
-(frames and valuations covered per world count).
+``model_check``. A valid verdict carries a ``ValidityTrace`` whose levels
+name the frames and valuations of up to ``b + 1`` worlds that its validity
+covers: the text a ``searched m worlds`` report line gives. No frame is
+evaluated for a valid formula.
 """
 
 from __future__ import annotations
@@ -81,7 +92,7 @@ _BLOCK_BITS = 16
 
 @dataclass(frozen=True)
 class SearchLevel:
-    """One sweep of the exhaustive search: every frame of a given size."""
+    """Every representative frame of one size, with every valuation of the formula's atoms."""
 
     world_count: int
     frames_checked: int
@@ -90,7 +101,13 @@ class SearchLevel:
 
 @dataclass(frozen=True)
 class ValidityTrace:
-    """Witness for a valid verdict: the completed search, level by level."""
+    """Witness for a valid verdict: the frames and valuations its validity covers.
+
+    Elimination decides validity with no world bound, so a valid formula holds
+    in every finite model; the levels name, world count by world count up to
+    ``world_bound`` (``b + 1``), the frames and valuations the sweep would have
+    covered. No frame is evaluated to produce them.
+    """
 
     world_bound: int
     levels: tuple[SearchLevel, ...]
@@ -256,6 +273,59 @@ def _evaluate_frame(
                 row[w] = (full ^ a[w]) | b[w]
 
 
+def _valid_by_elimination(ops: list[tuple]) -> bool:
+    """Whether the formula, the last of ``ops``, holds at every realisable Hintikka type.
+
+    Bit ``t`` of a cell is the op's truth at type ``t``: the ``i``-th atom op
+    sets type bit ``i`` and the ``j``-th box op type bit ``atoms + j``, so the
+    types of one box set ``B`` are one run of ``2**atoms`` bits from bit
+    ``B << atoms``. A strict superset of ``B`` is a larger integer, so walking
+    box sets down from the largest meets every possible witness of ``B`` first.
+    The conjunction of the ``keep`` cells of ``B`` is recomputed per box set:
+    kept for every box set, those cells would take ``2**boxes`` times the
+    memory of one.
+    """
+    atom_count = sum(op[0] == "atom" for op in ops)
+    type_bits = atom_count + sum(op[0] == "box" for op in ops)
+    full = (1 << (1 << type_bits)) - 1
+    cells: list[int] = []
+    keep: list[int] = []  # per box ``[]A_j``: ``[]A_j & A_j``
+    wit: list[int] = []  # per box ``[]A_j``: ``[]A_j & ~A_j``
+    atoms_seen = 0
+    for kind, *operands in ops:
+        if kind == "atom":
+            cell = _atom_bit_mask(atoms_seen, type_bits)
+            atoms_seen += 1
+        elif kind == "box":
+            cell = _atom_bit_mask(atom_count + len(keep), type_bits)
+            inner = cells[operands[0]]
+            keep.append(cell & inner)
+            wit.append(cell & ~inner)
+        elif kind == "not":
+            cell = full ^ cells[operands[0]]
+        elif kind == "and":
+            cell = cells[operands[0]] & cells[operands[1]]
+        elif kind == "or":
+            cell = cells[operands[0]] | cells[operands[1]]
+        else:  # implies
+            cell = (full ^ cells[operands[0]]) | cells[operands[1]]
+        cells.append(cell)
+    run = (1 << (1 << atom_count)) - 1
+    failing = full ^ cells[-1]
+    realized = 0
+    for box_set in range((1 << len(keep)) - 1, -1, -1):
+        seen = realized
+        for k, kept in enumerate(keep):
+            if box_set >> k & 1:
+                seen &= kept
+        if all(seen & wit[j] for j in range(len(wit)) if not box_set >> j & 1):
+            types = run << (box_set << atom_count)
+            if types & failing:
+                return False
+            realized |= types
+    return True
+
+
 def _first_failure(
     ops: list[tuple],
     depths: list[int],
@@ -323,12 +393,15 @@ def _extract_countermodel(atoms: list[int], succ_masks: tuple[int, ...], index: 
 def gl_decide(phi: ModalFormula) -> DecisionResult:
     """Decide validity of ``phi`` over finite transitive irreflexive frames.
 
-    Covers every frame with up to ``b + 1`` worlds (``b`` = distinct boxed
-    subformulas, the search bound of the module docstring) and every
-    valuation of the formula's atoms, evaluating only rooted frames at
-    their root. Countermodels therefore never exceed the formula's
-    subformula count in worlds. Node, atom, world and valuation-bit limits
-    are all checked before any frame is evaluated.
+    Elimination of Hintikka types decides validity, complete by construction.
+    A valid verdict's trace names the frames of up to ``b + 1`` worlds
+    (``b`` = distinct boxed subformulas) and the valuations its validity
+    covers; no frame is evaluated for it. For an invalid formula the frame
+    sweep names the least countermodel within ``b + 1`` worlds, so
+    countermodels never exceed the formula's subformula count in worlds; if
+    the sweep finds none, the formula is refused with a
+    ``ResourceLimitError``. Node, atom, world and valuation-bit limits are
+    all checked before any work.
     """
     size = count_nodes(phi)
     if size > DEFAULT_MAX_NODES:
@@ -348,22 +421,24 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
             f"limit is {MAX_VALUATION_BITS}"
         )
 
+    if _valid_by_elimination(ops):
+        levels = tuple(
+            SearchLevel(
+                world_count=world_count,
+                frames_checked=len(_representative_frames(world_count)),
+                valuations_per_frame=1 << (len(atoms) * world_count),
+            )
+            for world_count in range(1, bound + 1)
+        )
+        trace = ValidityTrace(world_bound=bound, levels=levels)
+        return DecisionResult(verdict="valid", trace=trace)
+
     depths = _box_depths(ops)
-    levels: list[SearchLevel] = []
     for world_count in range(1, bound + 1):
-        frames = _representative_frames(world_count)
-        failure = _first_failure(ops, depths, atoms, frames)
+        failure = _first_failure(ops, depths, atoms, _representative_frames(world_count))
         if failure is not None:
             countermodel = _extract_countermodel(atoms, *failure)
             return DecisionResult(verdict="invalid", countermodel=countermodel)
-        levels.append(
-            SearchLevel(
-                world_count=world_count,
-                frames_checked=len(frames),
-                valuations_per_frame=1 << (len(atoms) * world_count),
-            )
-        )
-
-    return DecisionResult(
-        verdict="valid", trace=ValidityTrace(world_bound=bound, levels=tuple(levels))
+    raise ResourceLimitError(
+        f"formula is invalid, but no countermodel has at most {bound} worlds, the search bound"
     )

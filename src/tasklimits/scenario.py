@@ -26,9 +26,11 @@ set names gets difficulty ``len(sets) + 1``, past every level that runs.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
@@ -274,6 +276,26 @@ def scenario_from_dict(data: Any) -> Scenario:
     return Scenario(name=name, kind=kind, seed=seed, payload=payload, n_max=n_max, epsilon=epsilon)
 
 
+def _read_text(path: Path) -> str:
+    """The file's text, decoded as a text-mode read decodes it: UTF-8, universal newlines.
+
+    A file whose size is over ``MAX_SCENARIO_BYTES`` is refused before it is
+    read. The size reads 0 for a device or a pipe, and a file can grow, so
+    what comes past it is read only up to one byte past the limit. The bytes
+    are freed before the caller decodes the JSON.
+    """
+    with path.open("rb") as file:
+        size = os.fstat(file.fileno()).st_size
+        if size > MAX_SCENARIO_BYTES:
+            raise ScenarioError(f"scenario file is {size} bytes, limit is {MAX_SCENARIO_BYTES}")
+        raw = file.read(size + 1)
+        if len(raw) > size:
+            raw += file.read(MAX_SCENARIO_BYTES + 1 - len(raw))
+    if len(raw) > MAX_SCENARIO_BYTES:
+        raise ScenarioError(f"scenario file exceeds the limit of {MAX_SCENARIO_BYTES} bytes")
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+
+
 def parse_scenario(
     path: str | Path,
     *,
@@ -284,16 +306,14 @@ def parse_scenario(
     """Load and validate one scenario file (UTF-8 JSON).
 
     An override that is not ``None`` replaces the file's field before validation,
-    so it is checked as that field. A file over ``MAX_SCENARIO_BYTES`` is refused
-    before it is read. Every error message starts with the path.
+    so it is checked as that field. A file over ``MAX_SCENARIO_BYTES`` is refused,
+    before it is read if its size says so: a device or a pipe, whose size reads
+    0, is read to one byte past the limit. Every error message starts with the path.
     """
     path = Path(path)
     try:
         try:
-            size = path.stat().st_size
-            if size > MAX_SCENARIO_BYTES:
-                raise ScenarioError(f"scenario file is {size} bytes, limit is {MAX_SCENARIO_BYTES}")
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(_read_text(path))
         except ScenarioError:
             raise  # the size limit, kept from the ValueError clause below
         except OSError as exc:

@@ -19,9 +19,11 @@ relabeling orbits over every labelled order, where the library reads a
 literal table, and the reference frame table evaluates every subformula at
 every world over the whole valuation space, where the library evaluates only
 what the root reads, block by block, reusing cells between frames. The
-Hintikka-type reference decides validity by eliminating types of atoms and
-boxed subformulas, where the library sweeps frames, and builds its
-countermodels from witness types, not from any frame the sweep visits.
+Hintikka-type reference decides validity by evaluating each type one
+subformula at a time and searching each box set's witnesses type by type,
+where the library computes one bitmask cell per subformula over all types;
+it builds its countermodels from witness types, not from any frame the
+library's sweep visits.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 A case injects one fault into one route of one check and runs a bundled
 scenario: that check's record must fail, and ``verify`` on a copy of the
 scenario must exit 1. Its control runs the same scenario unpatched and
-passes, so the fault, not the scenario, is what makes the check fail.
+passes, so the fault, not the scenario, is what makes the check fail. A
+fault that a decision refuses to answer, rather than answers wrongly, is
+pinned at the end: the run raises and ``verify`` exits 2.
 """
 
 import shutil
@@ -13,8 +15,10 @@ from typing import Callable
 
 import pytest
 
+import tasklimits.modal.decide as decide
 from tasklimits import prediction, runner, trajectory
 from tasklimits.cli import main
+from tasklimits.errors import ResourceLimitError
 from tasklimits.modal import (
     Countermodel,
     DecisionResult,
@@ -123,6 +127,16 @@ def call_every_formula_valid(monkeypatch):
     monkeypatch.setattr(runner, "gl_decide", lambda phi: DecisionResult("valid", trace=trace))
 
 
+def eliminate_every_type(monkeypatch):
+    """Elimination calls every formula valid; the frame sweep is never asked."""
+    monkeypatch.setattr(decide, "_valid_by_elimination", lambda ops: True)
+
+
+def realise_a_failing_type(monkeypatch):
+    """Elimination calls every formula invalid, so the sweep must name a countermodel."""
+    monkeypatch.setattr(decide, "_valid_by_elimination", lambda ops: False)
+
+
 @dataclass(frozen=True)
 class Case:
     scenario: str
@@ -159,6 +173,8 @@ CASES = {
     ),
     # Formula 3 is ``[]p0 -> p0``, false at a lone world where p0 is false.
     "valid-verdict": Case("logic_basics.json", "witness_ok", 3, call_every_formula_valid),
+    # The same formula, called valid by ``gl_decide``'s own elimination.
+    "elimination-valid": Case("logic_basics.json", "witness_ok", 3, eliminate_every_type),
 }
 
 
@@ -190,3 +206,19 @@ def test_fault_fails_the_check(case, monkeypatch, tmp_path, capsys):
     case.inject(monkeypatch)
     assert not check_passed(case)
     assert verify_copy(case, tmp_path, capsys) == 1
+
+
+# Formula 1 of ``logic_basics`` is Löb's, valid: no frame of the sweep refutes it.
+LOB = Case("logic_basics.json", "witness_ok", 1, realise_a_failing_type)
+
+
+def test_lob_is_decided_valid(tmp_path, capsys):
+    assert check_passed(LOB)
+    assert verify_copy(LOB, tmp_path, capsys) == 0
+
+
+def test_lob_called_invalid_is_refused(monkeypatch, tmp_path, capsys):
+    LOB.inject(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="no countermodel has at most 3 worlds"):
+        check_passed(LOB)
+    assert verify_copy(LOB, tmp_path, capsys) == 2

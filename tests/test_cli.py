@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tasklimits
+import tasklimits.scenario as scenario_module
 from tasklimits.cli import build_parser, main
 from tasklimits.scenario import MAX_SCENARIO_BYTES, parse_scenario
 from tasklimits.trajectory import build_trajectory
@@ -62,11 +63,38 @@ class TestRunCommands:
         path = tmp_path / "huge.json"
         with path.open("wb") as f:  # sparse: no block is written
             f.truncate(MAX_SCENARIO_BYTES + 1)
-        monkeypatch.setattr(Path, "read_text", lambda *a, **k: pytest.fail("file was read"))
+        opened = Path.open
+
+        class Unread:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+            def fileno(self):
+                return self.file.fileno()
+
+            def read(self, *args):
+                pytest.fail("file was read")
+
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: Unread(opened(self, *a, **k)))
         assert main(["simulate", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: scenario file is {MAX_SCENARIO_BYTES + 1} bytes, "
             f"limit is {MAX_SCENARIO_BYTES}\n"
+        )
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+    def test_endless_device_is_refused_at_the_limit(self, monkeypatch, capsys):
+        # ``stat`` reads 0 bytes for a device, so only a bounded read stops it.
+        monkeypatch.setattr(scenario_module, "MAX_SCENARIO_BYTES", 1024)
+        assert main(["simulate", "/dev/zero"]) == 2
+        assert capsys.readouterr().err == (
+            "error: /dev/zero: scenario file exceeds the limit of 1024 bytes\n"
         )
 
     def test_bad_formula_exits_2(self, capsys):

@@ -1,6 +1,9 @@
 """Validity decisions: named axioms, witnesses, closure rules, the
-independent frame-enumeration oracle, and the search's work and order."""
+independent frame-enumeration oracle and type reference, the elimination
+against the sweep, and the sweep's work and order."""
 
+import importlib.util
+import json
 import random
 import re
 import subprocess
@@ -26,6 +29,7 @@ from tasklimits.modal import (
     print_formula,
     subformulas,
 )
+from tasklimits.modal.decide import SearchLevel, ValidityTrace
 from tasklimits.modal.kripke import MAX_ENUM_WORLDS, successor_mask_orders
 from support import (
     frame_validity_oracle,
@@ -233,9 +237,116 @@ class TestHintikkaTypeReference:
         assert not model_check(boxes, model, root)
 
 
+def eliminate(phi):
+    return decide_module._valid_by_elimination(decide_module._postorder_ops(phi))
+
+
+def sweep(text):
+    """``_first_failure`` at each world count up to the search bound, smallest first."""
+    phi = parse_formula(text)
+    ops = decide_module._postorder_ops(phi)
+    depths = decide_module._box_depths(ops)
+    atoms = atom_indices(phi)
+    return [
+        decide_module._first_failure(ops, depths, atoms, decide_module._representative_frames(k))
+        for k in range(1, len(box_subformulas(phi)) + 2)
+    ]
+
+
+def lob(a):
+    return f"([]([]{a} -> {a}) -> []{a})"
+
+
+class TestCellElimination:
+    """``gl_decide``'s bitmask elimination against the type reference and the oracle."""
+
+    def test_agreement_on_random_corpus(self):
+        rng = random.Random(1993)
+        seen = {True: 0, False: 0}
+        for _ in range(1000):
+            phi = random_formula(rng, n_atoms=rng.randint(1, 3), max_distinct_boxes=4)
+            valid = eliminate(phi)
+            assert valid == hintikka_type_reference(phi)[0], print_formula(phi)
+            boxes = len(box_subformulas(phi))
+            if boxes <= 3:
+                assert valid == frame_validity_oracle(phi, boxes + 1), print_formula(phi)
+            seen[valid] += 1
+        assert seen[True] > 50 and seen[False] > 50
+
+    @pytest.mark.parametrize(
+        "text, cap",
+        [
+            # Ten boxes: eleven-world frames.
+            (" & ".join(lob(f"p{i}") for i in range(5)), "worlds"),
+            # Four boxes over five atoms: 25 valuation bits.
+            (lob("(p0 | (p1 & p2))") + " & " + lob("(p3 -> p4)"), "bits"),
+        ],
+    )
+    def test_five_atom_lob_conjunctions_are_valid_past_the_caps(self, text, cap):
+        phi = parse_formula(text)
+        assert len(atom_indices(phi)) == 5
+        assert eliminate(phi)
+        with pytest.raises(ResourceLimitError, match=cap):
+            gl_decide(phi)
+
+    def test_an_invalid_formula_the_sweep_cannot_refute_is_refused(self, monkeypatch):
+        monkeypatch.setattr(decide_module, "_first_failure", lambda *args: None)
+        refusal = "formula is invalid, but no countermodel has at most 2 worlds, the search bound"
+        with pytest.raises(ResourceLimitError, match=refusal):
+            decide("[]p0 -> p0")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, imported without writing bytecode under ``perfbench/``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestProvabilityWorkload:
+    """Every ``provability`` formula the benchmark can draw, elimination against the sweep.
+
+    A verdict or a trace that moved here would move the benchmark's digests.
+    """
+
+    def test_elimination_and_sweep_agree_on_every_variant(self, workloads):
+        answered = refused = 0
+        for variant in range(workloads.VARIANTS):
+            for item in workloads.generate("provability", variant=variant):
+                [text] = json.loads(item.text)["payload"]["formulas"]
+                phi = parse_formula(text)
+                try:
+                    result = gl_decide(phi)
+                except ResourceLimitError:
+                    assert item.id.startswith("provability/refused5-"), item.id
+                    assert eliminate(phi), text
+                    refused += 1
+                    continue
+                failures = sweep(text)
+                swept_valid = failures == [None] * len(failures)
+                assert eliminate(phi) == result.is_valid == swept_valid, text
+                if result.is_valid:
+                    frames = decide_module._representative_frames
+                    atoms = len(atom_indices(phi))
+                    assert result.trace == ValidityTrace(
+                        len(failures),
+                        tuple(
+                            SearchLevel(k, len(frames(k)), 1 << (atoms * k))
+                            for k in range(1, len(failures) + 1)
+                        ),
+                    ), text
+                answered += 1
+        assert (answered, refused) == (98 * workloads.VARIANTS, 2 * workloads.VARIANTS)
+
+
 class TestWorldBoundRobustness:
     def test_valid_verdicts_survive_one_extra_world(self):
-        # A valid verdict comes from sweeping frames up to (boxes + 1) worlds;
+        # A valid verdict's trace names frames up to (boxes + 1) worlds;
         # confirm no countermodel appears one world beyond that.
         rng = random.Random(616)
         confirmed = 0
@@ -274,6 +385,9 @@ class TestClosureRules:
 # Four distinct boxes ([]([]p0 -> p0), []p0, []p1, [][]p1), so a five-world sweep.
 FOUR_BOX_VALID = "([]([]p0 -> p0) -> []p0) & ([]p1 -> [][]p1)"
 
+# Valid, with three world counts over 8 atoms: 8, 16 and 24 valuation bits.
+LOB_24_BITS = "[]([]A -> A) -> []A".replace("A", "((p0 & p1) | (p2 & p3) | (p4 & p5) | (p6 & p7))")
+
 
 @pytest.fixture
 def evaluated_frames(monkeypatch):
@@ -291,8 +405,7 @@ def evaluated_frames(monkeypatch):
 
 class TestSearchWork:
     def test_valid_four_box_formula_evaluates_only_rooted_frames(self, evaluated_frames):
-        result = decide(FOUR_BOX_VALID)
-        assert result.is_valid
+        assert sweep(FOUR_BOX_VALID) == [None] * 5
         assert len(evaluated_frames) == 1 + 1 + 2 + 5 + 16
         for masks in evaluated_frames:
             everyone = (1 << len(masks)) - 1
@@ -305,6 +418,11 @@ class TestSearchWork:
         assert [lvl.world_count for lvl in levels] == [1, 2, 3, 4, 5]
         assert [lvl.frames_checked for lvl in levels] == [1, 2, 5, 16, 63]
         assert [lvl.valuations_per_frame for lvl in levels] == [2 ** (2 * k) for k in range(1, 6)]
+
+    @pytest.mark.parametrize("text", [FOUR_BOX_VALID, LOB_24_BITS])
+    def test_valid_verdict_evaluates_no_frame(self, evaluated_frames, text):
+        assert decide(text).is_valid
+        assert evaluated_frames == []
 
     @pytest.mark.parametrize(
         "text",
@@ -654,10 +772,6 @@ class TestValuationBlocks:
         assert deeper > 15
 
 
-# Valid, with three world counts over 8 atoms: 8, 16 and 24 valuation bits.
-LOB_24_BITS = "[]([]A -> A) -> []A".replace("A", "((p0 & p1) | (p2 & p3) | (p4 & p5) | (p6 & p7))")
-
-
 class TestBoundedCells:
     def test_no_cell_exceeds_one_block(self, monkeypatch):
         widest = []
@@ -668,6 +782,7 @@ class TestBoundedCells:
             widest.append(max(c.bit_length() for row in table for c in row if c is not None))
 
         monkeypatch.setattr(decide_module, "_evaluate_frame", measuring)
+        assert sweep(LOB_24_BITS) == [None] * 3
         result = decide(LOB_24_BITS)
         assert result.is_valid
         assert [
