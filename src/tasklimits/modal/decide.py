@@ -37,19 +37,13 @@ a frame already swept, so it cannot fail. Only a root, the one world that
 sees every other, can. Every world's successors carry lower labels, so a
 root is the last world.
 
-Each world count's valuations go in ascending blocks of at most ``2**16``
-indices, so a cell is an integer of at most 8 KiB however large the space.
-Within a block one table of cells serves every rooted frame. The table is
-lexicographic, so consecutive frames share a prefix of successor masks, and
-a world's cells depend only on the masks up to it: each frame overwrites in
-place only the cells from the first world where it differs from the frame
-before. Cells are computed only where the root reads them, by box depth:
-a subformula at the root if it occurs outside every box, and at the other
-worlds if it occurs under one. The answer is the least (rooted frame,
-valuation index) that fails: once a frame fails, later blocks scan only the
-frames before it. So it is the frame, world and lowest valuation index that
-a sweep of every frame at every world over the whole space would find
-first.
+The scan is frame-major: rooted frames in table order, and for each frame
+its valuations in ascending blocks of at most ``2**16`` indices, so a cell
+is an integer of at most 8 KiB however large the space. Each block of a
+frame is evaluated whole, every subformula at every world. The first frame
+whose root fails, with its lowest failing index, is the answer: the frame,
+world and valuation index that a sweep of every frame at every world over
+the whole space would find first.
 
 The caps on atoms, worlds and valuation bits (``MAX_VALUATION_BITS`` bounds
 the blocks a sweep takes, not its memory) keep every formula the sweep
@@ -77,7 +71,6 @@ from .formula import (
     Not,
     Or,
     _children,
-    count_nodes,
     subformulas,
 )
 from .kripke import MAX_ENUM_WORLDS, KripkeModel
@@ -201,78 +194,6 @@ def _atom_bit_mask(bit: int, total_bits: int) -> int:
     return mask
 
 
-def _box_depths(ops: list[tuple]) -> list[int]:
-    """Per op, a bitmask of the box depths at which it occurs in the formula.
-
-    The top is at depth 0 and a box's operand one level deeper, so an op at
-    depth ``d`` is read only at worlds ``d`` steps from the world evaluated.
-    """
-    depths = [0] * len(ops)
-    depths[-1] = 1
-    for i in range(len(ops) - 1, -1, -1):
-        kind, *operands = ops[i]
-        if kind == "atom":
-            continue
-        reads = depths[i] << 1 if kind == "box" else depths[i]
-        for child in operands:
-            depths[child] |= reads
-    return depths
-
-
-def _evaluate_frame(
-    table: list[list[int | None]],
-    ops: list[tuple],
-    depths: list[int],
-    succ_masks: tuple[int, ...],
-    start: int,
-    full: int,
-) -> None:
-    """Overwrite in place the cells of ``table`` the root reads, at worlds ``start`` and up.
-
-    ``succ_masks`` is a rooted frame, rooted at its last world. An op at box
-    depth 0 is read at the root; one at a depth of 1 or more at the worlds
-    below it, which in a rooted frame are all the others. Cells below
-    ``start`` keep the values of the frame evaluated before, which are right
-    for this frame when the two agree on the successors of every world below
-    ``start``: each world's successors carry lower labels, so its cells depend
-    only on the frame's successor masks up to it. Cells the root does not read
-    are left as they are; the top's cell at the root is the integer a full
-    evaluation gives.
-    """
-    root = len(succ_masks) - 1
-    for op, depth, row in zip(ops, depths, table):
-        kind = op[0]
-        if kind == "atom":
-            continue
-        worlds = range(start if depth > 1 else root, root + (depth & 1))
-        if kind == "not":
-            child = table[op[1]]
-            for w in worlds:
-                row[w] = full ^ child[w]
-        elif kind == "box":
-            child = table[op[1]]
-            for w in worlds:
-                acc = full
-                succ = succ_masks[w]
-                while succ:
-                    low = succ & -succ
-                    acc &= child[low.bit_length() - 1]
-                    succ ^= low
-                row[w] = acc
-        elif kind == "and":
-            a, b = table[op[1]], table[op[2]]
-            for w in worlds:
-                row[w] = a[w] & b[w]
-        elif kind == "or":
-            a, b = table[op[1]], table[op[2]]
-            for w in worlds:
-                row[w] = a[w] | b[w]
-        else:  # implies
-            a, b = table[op[1]], table[op[2]]
-            for w in worlds:
-                row[w] = (full ^ a[w]) | b[w]
-
-
 def _valid_by_elimination(ops: list[tuple]) -> bool:
     """Whether the formula, the last of ``ops``, holds at every realisable Hintikka type.
 
@@ -326,57 +247,73 @@ def _valid_by_elimination(ops: list[tuple]) -> bool:
     return True
 
 
-def _first_failure(
-    ops: list[tuple],
-    depths: list[int],
-    atoms: list[int],
-    frames: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[int, ...], int] | None:
-    """The least (rooted frame, valuation index) where the formula fails at the root, or ``None``.
+def _frame_cells(
+    ops: list[tuple], succ_masks: tuple[int, ...], atom_rows: dict[int, list[int]], full: int
+) -> list[list[int]]:
+    """Every op's cell at every world of the frame ``succ_masks``, in one postorder pass.
 
-    Frames are ordered as in ``frames``. Valuations go in ascending blocks of
-    ``2**_BLOCK_BITS`` indices: index bits at or past ``_BLOCK_BITS`` are
-    constant within a block, so their atom cells are ``0`` or ``full``. Within
-    a block the rooted frames go in order through one table, each overwriting
-    the cells from the first world whose successors differ from the frame
-    before. Once a frame fails, later blocks scan only the frames before it,
-    the only ones that can still fail first.
+    ``atom_rows`` gives each atom's cells, one per world; ``full`` is the
+    all-true cell of the block. A box's cell at a world is the conjunction of
+    its operand's cells at the world's successors.
+    """
+    table: list[list[int]] = []
+    for kind, *operands in ops:
+        if kind == "atom":
+            row = atom_rows[operands[0]]
+        elif kind == "not":
+            row = [full ^ cell for cell in table[operands[0]]]
+        elif kind == "box":
+            child = table[operands[0]]
+            row = []
+            for succ in succ_masks:
+                acc = full
+                while succ:
+                    low = succ & -succ
+                    acc &= child[low.bit_length() - 1]
+                    succ ^= low
+                row.append(acc)
+        elif kind == "and":
+            row = [a & b for a, b in zip(table[operands[0]], table[operands[1]])]
+        elif kind == "or":
+            row = [a | b for a, b in zip(table[operands[0]], table[operands[1]])]
+        else:  # implies
+            row = [(full ^ a) | b for a, b in zip(table[operands[0]], table[operands[1]])]
+        table.append(row)
+    return table
+
+
+def _first_failure(
+    ops: list[tuple], atoms: list[int], frames: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], int] | None:
+    """The first rooted frame where the formula fails at the root, with its lowest failing index.
+
+    Frames go in the order of ``frames``, and each frame's valuations in
+    ascending blocks of ``2**_BLOCK_BITS`` indices: index bits at or past
+    ``_BLOCK_BITS`` are constant within a block, so their atom cells are
+    ``0`` or ``full``. Returns ``None`` if no rooted frame fails.
     """
     world_count = len(frames[0])
     root = world_count - 1
-    rooted = [masks for masks in frames if masks[root] == (1 << root) - 1]
-    starts = [0] + [
-        next(w for w in range(root) if masks[w] != before[w])
-        for before, masks in zip(rooted, rooted[1:])
-    ]
     total_bits = len(atoms) * world_count
     block_bits = min(total_bits, _BLOCK_BITS)
     full = (1 << (1 << block_bits)) - 1
     low_masks = [_atom_bit_mask(bit, block_bits) for bit in range(block_bits)]
-    position = {atom: i for i, atom in enumerate(atoms)}
-    atom_bits = [
-        (i, range(position[op[1]] * world_count, (position[op[1]] + 1) * world_count))
-        for i, op in enumerate(ops)
-        if op[0] == "atom"
-    ]
-    table: list[list[int | None]] = [[None] * world_count for _ in ops]
-    failure = None
-    limit = len(rooted)
-    for block in range(1 << (total_bits - block_bits)):
-        base = block << block_bits
-        for i, bits in atom_bits:
-            table[i] = [
-                low_masks[bit] if bit < block_bits else full if base >> bit & 1 else 0
-                for bit in bits
-            ]
-        for f in range(limit):
-            _evaluate_frame(table, ops, depths, rooted[f], starts[f], full)
-            failing = full ^ table[-1][root]
+    blocks = []
+    for base in range(0, 1 << total_bits, 1 << block_bits):
+        cells = [
+            low_masks[bit] if bit < block_bits else full if base >> bit & 1 else 0
+            for bit in range(total_bits)
+        ]
+        rows = {atom: cells[i * world_count : (i + 1) * world_count] for i, atom in enumerate(atoms)}
+        blocks.append((base, rows))
+    for masks in frames:
+        if masks[root] != (1 << root) - 1:
+            continue
+        for base, atom_rows in blocks:
+            failing = full ^ _frame_cells(ops, masks, atom_rows, full)[-1][root]
             if failing:
-                failure = rooted[f], base | (failing & -failing).bit_length() - 1
-                limit = f
-                break
-    return failure
+                return masks, base | (failing & -failing).bit_length() - 1
+    return None
 
 
 def _extract_countermodel(atoms: list[int], succ_masks: tuple[int, ...], index: int) -> Countermodel:
@@ -403,10 +340,12 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
     ``ResourceLimitError``. Node, atom, world and valuation-bit limits are
     all checked before any work.
     """
-    size = count_nodes(phi)
-    if size > DEFAULT_MAX_NODES:
-        raise ResourceLimitError(f"formula has {size} nodes, limit is {DEFAULT_MAX_NODES}")
     ops = _postorder_ops(phi)
+    sizes: list[int] = []  # per op, its node count with shared subformulas counted per occurrence
+    for kind, *operands in ops:
+        sizes.append(1 if kind == "atom" else 1 + sum(sizes[child] for child in operands))
+    if sizes[-1] > DEFAULT_MAX_NODES:
+        raise ResourceLimitError(f"formula has {sizes[-1]} nodes, limit is {DEFAULT_MAX_NODES}")
     atoms = sorted(op[1] for op in ops if op[0] == "atom")
     if len(atoms) > MAX_ATOMS:
         raise ResourceLimitError(f"formula uses {len(atoms)} atoms, limit is {MAX_ATOMS}")
@@ -433,9 +372,8 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
         trace = ValidityTrace(world_bound=bound, levels=levels)
         return DecisionResult(verdict="valid", trace=trace)
 
-    depths = _box_depths(ops)
     for world_count in range(1, bound + 1):
-        failure = _first_failure(ops, depths, atoms, _representative_frames(world_count))
+        failure = _first_failure(ops, atoms, _representative_frames(world_count))
         if failure is not None:
             countermodel = _extract_countermodel(atoms, *failure)
             return DecisionResult(verdict="invalid", countermodel=countermodel)

@@ -17,8 +17,8 @@ reference structured report goes through ``json.dumps``, where the library
 writes the text directly. The reference representative frames are marked by
 relabeling orbits over every labelled order, where the library reads a
 literal table, and the reference frame table evaluates every subformula at
-every world over the whole valuation space, where the library evaluates only
-what the root reads, block by block, reusing cells between frames. The
+every world over the whole valuation space at once, where the library
+evaluates each frame block by block. The
 Hintikka-type reference decides validity by evaluating each type one
 subformula at a time and searching each box set's witnesses type by type,
 where the library computes one bitmask cell per subformula over all types;

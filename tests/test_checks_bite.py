@@ -137,6 +137,17 @@ def realise_a_failing_type(monkeypatch):
     monkeypatch.setattr(decide, "_valid_by_elimination", lambda ops: False)
 
 
+def read_each_atoms_complement(monkeypatch):
+    """The frame sweep reads each atom's complement, so it names flipped valuations."""
+    frame_cells = decide._frame_cells
+
+    def faulty(ops, succ_masks, atom_rows, full):
+        flipped = {atom: [full ^ cell for cell in row] for atom, row in atom_rows.items()}
+        return frame_cells(ops, succ_masks, flipped, full)
+
+    monkeypatch.setattr(decide, "_frame_cells", faulty)
+
+
 @dataclass(frozen=True)
 class Case:
     scenario: str
@@ -175,6 +186,8 @@ CASES = {
     "valid-verdict": Case("logic_basics.json", "witness_ok", 3, call_every_formula_valid),
     # The same formula, called valid by ``gl_decide``'s own elimination.
     "elimination-valid": Case("logic_basics.json", "witness_ok", 3, eliminate_every_type),
+    # The same formula, refuted by the sweep at a lone world where p0 is true.
+    "sweep-valuation": Case("logic_basics.json", "witness_ok", 3, read_each_atoms_complement),
 }
 
 

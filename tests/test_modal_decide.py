@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -118,6 +119,17 @@ class TestResourceLimits:
     def test_node_limit(self):
         with pytest.raises(ResourceLimitError, match="nodes"):
             gl_decide(parse_formula("p0" + " & p0" * 100))
+
+    def test_node_limit_counts_shared_subformulas_without_walking_each(self):
+        # 25 distinct nodes, 2**25 - 1 occurrences: a walk per occurrence
+        # would not finish.
+        phi = Atom(0)
+        for _ in range(24):
+            phi = And(phi, phi)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="^formula has 33554431 nodes, limit is 200$"):
+            gl_decide(phi)
+        assert time.perf_counter() - start < 1.0
 
     def test_atom_limit(self):
         phi = Atom(0)
@@ -245,10 +257,9 @@ def sweep(text):
     """``_first_failure`` at each world count up to the search bound, smallest first."""
     phi = parse_formula(text)
     ops = decide_module._postorder_ops(phi)
-    depths = decide_module._box_depths(ops)
     atoms = atom_indices(phi)
     return [
-        decide_module._first_failure(ops, depths, atoms, decide_module._representative_frames(k))
+        decide_module._first_failure(ops, atoms, decide_module._representative_frames(k))
         for k in range(1, len(box_subformulas(phi)) + 2)
     ]
 
@@ -391,15 +402,15 @@ LOB_24_BITS = "[]([]A -> A) -> []A".replace("A", "((p0 & p1) | (p2 & p3) | (p4 &
 
 @pytest.fixture
 def evaluated_frames(monkeypatch):
-    """Successor masks of every frame ``gl_decide`` evaluates, in order."""
+    """Successor masks of every frame ``gl_decide`` evaluates, once per block, in order."""
     frames = []
-    original = decide_module._evaluate_frame
+    original = decide_module._frame_cells
 
-    def counting(table, ops, depths, succ_masks, *rest):
+    def counting(ops, succ_masks, *rest):
         frames.append(succ_masks)
-        return original(table, ops, depths, succ_masks, *rest)
+        return original(ops, succ_masks, *rest)
 
-    monkeypatch.setattr(decide_module, "_evaluate_frame", counting)
+    monkeypatch.setattr(decide_module, "_frame_cells", counting)
     return frames
 
 
@@ -507,8 +518,8 @@ class TestSearchHelpers:
 
     @pytest.mark.parametrize("world_count", range(1, MAX_ENUM_WORLDS + 1))
     def test_successors_carry_lower_labels_and_roots_are_last(self, world_count):
-        # The sweep reuses a world's cells while the masks up to it agree, and
-        # reads each rooted frame at its last world.
+        # Successors carry lower labels, so a rooted frame's one root is its
+        # last world, the one world the sweep reads.
         everyone = (1 << world_count) - 1
         for masks in decide_module._REPRESENTATIVE_FRAMES[world_count]:
             assert all(succ < 1 << w for w, succ in enumerate(masks)), masks
@@ -520,74 +531,6 @@ class TestSearchHelpers:
         for bit in range(total_bits):
             expected = sum(1 << v for v in range(1 << total_bits) if v >> bit & 1)
             assert decide_module._atom_bit_mask(bit, total_bits) == expected
-
-
-class TestRootDemand:
-    def test_filled_cells_match_the_all_worlds_table(self):
-        # Named formulas share a subformula between the root and a deeper box
-        # depth, which random ones seldom do.
-        formulas = [parse_formula(t) for t in (FOUR_BOX_VALID, "[]p0 -> [][]p0 & p0")]
-        rng = random.Random(3131)
-        while len(formulas) < 42:
-            phi = random_formula(
-                rng, max_nodes=24, n_atoms=3, max_box_depth=4, max_distinct_boxes=4
-            )
-            if box_subformulas(phi):
-                formulas.append(phi)
-        skipped = 0
-        for phi in formulas:
-            ops = decide_module._postorder_ops(phi)
-            depths = decide_module._box_depths(ops)
-            atoms = atom_indices(phi)
-            position = {atom: i for i, atom in enumerate(atoms)}
-            for k in range(1, MAX_ENUM_WORLDS + 1):
-                total_bits = len(atoms) * k
-                full = (1 << (1 << total_bits)) - 1
-                atom_masks = [
-                    [decide_module._atom_bit_mask(i * k + w, total_bits) for w in range(k)]
-                    for i in range(len(atoms))
-                ]
-                everyone = (1 << k) - 1
-                rooted = [
-                    masks
-                    for masks in decide_module._representative_frames(k)
-                    if masks[k - 1] | 1 << (k - 1) == everyone
-                ]
-                references = [
-                    reference_frame_table(ops, position, masks, k, atom_masks, full)
-                    for masks in rooted
-                ]
-                # Up to four blocks, walked as the sweep walks them: frames in
-                # table order through one table, each from its first new world.
-                block_bits = max(total_bits - 2, 0)
-                block_full = (1 << (1 << block_bits)) - 1
-                for block in range(1 << (total_bits - block_bits)):
-                    shift = block << block_bits
-                    table = [
-                        [c >> shift & block_full for c in atom_masks[position[op[1]]]]
-                        if op[0] == "atom"
-                        else [None] * k
-                        for op in ops
-                    ]
-                    before = None
-                    for masks, reference in zip(rooted, references):
-                        start = 0 if before is None else min(
-                            w for w in range(k) if masks[w] != before[w]
-                        )
-                        decide_module._evaluate_frame(
-                            table, ops, depths, masks, start, block_full
-                        )
-                        root = k - 1
-                        cut = reference[-1][root] >> shift & block_full
-                        assert table[-1][root] == cut, print_formula(phi)
-                        for row, expected in zip(table, reference):
-                            for cell, value in zip(row, expected):
-                                if cell is None:
-                                    skipped += 1
-                                else:
-                                    assert cell == value >> shift & block_full, print_formula(phi)
-                        before = masks
-        assert skipped > 1000
 
 
 def _first_refutation(phi):
@@ -775,13 +718,14 @@ class TestValuationBlocks:
 class TestBoundedCells:
     def test_no_cell_exceeds_one_block(self, monkeypatch):
         widest = []
-        original = decide_module._evaluate_frame
+        original = decide_module._frame_cells
 
-        def measuring(table, *rest):
-            original(table, *rest)
-            widest.append(max(c.bit_length() for row in table for c in row if c is not None))
+        def measuring(*args):
+            table = original(*args)
+            widest.append(max(c.bit_length() for row in table for c in row))
+            return table
 
-        monkeypatch.setattr(decide_module, "_evaluate_frame", measuring)
+        monkeypatch.setattr(decide_module, "_frame_cells", measuring)
         assert sweep(LOB_24_BITS) == [None] * 3
         result = decide(LOB_24_BITS)
         assert result.is_valid
