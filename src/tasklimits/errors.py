@@ -1,11 +1,9 @@
-"""Exception types shared across the toolkit.
+"""Exception types, one per way a caller reacts; ``tasklimits`` exits 2 on any of them.
 
-Every constructor-level invariant violation raises a subclass of
-``ValidationError`` so that callers (and the CLI) can distinguish bad
-inputs from genuine runtime failures.
+Catch ``TaskLimitsError`` for every refusal, ``ValidationError`` (a ``ValueError``; the
+loader's ``ScenarioError`` is one) for bad input, ``ResourceLimitError`` for a size or
+search limit, and ``FormulaSyntaxError`` for formula text that does not parse.
 """
-
-from __future__ import annotations
 
 
 class TaskLimitsError(Exception):
@@ -13,31 +11,11 @@ class TaskLimitsError(Exception):
 
 
 class ValidationError(TaskLimitsError, ValueError):
-    """An input violated a construction-time invariant."""
+    """An input violated a construction-time invariant; the message names it."""
 
 
-class NestednessError(ValidationError):
-    """A solved-set sequence is not a nested chain (capability preservation)."""
-
-
-class ConfigurationError(ValidationError):
-    """A rule or operation was configured inconsistently (missing or unusable parameters)."""
-
-
-class KraftError(ValidationError):
-    """Declared code lengths violate the Kraft inequality."""
-
-
-class ShapeError(ValidationError):
-    """Array dimensions of kernels, losses, or distributions disagree."""
-
-
-class EmptyTruncationError(TaskLimitsError):
-    """Truncation level keeps no hypotheses (head mass is zero)."""
-
-
-class EmptyTailError(TaskLimitsError):
-    """Truncation level leaves no tail hypotheses (tail mass is zero)."""
+class ScenarioError(ValidationError):
+    """A scenario failed to parse or validate; ``parse_scenario`` starts it with the path."""
 
 
 class FormulaSyntaxError(TaskLimitsError, ValueError):
@@ -48,13 +26,5 @@ class FormulaSyntaxError(TaskLimitsError, ValueError):
         self.position = position
 
 
-class ModelError(ValidationError):
-    """A Kripke model violates the frame invariants or lacks a referenced world."""
-
-
 class ResourceLimitError(TaskLimitsError):
-    """A request exceeds the configured enumeration or formula-size limits."""
-
-
-class ScenarioError(ValidationError):
-    """A scenario file failed to parse or validate."""
+    """A well-formed request exceeds a size or search limit."""

@@ -112,17 +112,21 @@ def _children(node: ModalFormula) -> tuple[ModalFormula, ...]:
 
 
 def subformulas(phi: ModalFormula) -> list[ModalFormula]:
-    """Distinct subformulas of ``phi`` in postorder (children first)."""
+    """Distinct subformulas of ``phi`` in postorder (children first), without recursion.
+
+    Each node object is opened once, by ``id``, and enters ``seen`` after its children,
+    so its hash is built from their kept hashes. Only ``==`` between two distinct but
+    equal subtrees still recurses, per level; the parser nests at most 200 levels.
+    """
     seen: dict[ModalFormula, None] = {}
-
-    def walk(node: ModalFormula) -> None:
-        if node in seen:
-            return
-        for child in _children(node):
-            walk(child)
-        seen[node] = None
-
-    walk(phi)
+    opened, stack = set(), [phi]  # ids of the nodes opened; nodes to visit
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom) or id(node) in opened:
+            seen.setdefault(node)
+        else:  # the node goes back under its children, the left one on top
+            opened.add(id(node))
+            stack += node, *reversed(_children(node))
     return list(seen)
 
 
@@ -136,8 +140,11 @@ def atom_indices(phi: ModalFormula) -> list[int]:
 
 
 def count_nodes(phi: ModalFormula) -> int:
-    """Total AST node count (shared structure counted per occurrence)."""
-    return 1 + sum(map(count_nodes, _children(phi)))
+    """Total AST node count (shared structure counted per occurrence), in one walk."""
+    sizes: dict[ModalFormula, int] = {}
+    for node in subformulas(phi):
+        sizes[node] = 1 + sum(sizes[child] for child in _children(node))
+    return sizes[phi]
 
 
 def print_formula(phi: ModalFormula) -> str:

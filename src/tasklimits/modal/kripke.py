@@ -11,7 +11,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..errors import ConfigurationError, ModelError, ResourceLimitError
+from ..errors import ResourceLimitError, ValidationError
 from .formula import And, Atom, Box, Implies, ModalFormula, Not, Or
 
 #: Frame enumeration is exhaustive and capped at this many worlds.
@@ -34,27 +34,27 @@ class KripkeModel:
     def __post_init__(self) -> None:
         worlds = frozenset(int(w) for w in self.worlds)
         if not worlds:
-            raise ModelError("model needs at least one world")
+            raise ValidationError("model needs at least one world")
         relation = frozenset((int(a), int(b)) for a, b in self.relation)
         successors: dict[int, set[int]] = {w: set() for w in worlds}
         for a, b in relation:
             if a not in worlds or b not in worlds:
-                raise ModelError(f"relation pair ({a}, {b}) mentions an unknown world")
+                raise ValidationError(f"relation pair ({a}, {b}) mentions an unknown world")
             if a == b:
-                raise ModelError(f"relation must be irreflexive, found ({a}, {a})")
+                raise ValidationError(f"relation must be irreflexive, found ({a}, {a})")
             successors[a].add(b)
         # Transitive iff every successor's successors are the world's own.
         for a, b in sorted(relation):
             if not successors[b] <= successors[a]:
                 d = min(successors[b] - successors[a])
-                raise ModelError(
+                raise ValidationError(
                     f"relation must be transitive, missing ({a}, {d}) given ({a}, {b}), ({b}, {d})"
                 )
         pairs = self.valuation.items() if isinstance(self.valuation, Mapping) else self.valuation
         valuation = tuple(sorted((int(w), frozenset(int(i) for i in atoms)) for w, atoms in pairs))
         for w, _ in valuation:
             if w not in worlds:
-                raise ModelError(f"valuation mentions unknown world {w}")
+                raise ValidationError(f"valuation mentions unknown world {w}")
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "valuation", valuation)
@@ -71,7 +71,7 @@ class KripkeModel:
 def model_check(phi: ModalFormula, model: KripkeModel, world: int) -> bool:
     """Evaluate ``phi`` at ``world``; a boxed formula holds iff it holds at every successor."""
     if world not in model.worlds:
-        raise ModelError(f"world {world} not in the model")
+        raise ValidationError(f"world {world} not in the model")
     memo: dict[tuple[ModalFormula, int], bool] = {}
 
     def ev(node: ModalFormula, w: int) -> bool:
@@ -91,7 +91,7 @@ def model_check(phi: ModalFormula, model: KripkeModel, world: int) -> bool:
         elif isinstance(node, Box):
             value = all(ev(node.operand, v) for v in model.successors(w))
         else:
-            raise ModelError(f"unknown formula node {type(node).__name__}")
+            raise ValidationError(f"unknown formula node {type(node).__name__}")
         memo[key] = value
         return value
 
@@ -136,7 +136,7 @@ def successor_mask_orders(world_count: int) -> tuple[tuple[int, ...], ...]:
 def enumerate_frames(world_count: int) -> Iterator[frozenset[tuple[int, int]]]:
     """Yield every transitive irreflexive relation on worlds ``0..world_count-1``."""
     if world_count < 1:
-        raise ConfigurationError(f"world count must be >= 1, got {world_count}")
+        raise ValidationError(f"world count must be >= 1, got {world_count}")
     if world_count > MAX_ENUM_WORLDS:
         raise ResourceLimitError(
             f"frame enumeration is capped at {MAX_ENUM_WORLDS} worlds, got {world_count}"

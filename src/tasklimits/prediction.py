@@ -23,21 +23,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    EmptyTailError,
-    EmptyTruncationError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .prior import MAX_CODE_LENGTH, HypothesisClass, TruncatedPrior, prior_weights, truncate
 from .taskspace import TaskMeasure
 
 ROW_SUM_TOLERANCE = 1e-12
 ENTRY_TOLERANCE = 1e-12
-
-#: Half-convention TV between probability distributions is at most 1.
-TV_CAP = 1.0
 
 #: Default additive slack for inequality checks.
 BOUND_SLACK = 1e-9
@@ -49,14 +40,14 @@ IDENTITY_TOLERANCE = 1e-12
 def _as_matrix(table, name: str) -> np.ndarray:
     arr = np.array(table, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 1:
-        raise ShapeError(f"{name} must be a 2-D matrix with at least one column")
+        raise ValidationError(f"{name} must be a 2-D matrix with at least one column")
     arr.setflags(write=False)
     return arr
 
 
 def _check_rows_stochastic(arr: np.ndarray, name: str) -> None:
     if arr.shape[0] < 1:
-        raise ShapeError(f"{name} must have at least one row")
+        raise ValidationError(f"{name} must have at least one row")
     if not ((arr >= 0.0).all() and (arr <= 1.0 + ENTRY_TOLERANCE).all()):
         raise ValidationError(f"{name} entries must lie in [0, 1]")
     sums = arr.sum(axis=1)
@@ -164,11 +155,11 @@ def _kernel_stack(hclass: HypothesisClass, kernels: KernelStore) -> np.ndarray:
     for h in hclass.hypotheses:
         kernel = kernels.get(h.kernel_ref)
         if kernel is None:
-            raise ConfigurationError(f"hypothesis {h.id} references unknown kernel {h.kernel_ref!r}")
+            raise ValidationError(f"hypothesis {h.id} references unknown kernel {h.kernel_ref!r}")
         if shape is None:
             shape = kernel.table.shape
         elif kernel.table.shape != shape:
-            raise ShapeError(
+            raise ValidationError(
                 f"kernel {h.kernel_ref!r} has shape {kernel.table.shape}, expected {shape}"
             )
         tables.append(kernel.table)
@@ -188,14 +179,14 @@ def full_mixture(hclass: HypothesisClass, kernels: KernelStore) -> ConditionalKe
 def truncated_mixture(hclass: HypothesisClass, n: int, kernels: KernelStore) -> ConditionalKernel:
     """Renormalized mixture over hypotheses with code length <= n."""
     if truncate(hclass, n).z_n == 0.0:
-        raise EmptyTruncationError(f"no hypothesis has code length <= {n}")
+        raise ValidationError(f"no hypothesis has code length <= {n}")
     return _mix(_kernel_stack(hclass, kernels), prior_weights(hclass, -1, n))
 
 
 def tail_mixture(hclass: HypothesisClass, n: int, kernels: KernelStore) -> ConditionalKernel:
     """Renormalized mixture over hypotheses with code length > n."""
     if truncate(hclass, n).tau_n == 0.0:
-        raise EmptyTailError(f"every hypothesis has code length <= {n}")
+        raise ValidationError(f"every hypothesis has code length <= {n}")
     return _mix(_kernel_stack(hclass, kernels), prior_weights(hclass, n, MAX_CODE_LENGTH))
 
 
@@ -204,7 +195,7 @@ def tv_dual(rho, rho_prime) -> float:
     a = np.asarray(rho, dtype=float)
     b = np.asarray(rho_prime, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"rows must share one dimension, got {a.shape} and {b.shape}")
+        raise ValidationError(f"rows must share one dimension, got {a.shape} and {b.shape}")
     return float(np.abs(a - b).sum())
 
 
@@ -219,10 +210,10 @@ def bayes_risk(rho_row, loss: LossTable) -> BayesRisk:
     Ties break toward the smallest action index.
     """
     if loss.n_actions == 0:
-        raise ConfigurationError("loss table declares no actions")
+        raise ValidationError("loss table declares no actions")
     row = np.asarray(rho_row, dtype=float)
     if row.ndim != 1 or row.size != loss.n_outcomes:
-        raise ShapeError(
+        raise ValidationError(
             f"predictive row has {row.size} outcomes, loss table expects {loss.n_outcomes}"
         )
     expected = loss.table @ row
@@ -233,7 +224,7 @@ def bayes_risk(rho_row, loss: LossTable) -> BayesRisk:
 def averaged_risk(rho: ConditionalKernel, loss: LossTable, pi: TaskMeasure) -> float:
     """Context-weighted average of the per-context Bayes risk."""
     if rho.n_contexts != pi.size:
-        raise ShapeError(
+        raise ValidationError(
             f"distribution has {rho.n_contexts} contexts, context weights have {pi.size}"
         )
     values = [bayes_risk(rho.row(c), loss).value for c in range(rho.n_contexts)]
@@ -251,7 +242,7 @@ def verify_prediction_bounds(
     """Check the tail-mass bounds and the decomposition at every truncation level.
 
     Per level n with a non-empty head (``z_n > 0``):
-      * worst per-context tv_half(full, truncated) <= tau_n * TV_CAP
+      * worst per-context tv_half(full, truncated) <= tau_n
       * |risk(full) - risk(truncated)| <= tau_n
       * |utility(n+1) - utility(n)| <= tau_n + tau_{n+1}  (consecutive levels)
       * max entrywise |full - z_n * truncated - tau_n * tail| <= IDENTITY_TOLERANCE,
@@ -270,7 +261,7 @@ def verify_prediction_bounds(
     gains, then decomposition residuals.
     """
     if n_max < 0:
-        raise ConfigurationError(f"n_max must be >= 0, got {n_max}")
+        raise ValidationError(f"n_max must be >= 0, got {n_max}")
     stack = _kernel_stack(hclass, kernels)
     q = _mix(stack, prior_weights(hclass))
     risk_full = averaged_risk(q, loss, pi)
@@ -294,9 +285,7 @@ def verify_prediction_bounds(
                 r_n = _mix(stack, prior_weights(hclass, n, MAX_CODE_LENGTH)).table
                 residual = float(np.abs(q.table - z_n * q_n.table - tau_n * r_n).max())
         levels.append(LevelSummary(n, z_n, tau_n, utility))
-        records.append(
-            BoundRecord.check("tv_vs_tail", n, tv_worst, tau_n * TV_CAP, slack_tolerance)
-        )
+        records.append(BoundRecord.check("tv_vs_tail", n, tv_worst, tau_n, slack_tolerance))
         risk_gap = abs(risk_full - (-utility))
         records.append(BoundRecord.check("risk_vs_tail", n, risk_gap, tau_n, slack_tolerance))
         if tau_n != 0.0:

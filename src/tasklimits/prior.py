@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, KraftError, ValidationError
+from .errors import ValidationError
 
 KRAFT_TOLERANCE = 1e-12
 MAX_CODE_LENGTH = 52
@@ -74,7 +74,9 @@ class HypothesisClass:
             units += count << (MAX_CODE_LENGTH - length)
             prefix.append(math.ldexp(units, -MAX_CODE_LENGTH))
         if prefix[-1] > 1.0 + KRAFT_TOLERANCE:
-            raise KraftError(f"Kraft sum {prefix[-1]!r} exceeds 1 for the declared code lengths")
+            raise ValidationError(
+                f"Kraft sum {prefix[-1]!r} exceeds 1 for the declared code lengths"
+            )
         object.__setattr__(self, "hypotheses", hyps)
         object.__setattr__(self, "prefix_mass", tuple(prefix))
 
@@ -107,7 +109,7 @@ class TruncatedPrior:
 def truncate(hclass: HypothesisClass, n: int) -> TruncatedPrior:
     """Split the prior at complexity level ``n`` (head: code length <= n)."""
     if n < 0:
-        raise ConfigurationError(f"truncation level must be >= 0, got {n}")
+        raise ValidationError(f"truncation level must be >= 0, got {n}")
     z, head = hclass.kraft_sum, hclass.head_mass(n)
     return TruncatedPrior(level=n, z_n=head / z, tau_n=(z - head) / z)
 

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring
 
-from .errors import ConfigurationError
+from .errors import ValidationError
 from .prediction import BoundRecord
 
 CSV_COLUMNS = ("n", "utility", "delta", "tau", "bound_lhs", "bound_rhs", "slack", "pass")
@@ -160,7 +160,7 @@ def emit_report(report: Report, format: str) -> bytes:
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "structured":
         return (_text(report) + "\n").encode("utf-8")
-    raise ConfigurationError(f"unknown report format {format!r}; expected one of {FORMATS}")
+    raise ValidationError(f"unknown report format {format!r}; expected one of {FORMATS}")
 
 
 def report_from_json(data: bytes | str) -> Report:

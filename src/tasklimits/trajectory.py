@@ -16,14 +16,14 @@ import random
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence, Union
 
-from .errors import ConfigurationError, NestednessError
+from .errors import ValidationError
 from .taskspace import TaskId, TaskMeasure, TaskSet
 
 
 def _first_solved_levels(sets: Iterable[AbstractSet[TaskId]]) -> dict[TaskId, int]:
     """The level (1-based) at which each task of a chain of sets is first solved.
 
-    Raises :class:`NestednessError` at the first level that drops a task.
+    Raises :class:`ValidationError` at the first level that drops a task.
     """
     first: dict[TaskId, int] = {}
     solved: AbstractSet[TaskId] = frozenset()
@@ -31,7 +31,7 @@ def _first_solved_levels(sets: Iterable[AbstractSet[TaskId]]) -> dict[TaskId, in
         new = level - solved
         # |L - S| = |L| - |S| exactly when S is a subset of L.
         if len(new) != len(level) - len(solved):
-            raise NestednessError(
+            raise ValidationError(
                 f"solved set at level {n} drops previously solved tasks {sorted(solved - level)}"
             )
         first.update(dict.fromkeys(new, n))
@@ -53,7 +53,7 @@ class DifficultyThreshold:
         object.__setattr__(self, "difficulties", tuple(map(int, self.difficulties)))
         if min(self.difficulties, default=1) < 1:
             t, d = next((t, d) for t, d in enumerate(self.difficulties) if d < 1)
-            raise ConfigurationError(f"difficulty of task {t} must be >= 1, got {d}")
+            raise ValidationError(f"difficulty of task {t} must be >= 1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class RandomCoverage:
     def __post_init__(self) -> None:
         p = float(self.step_probability)
         if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"step probability must lie in [0, 1], got {p}")
+            raise ValidationError(f"step probability must lie in [0, 1], got {p}")
         object.__setattr__(self, "step_probability", p)
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -118,13 +118,13 @@ class LimitDiagnostics:
 def build_trajectory(rule: SolverRule, n_max: int, mu: TaskMeasure) -> SystemTrajectory:
     """Build the first-solved levels of the ``n_max``-level chain under ``rule``."""
     if n_max < 1:
-        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
+        raise ValidationError(f"n_max must be >= 1, got {n_max}")
 
     if isinstance(rule, DifficultyThreshold):
         past = mu.weights[len(rule.difficulties):]
         if any(past):
             missing = [t for t, w in enumerate(past, len(rule.difficulties)) if w > 0.0]
-            raise ConfigurationError(f"no difficulty declared for tasks {missing} in the support")
+            raise ValidationError(f"no difficulty declared for tasks {missing} in the support")
         padded = rule.difficulties[: mu.size] + (0,) * (mu.size - len(rule.difficulties))
         first_level = tuple(d if d <= n_max else 0 for d in padded)
     elif isinstance(rule, RandomCoverage):
@@ -142,7 +142,7 @@ def build_trajectory(rule: SolverRule, n_max: int, mu: TaskMeasure) -> SystemTra
             unsolved = still
         first_level = tuple(levels)
     else:
-        raise ConfigurationError(f"unknown solver rule {type(rule).__name__}")
+        raise ValidationError(f"unknown solver rule {type(rule).__name__}")
 
     return SystemTrajectory(first_level, n_max, mu)
 
@@ -181,7 +181,7 @@ def marginal_gains(traj: SystemTrajectory) -> list[float]:
     invariant rather than the computation route.
     """
     if traj.levels < 2:
-        raise ConfigurationError("marginal gains need a trajectory of length >= 2")
+        raise ValidationError("marginal gains need a trajectory of length >= 2")
     return [math.fsum(run) for run in _weights_first_solved(traj)[1:]]
 
 
@@ -193,7 +193,7 @@ def telescoping_residual(utilities: Sequence[float], gains: Sequence[float]) -> 
     is a real check.
     """
     if len(utilities) < 2 or len(gains) != len(utilities) - 1:
-        raise ConfigurationError("telescoping needs U(1..N) with N >= 2 and its N - 1 gains")
+        raise ValidationError("telescoping needs U(1..N) with N >= 2 and its N - 1 gains")
     return abs(utilities[-1] - utilities[0] - math.fsum(gains))
 
 
@@ -205,7 +205,7 @@ def limit_diagnostics(
     ``gains`` is empty for a one-level trajectory.
     """
     if not epsilon > 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
     if not gains:
         return LimitDiagnostics(
             u_last=utilities[-1], first_n_with_gain_below_epsilon=None, max_tail_gain=0.0

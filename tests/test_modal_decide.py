@@ -131,6 +131,13 @@ class TestResourceLimits:
             gl_decide(phi)
         assert time.perf_counter() - start < 1.0
 
+    def test_chain_deeper_than_the_recursion_limit_is_refused_by_size(self):
+        phi = Atom(0)
+        for _ in range(2000):
+            phi = Box(phi)
+        with pytest.raises(ResourceLimitError, match="^formula has 2001 nodes, limit is 200$"):
+            gl_decide(phi)
+
     def test_atom_limit(self):
         phi = Atom(0)
         for i in range(1, 9):

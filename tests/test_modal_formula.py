@@ -183,6 +183,23 @@ class TestStructure:
         assert len(subs) == 3
         assert subs.index(Atom(0)) < subs.index(Box(Atom(0))) < subs.index(phi)
 
+    def test_a_chain_deeper_than_the_recursion_limit_is_walked(self):
+        phi = Atom(0)
+        for _ in range(2000):
+            phi = Box(phi)
+        subs = subformulas(phi)
+        assert len(subs) == 2001 and subs[0] == Atom(0) and subs[-1] is phi
+        assert count_nodes(phi) == 2001
+
+    def test_count_nodes_counts_shared_subformulas_without_walking_each(self):
+        # 23 distinct nodes, 2**23 - 1 occurrences.
+        phi = Atom(0)
+        for _ in range(22):
+            phi = And(phi, phi)
+        start = time.perf_counter()
+        assert count_nodes(phi) == 2**23 - 1
+        assert time.perf_counter() - start < 1.0
+
 
 class TestHashing:
     """A node's hash is computed on first use and kept; the kept value never leaves the process."""

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tasklimits.errors import ConfigurationError, ModelError, ResourceLimitError
+from tasklimits.errors import ResourceLimitError, ValidationError
 from tasklimits.modal import KripkeModel, enumerate_frames, model_check, parse_formula
 
 
@@ -19,36 +19,38 @@ def chain_model(p_true_at=(1,)):
 
 class TestModelValidation:
     def test_reflexive_pair_rejected(self):
-        with pytest.raises(ModelError, match=r"^relation must be irreflexive, found \(0, 0\)$"):
+        message = r"^relation must be irreflexive, found \(0, 0\)$"
+        with pytest.raises(ValidationError, match=message):
             KripkeModel([0], [(0, 0)])
 
     def test_intransitive_relation_rejected(self):
         message = r"^relation must be transitive, missing \(0, 2\) given \(0, 1\), \(1, 2\)$"
-        with pytest.raises(ModelError, match=message):
+        with pytest.raises(ValidationError, match=message):
             KripkeModel([0, 1, 2], [(0, 1), (1, 2)])
 
     def test_transitive_chain_accepted(self):
         KripkeModel([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
 
     def test_unknown_world_in_relation(self):
-        with pytest.raises(ModelError, match=r"^relation pair \(0, 1\) mentions an unknown world$"):
+        message = r"^relation pair \(0, 1\) mentions an unknown world$"
+        with pytest.raises(ValidationError, match=message):
             KripkeModel([0], [(0, 1)])
 
     def test_unknown_world_in_valuation(self):
-        with pytest.raises(ModelError, match="^valuation mentions unknown world 1$"):
+        with pytest.raises(ValidationError, match="^valuation mentions unknown world 1$"):
             KripkeModel([0], [], valuation={1: {0}})
 
     def test_empty_model_rejected(self):
-        with pytest.raises(ModelError, match="^model needs at least one world$"):
+        with pytest.raises(ValidationError, match="^model needs at least one world$"):
             KripkeModel([], [])
 
     def test_transitivity_names_the_least_missing_pair(self):
         # (1, 0) is closed; (2, 1) misses (2, 0) before (3, 2) misses (3, 1) and (3, 0).
-        with pytest.raises(ModelError) as exc:
+        with pytest.raises(ValidationError) as exc:
             KripkeModel(range(4), [(3, 2), (2, 1), (1, 0)])
         assert str(exc.value) == "relation must be transitive, missing (2, 0) given (2, 1), (1, 0)"
         # (0, 1) misses both (0, 2) and (0, 3); the lesser is named.
-        with pytest.raises(ModelError) as exc:
+        with pytest.raises(ValidationError) as exc:
             KripkeModel(range(4), [(1, 3), (0, 1), (1, 2)])
         assert str(exc.value) == "relation must be transitive, missing (0, 2) given (0, 1), (1, 2)"
 
@@ -71,7 +73,8 @@ class TestModelValidation:
         assert len(model.relation) == 7140
         assert all(model.successors(a) == frozenset(range(a)) for a in range(n))
         assert elapsed < 0.5
-        with pytest.raises(ModelError, match=r"missing \(119, 0\) given \(119, 1\), \(1, 0\)"):
+        message = r"^relation must be transitive, missing \(119, 0\) given \(119, 1\), \(1, 0\)"
+        with pytest.raises(ValidationError, match=message):
             KripkeModel(range(n), [pair for pair in relation if pair != (119, 0)])
 
 
@@ -95,7 +98,7 @@ class TestModelCheck:
 
     def test_unknown_world_is_an_error(self):
         model = chain_model()
-        with pytest.raises(ModelError):
+        with pytest.raises(ValidationError, match="^world 7 not in the model$"):
             model_check(parse_formula("p0"), model, 7)
 
     def test_lob_axiom_true_on_every_small_frame(self):
@@ -142,5 +145,5 @@ class TestEnumerateFrames:
             list(enumerate_frames(6))
 
     def test_world_count_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="^world count must be >= 1, got 0$"):
             list(enumerate_frames(0))

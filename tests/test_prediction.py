@@ -5,13 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from tasklimits.errors import (
-    ConfigurationError,
-    EmptyTailError,
-    EmptyTruncationError,
-    ShapeError,
-    ValidationError,
-)
+from tasklimits.errors import ValidationError
 from tasklimits.prediction import (
     ConditionalKernel,
     LossTable,
@@ -108,7 +102,7 @@ class TestMixtures:
 
     def test_truncation_below_min_length_fails(self):
         hclass, kernels = two_bernoulli_class()
-        with pytest.raises(EmptyTruncationError):
+        with pytest.raises(ValidationError, match="^no hypothesis has code length <= 0$"):
             truncated_mixture(hclass, 0, kernels)
 
     def test_tail_at_one_is_the_long_hypothesis(self):
@@ -117,13 +111,13 @@ class TestMixtures:
 
     def test_tail_at_max_length_fails(self):
         hclass, kernels = two_bernoulli_class()
-        with pytest.raises(EmptyTailError):
+        with pytest.raises(ValidationError, match="^every hypothesis has code length <= 2$"):
             tail_mixture(hclass, 2, kernels)
 
     @pytest.mark.parametrize("mixture", [truncated_mixture, tail_mixture])
     def test_negative_level_is_refused(self, mixture):
         hclass, kernels = two_bernoulli_class()
-        with pytest.raises(ConfigurationError, match="truncation level must be >= 0"):
+        with pytest.raises(ValidationError, match="^truncation level must be >= 0, got -1$"):
             mixture(hclass, -1, kernels)
 
     def test_whole_class_tail_equals_full_mixture(self):
@@ -134,13 +128,14 @@ class TestMixtures:
 
     def test_missing_kernel_reference(self):
         hclass, kernels = two_bernoulli_class()
-        with pytest.raises(ConfigurationError, match="k1"):
+        with pytest.raises(ValidationError, match="^hypothesis 1 references unknown kernel 'k1'$"):
             full_mixture(hclass, {"k0": kernels["k0"]})
 
     def test_kernel_shape_mismatch(self):
         hclass, kernels = two_bernoulli_class()
         kernels = dict(kernels, k1=ConditionalKernel([[0.2, 0.3, 0.5]]))
-        with pytest.raises(ShapeError):
+        message = r"^kernel 'k1' has shape \(1, 3\), expected \(1, 2\)$"
+        with pytest.raises(ValidationError, match=message):
             full_mixture(hclass, kernels)
 
     def test_mixture_rows_are_distributions_on_random_scenarios(self):
@@ -286,7 +281,8 @@ class TestTotalVariation:
         assert tv_half([0.9, 0.1], [0.1, 0.9]) == pytest.approx(0.8, abs=IDENTITY_TOL)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        message = r"^rows must share one dimension, got \(2,\) and \(3,\)$"
+        with pytest.raises(ValidationError, match=message):
             tv_dual([0.5, 0.5], [0.2, 0.3, 0.5])
 
 
@@ -312,7 +308,7 @@ class TestBayesRisk:
 
     def test_empty_action_set(self):
         loss = LossTable(np.empty((0, 2)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="^loss table declares no actions$"):
             bayes_risk([0.5, 0.5], loss)
 
     def test_matches_brute_force_on_random_instances(self):
@@ -366,7 +362,8 @@ class TestAveragedRisk:
     def test_context_count_mismatch(self):
         rho = ConditionalKernel([[0.2, 0.8]])
         loss = LossTable([[0.0, 1.0]])
-        with pytest.raises(ShapeError):
+        message = "^distribution has 1 contexts, context weights have 2$"
+        with pytest.raises(ValidationError, match=message):
             averaged_risk(rho, loss, TaskMeasure([0.5, 0.5]))
 
 

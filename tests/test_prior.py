@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tasklimits.errors import ConfigurationError, KraftError, ValidationError
+from tasklimits.errors import ValidationError
 from tasklimits.prior import (
     MAX_CODE_LENGTH,
     HypothesisClass,
@@ -26,7 +26,7 @@ def make_class(lengths):
 
 class TestConstruction:
     def test_kraft_violation_names_the_sum(self):
-        with pytest.raises(KraftError, match="1.5"):
+        with pytest.raises(ValidationError, match=r"^Kraft sum 1\.5 exceeds 1 "):
             make_class([1, 1, 1])
 
     def test_kraft_boundary_accepted(self):
@@ -103,7 +103,7 @@ class TestTruncate:
         assert prior_weights(hc, 0, MAX_CODE_LENGTH) == prior_weights(hc)
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="^truncation level must be >= 0, got -1$"):
             truncate(make_class([1]), -1)
 
     def test_partition_identity_over_random_classes(self):

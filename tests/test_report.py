@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tasklimits.errors import ConfigurationError
+from tasklimits.errors import ValidationError
 from tasklimits.prediction import BoundRecord
 from tasklimits.report import (
     CSV_COLUMNS,
@@ -78,7 +78,8 @@ class TestCsv:
 
     def test_unknown_format_rejected(self):
         report = Report(scenario="x", kind="logic", passed=True)
-        with pytest.raises(ConfigurationError):
+        message = "^unknown report format 'yaml'; expected one of "
+        with pytest.raises(ValidationError, match=message):
             emit_report(report, "yaml")
 
 

@@ -16,7 +16,7 @@ from tasklimits.scenario import (
 )
 from tasklimits import trajectory
 from tasklimits.cli import main
-from tasklimits.errors import NestednessError, ScenarioError
+from tasklimits.errors import ScenarioError, ValidationError
 from tasklimits.taskspace import TaskSet
 from tasklimits.trajectory import DifficultyThreshold, RandomCoverage
 from support import SCENARIO_DIR
@@ -412,7 +412,8 @@ class TestLoadTimeChecks:
         message = re.escape("solved set at level 2 drops previously solved tasks [1]")
         with pytest.raises(ScenarioError, match=message) as info:
             scenario_from_dict(data)
-        assert isinstance(info.value.__cause__, NestednessError)
+        assert isinstance(info.value.__cause__, ValidationError)
+        assert re.fullmatch(message, str(info.value.__cause__))
 
     @pytest.mark.parametrize("sets", [[[1, True]], [[2], [2, 2.0]]], ids=["bool", "float"])
     def test_explicit_set_ids_are_json_integers(self, sets):

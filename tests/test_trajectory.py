@@ -2,10 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
 
-from tasklimits.errors import ConfigurationError, NestednessError, ScenarioError
+from tasklimits.errors import ScenarioError, ValidationError
 from tasklimits.scenario import scenario_from_dict
 from tasklimits.taskspace import TaskMeasure
 from tasklimits.trajectory import (
@@ -59,7 +60,7 @@ class TestBuildTrajectory:
 
     def test_missing_difficulty_for_supported_task(self):
         mu = TaskMeasure.uniform(5)
-        with pytest.raises(ConfigurationError, match="no difficulty"):
+        with pytest.raises(ValidationError, match="^no difficulty declared for tasks "):
             build_trajectory(DifficultyThreshold((1, 2, 3)), 3, mu)
 
     def test_short_explicit_chain_rejected(self):
@@ -149,7 +150,8 @@ class TestAgainstReferenceChain:
                 message = f"level {level} drops previously solved tasks \\[{dropped}\\]"
                 with pytest.raises(ScenarioError, match=message) as raised:
                     scenario_from_dict(explicit_chain_dict(broken, n_max, mu))
-                assert isinstance(raised.value.__cause__, NestednessError)
+                assert isinstance(raised.value.__cause__, ValidationError)
+                assert re.fullmatch("solved set at " + message, str(raised.value.__cause__))
                 drops += 1
         assert drops > 1000
 
@@ -184,7 +186,8 @@ class TestUtilityAndGains:
         mu = TaskMeasure.uniform(2)
         traj = explicit_trajectory([{0}], mu)
         assert utility_sequence(traj) == [0.5]
-        with pytest.raises(ConfigurationError):
+        message = "^marginal gains need a trajectory of length >= 2$"
+        with pytest.raises(ValidationError, match=message):
             marginal_gains(traj)
 
     def test_gain_equals_utility_difference(self):
@@ -275,7 +278,7 @@ class TestTelescoping:
 
     @pytest.mark.parametrize("utilities, gains", [([0.5], []), ([0.2, 0.5], []), ([0.2], [0.3])])
     def test_needs_two_levels_and_one_gain_fewer(self, utilities, gains):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="^telescoping needs U\\(1..N\\) with N >= 2 "):
             telescoping_residual(utilities, gains)
 
 
@@ -311,7 +314,7 @@ class TestLimitDiagnostics:
 
     def test_epsilon_must_be_positive(self):
         traj = build_trajectory(DifficultyThreshold((1, 1)), 2, TaskMeasure.uniform(2))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="^epsilon must be positive, got 0.0$"):
             limit_diagnostics(*sequences(traj), 0.0)
 
 
