@@ -70,8 +70,7 @@ from .formula import (
     ModalFormula,
     Not,
     Or,
-    _children,
-    subformulas,
+    _postorder,
 )
 from .kripke import MAX_ENUM_WORLDS, KripkeModel
 
@@ -168,13 +167,9 @@ _OP_KIND = {Atom: "atom", Not: "not", Box: "box", And: "and", Or: "or", Implies:
 
 def _postorder_ops(phi: ModalFormula) -> list[tuple]:
     """Unique subformulas as (kind, operand indices or atom index), children first."""
-    order = subformulas(phi)
-    index = {node: i for i, node in enumerate(order)}
     return [
-        (_OP_KIND[type(node)], node.index)
-        if isinstance(node, Atom)
-        else (_OP_KIND[type(node)], *[index[child] for child in _children(node)])
-        for node in order
+        (_OP_KIND[type(node)], *((node.index,) if isinstance(node, Atom) else ops))
+        for node, ops in zip(*_postorder(phi))
     ]
 
 

@@ -11,6 +11,10 @@ tokenizer, the parser, the printer and every walk read it. Binding strength is
 1 for ``->`` (Implies), 2 for ``|`` (Or) and 3 for ``&`` (And); a higher one
 binds tighter, and the unary ``~`` (Not) and ``[]`` (Box) bind tightest. Only
 ``->`` groups to the right. Whitespace is exactly space, tab, CR and LF.
+
+Nodes are plain frozen dataclasses. The one subformula walk tells equal subformulas
+apart by integer keys, an atom's index or the positions of a node's operands, so no
+walk hashes a node.
 """
 
 from __future__ import annotations
@@ -26,31 +30,9 @@ from ..errors import FormulaSyntaxError, ResourceLimitError, ValidationError
 DEFAULT_MAX_NODES = 200
 
 
-class _Node:
-    """A node's hash, ``hash((type(node), *fields))``, is computed on first use and kept.
-
-    A frozen dataclass's own hash rehashes the whole subtree on every dict lookup, and
-    hashing at construction slows parsing. Each node class sets ``__hash__`` in its body,
-    where ``dataclass`` keeps it. The hash is written straight into the instance dict,
-    which is faster than ``object.__setattr__``. ``pickle`` and ``copy`` leave it out, as
-    a type's hash differs between processes.
-    """
-
-    def __hash__(self) -> int:
-        fields = vars(self)
-        value = fields.get("_hash")
-        if value is None:
-            value = fields["_hash"] = hash((type(self), *fields.values()))
-        return value
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "_hash"}
-
-
 @dataclass(frozen=True)
-class Atom(_Node):
+class Atom:
     index: int
-    __hash__ = _Node.__hash__
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -58,36 +40,31 @@ class Atom(_Node):
 
 
 @dataclass(frozen=True)
-class Not(_Node):
+class Not:
     operand: ModalFormula
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Box(_Node):
+class Box:
     operand: ModalFormula
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class And(_Node):
+class And:
     left: ModalFormula
     right: ModalFormula
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Or(_Node):
+class Or:
     left: ModalFormula
     right: ModalFormula
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Implies(_Node):
+class Implies:
     left: ModalFormula
     right: ModalFormula
-    __hash__ = _Node.__hash__
 
 
 ModalFormula = Union[Atom, Not, Box, And, Or, Implies]
@@ -102,32 +79,41 @@ _SYNTAX = {cls: (symbol, strength) for symbol, (cls, strength) in _BINARY.items(
 _SYNTAX.update((cls, (symbol, len(_BINARY) + 1)) for symbol, cls in _UNARY.items())
 
 
-def _children(node: ModalFormula) -> tuple[ModalFormula, ...]:
-    """The operands of ``node``, left to right; none for an atom."""
-    if isinstance(node, Atom):
-        return ()
-    if isinstance(node, (Not, Box)):
-        return (node.operand,)
-    return (node.left, node.right)
+def _postorder(phi: ModalFormula) -> tuple[list[ModalFormula], list[tuple[int, ...]]]:
+    """Distinct subformulas of ``phi`` in postorder, and the positions of each one's operands.
 
-
-def subformulas(phi: ModalFormula) -> list[ModalFormula]:
-    """Distinct subformulas of ``phi`` in postorder (children first), without recursion.
-
-    Each node object is opened once, by ``id``, and enters ``seen`` after its children,
-    so its hash is built from their kept hashes. Only ``==`` between two distinct but
-    equal subtrees still recurses, per level; the parser nests at most 200 levels.
+    One walk with its own stack opens each node object once, by ``id``. A node's key is
+    ``(Atom, index)`` or its class and operand positions, all plain ints, so equal
+    subformulas share a position and the first node object met keeps it; no node is hashed.
     """
-    seen: dict[ModalFormula, None] = {}
+    nodes: list[ModalFormula] = []
+    operands: list[tuple[int, ...]] = []
+    positions: dict[tuple, int] = {}
+    closed: dict[int, int] = {}  # id of each node walked -> its position
     opened, stack = set(), [phi]  # ids of the nodes opened; nodes to visit
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom) or id(node) in opened:
-            seen.setdefault(node)
-        else:  # the node goes back under its children, the left one on top
+        if id(node) in closed:
+            continue
+        if isinstance(node, Atom):
+            key, ops = (Atom, node.index), ()
+        elif id(node) not in opened:  # the node goes back under its children, the left one on top
             opened.add(id(node))
-            stack += node, *reversed(_children(node))
-    return list(seen)
+            stack += node, *reversed(vars(node).values())  # its fields are its operands
+            continue
+        else:
+            ops = tuple([closed[id(child)] for child in vars(node).values()])
+            key = (type(node), *ops)
+        closed[id(node)] = position = positions.setdefault(key, len(nodes))
+        if position == len(nodes):
+            nodes.append(node)
+            operands.append(ops)
+    return nodes, operands
+
+
+def subformulas(phi: ModalFormula) -> list[ModalFormula]:
+    """Distinct subformulas of ``phi`` in postorder (children first), without recursion."""
+    return _postorder(phi)[0]
 
 
 def box_subformulas(phi: ModalFormula) -> list[Box]:
@@ -141,27 +127,32 @@ def atom_indices(phi: ModalFormula) -> list[int]:
 
 def count_nodes(phi: ModalFormula) -> int:
     """Total AST node count (shared structure counted per occurrence), in one walk."""
-    sizes: dict[ModalFormula, int] = {}
-    for node in subformulas(phi):
-        sizes[node] = 1 + sum(sizes[child] for child in _children(node))
-    return sizes[phi]
+    sizes: list[int] = []
+    for ops in _postorder(phi)[1]:
+        sizes.append(1 + sum(sizes[i] for i in ops))
+    return sizes[-1]
 
 
 def print_formula(phi: ModalFormula) -> str:
-    """Render with minimal parentheses; ``parse_formula`` inverts it exactly."""
+    """Render with minimal parentheses; ``parse_formula`` inverts it exactly.
 
-    def render(node: ModalFormula, context: int) -> str:
-        if isinstance(node, Atom):
-            return f"p{node.index}"
-        symbol, strength = _SYNTAX[type(node)]
-        if isinstance(node, (Not, Box)):
-            return symbol + render(node.operand, strength)
+    Each distinct subformula's text and binding strength are built once, children first.
+    An operand gets parentheses when it binds looser than its side's context; atoms and
+    unary nodes bind tightest, so they never do.
+    """
+    texts: list[str] = []
+    strengths: list[int] = []
+    for node, ops in zip(*_postorder(phi)):
+        symbol, strength = _SYNTAX.get(type(node), ("", len(_BINARY) + 1))
         groups_right = isinstance(node, Implies)
-        left_text = render(node.left, strength + groups_right)
-        text = f"{left_text} {symbol} {render(node.right, strength + (not groups_right))}"
-        return f"({text})" if strength < context else text
-
-    return render(phi, 0)
+        contexts = (strength + groups_right, strength + (not groups_right))
+        parts = [texts[i] if strengths[i] >= c else f"({texts[i]})" for i, c in zip(ops, contexts)]
+        if isinstance(node, Atom):
+            texts.append(f"p{node.index}")
+        else:
+            texts.append(f" {symbol} ".join(parts) if len(parts) == 2 else symbol + parts[0])
+        strengths.append(strength)
+    return texts[-1]
 
 
 _SYMBOLS = [*_BINARY, *_UNARY, "(", ")"]

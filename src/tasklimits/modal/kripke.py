@@ -72,10 +72,10 @@ def model_check(phi: ModalFormula, model: KripkeModel, world: int) -> bool:
     """Evaluate ``phi`` at ``world``; a boxed formula holds iff it holds at every successor."""
     if world not in model.worlds:
         raise ValidationError(f"world {world} not in the model")
-    memo: dict[tuple[ModalFormula, int], bool] = {}
+    memo: dict[tuple[int, int], bool] = {}
 
     def ev(node: ModalFormula, w: int) -> bool:
-        key = (node, w)
+        key = (id(node), w)
         if key in memo:
             return memo[key]
         if isinstance(node, Atom):

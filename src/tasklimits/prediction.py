@@ -25,16 +25,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .prior import MAX_CODE_LENGTH, HypothesisClass, TruncatedPrior, prior_weights, truncate
-from .taskspace import TaskMeasure
-
-ROW_SUM_TOLERANCE = 1e-12
-ENTRY_TOLERANCE = 1e-12
+from .taskspace import TOLERANCE, TaskMeasure
 
 #: Default additive slack for inequality checks.
 BOUND_SLACK = 1e-9
-
-#: Algebraic identities must hold to this tolerance.
-IDENTITY_TOLERANCE = 1e-12
 
 
 def _as_matrix(table, name: str) -> np.ndarray:
@@ -48,10 +42,10 @@ def _as_matrix(table, name: str) -> np.ndarray:
 def _check_rows_stochastic(arr: np.ndarray, name: str) -> None:
     if arr.shape[0] < 1:
         raise ValidationError(f"{name} must have at least one row")
-    if not ((arr >= 0.0).all() and (arr <= 1.0 + ENTRY_TOLERANCE).all()):
+    if not ((arr >= 0.0).all() and (arr <= 1.0 + TOLERANCE).all()):
         raise ValidationError(f"{name} entries must lie in [0, 1]")
     sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
+    bad = np.abs(sums - 1.0) > TOLERANCE
     if bad.any():
         row = int(np.argmax(bad))
         raise ValidationError(f"{name} row {row} sums to {float(sums[row])!r}, expected 1")
@@ -245,7 +239,7 @@ def verify_prediction_bounds(
       * worst per-context tv_half(full, truncated) <= tau_n
       * |risk(full) - risk(truncated)| <= tau_n
       * |utility(n+1) - utility(n)| <= tau_n + tau_{n+1}  (consecutive levels)
-      * max entrywise |full - z_n * truncated - tau_n * tail| <= IDENTITY_TOLERANCE,
+      * max entrywise |full - z_n * truncated - tau_n * tail| <= TOLERANCE,
         where the tail is non-empty (``tau_n > 0``)
 
     One pass: the kernels are stacked and the full mixture built once, and
@@ -290,7 +284,7 @@ def verify_prediction_bounds(
         records.append(BoundRecord.check("risk_vs_tail", n, risk_gap, tau_n, slack_tolerance))
         if tau_n != 0.0:
             residuals.append(
-                BoundRecord.check("decomposition_residual", n, residual, IDENTITY_TOLERANCE)
+                BoundRecord.check("decomposition_residual", n, residual, TOLERANCE)
             )
 
     # Only a prefix of levels is skipped, so the summarized levels are consecutive.

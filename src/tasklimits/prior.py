@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .taskspace import TOLERANCE
 
-KRAFT_TOLERANCE = 1e-12
 MAX_CODE_LENGTH = 52
 
 
@@ -73,7 +73,7 @@ class HypothesisClass:
         for length, count in enumerate(counts):
             units += count << (MAX_CODE_LENGTH - length)
             prefix.append(math.ldexp(units, -MAX_CODE_LENGTH))
-        if prefix[-1] > 1.0 + KRAFT_TOLERANCE:
+        if prefix[-1] > 1.0 + TOLERANCE:
             raise ValidationError(
                 f"Kraft sum {prefix[-1]!r} exceeds 1 for the declared code lengths"
             )

@@ -18,9 +18,10 @@ import itertools
 import math
 
 from .modal import KripkeModel, atom_indices, gl_decide, model_check
-from .prediction import BOUND_SLACK, IDENTITY_TOLERANCE, BoundRecord, verify_prediction_bounds
+from .prediction import BOUND_SLACK, BoundRecord, verify_prediction_bounds
 from .report import CountermodelRecord, Report, StepRecord, VerdictRecord
 from .scenario import LogicPayload, PredictionPayload, Scenario, TrajectoryPayload
+from .taskspace import TOLERANCE
 from .trajectory import (
     build_trajectory,
     limit_diagnostics,
@@ -50,7 +51,7 @@ def _run_trajectory(scenario: Scenario, payload: TrajectoryPayload) -> Report:
             abs(u_last - utilities[-1]),
         )
         bounds.append(
-            BoundRecord.check("telescoping_residual", traj.levels, residual, IDENTITY_TOLERANCE)
+            BoundRecord.check("telescoping_residual", traj.levels, residual, TOLERANCE)
         )
         count = float(sum(1 for g in gains if g >= scenario.epsilon))
         cap = float(math.ceil(1.0 / scenario.epsilon))

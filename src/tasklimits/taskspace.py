@@ -16,9 +16,9 @@ from .errors import ValidationError
 # A task identifier is a plain non-negative integer.
 TaskId = int
 
-#: Weights must sum to 1 within this tolerance; construction rejects
-#: out-of-tolerance measures instead of silently renormalizing.
-WEIGHT_SUM_TOLERANCE = 1e-12
+#: The tolerance of every exact check: sums to 1, Kraft sums and algebraic identities.
+#: Construction rejects out-of-tolerance measures instead of renormalizing them.
+TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,14 @@ class TaskMeasure:
         # Before summing, as weights past 1 can overflow ``fsum``; the sum check
         # below would reject each such measure too.
         top = max(self.weights)
-        if top - 1.0 > WEIGHT_SUM_TOLERANCE:
+        if top - 1.0 > TOLERANCE:
             raise ValidationError(
                 f"weight {self.weights.index(top)} must be at most 1, got {top!r}"
             )
         total = math.fsum(self.weights)
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+        if abs(total - 1.0) > TOLERANCE:
             raise ValidationError(
-                f"weights must sum to 1 within {WEIGHT_SUM_TOLERANCE}, got {total!r}"
+                f"weights must sum to 1 within {TOLERANCE}, got {total!r}"
             )
 
     @property

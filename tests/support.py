@@ -5,6 +5,8 @@ Everything here is seeded and deterministic. The oracles deliberately avoid
 the implementation paths they check: the frame-validity oracle evaluates
 with numpy boolean arrays over the full labeled frame enumeration, while
 the decision procedure uses bigint masks over canonical representatives;
+the reference subformula walk tells equal nodes apart by hashing them, where
+the library compares integer keys;
 the Bayes-risk oracle is a plain double loop; the reference trajectory
 chain builds every level as a whole frozenset, where the library stores the
 level at which each task is first solved, and for an explicit chain it is
@@ -161,6 +163,25 @@ def random_formula(
         phi = gen(max_nodes, max_box_depth)
         if count_nodes(phi) <= max_nodes and len(box_subformulas(phi)) <= max_distinct_boxes:
             return phi
+
+
+def reference_subformulas(phi: ModalFormula) -> list[ModalFormula]:
+    """Distinct subformulas in postorder, told apart by a dict keyed by the nodes themselves.
+
+    Each node object is opened once, by ``id``, and enters ``seen`` after its children;
+    an equal node met later keeps the first one's place.
+    """
+    seen: dict[ModalFormula, None] = {}
+    opened, stack = set(), [phi]  # ids of the nodes opened; nodes to visit
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom) or id(node) in opened:
+            seen.setdefault(node)
+        else:  # the node goes back under its children, the left one on top
+            opened.add(id(node))
+            unary = isinstance(node, (Not, Box))
+            stack += node, *((node.operand,) if unary else (node.right, node.left))
+    return list(seen)
 
 
 def frame_validity_oracle(phi: ModalFormula, world_bound: int) -> bool:

@@ -22,6 +22,7 @@ from tasklimits.errors import ResourceLimitError
 from tasklimits.modal import (
     Countermodel,
     DecisionResult,
+    Implies,
     KripkeModel,
     SearchLevel,
     ValidityTrace,
@@ -148,6 +149,18 @@ def read_each_atoms_complement(monkeypatch):
     monkeypatch.setattr(decide, "_frame_cells", faulty)
 
 
+def swap_each_implications_operands(monkeypatch):
+    """``decide`` reads ``A -> B`` as ``B -> A``; ``model_check`` walks the nodes themselves."""
+    walk = decide._postorder
+
+    def faulty(phi):
+        nodes, operands = walk(phi)
+        swapped = [ops[::-1] if isinstance(f, Implies) else ops for f, ops in zip(nodes, operands)]
+        return nodes, swapped
+
+    monkeypatch.setattr(decide, "_postorder", faulty)
+
+
 @dataclass(frozen=True)
 class Case:
     scenario: str
@@ -188,6 +201,10 @@ CASES = {
     "elimination-valid": Case("logic_basics.json", "witness_ok", 3, eliminate_every_type),
     # The same formula, refuted by the sweep at a lone world where p0 is true.
     "sweep-valuation": Case("logic_basics.json", "witness_ok", 3, read_each_atoms_complement),
+    # The same formula, decided as ``p0 -> []p0``: refuted where p0 holds and []p0 fails.
+    "implication-operands": Case(
+        "logic_basics.json", "witness_ok", 3, swap_each_implications_operands
+    ),
 }
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import tasklimits.modal.decide as decide_module
+import tasklimits.modal.formula as formula_module
 from tasklimits.errors import ResourceLimitError
 from tasklimits.modal import (
     And,
@@ -24,6 +25,7 @@ from tasklimits.modal import (
     KripkeModel,
     atom_indices,
     box_subformulas,
+    count_nodes,
     gl_decide,
     model_check,
     parse_formula,
@@ -38,6 +40,7 @@ from support import (
     random_formula,
     reference_frame_table,
     reference_representative_frames,
+    reference_subformulas,
 )
 
 
@@ -162,13 +165,14 @@ class TestResourceLimits:
     def test_one_subformula_walk_per_decision(self, text, monkeypatch):
         """Atoms, the box count and the evaluation order all come from one walk."""
         calls = []
+        walk = formula_module._postorder
 
         def counted(phi):
             calls.append(phi)
-            return subformulas(phi)
+            return walk(phi)
 
-        monkeypatch.setattr("tasklimits.modal.formula.subformulas", counted)
-        monkeypatch.setattr(decide_module, "subformulas", counted)
+        monkeypatch.setattr(formula_module, "_postorder", counted)
+        monkeypatch.setattr(decide_module, "_postorder", counted)
         phi = parse_formula(text)
         gl_decide(phi)
         assert calls == [phi]
@@ -360,6 +364,47 @@ class TestProvabilityWorkload:
                     ), text
                 answered += 1
         assert (answered, refused) == (98 * workloads.VARIANTS, 2 * workloads.VARIANTS)
+
+
+class TestSubformulaWalk:
+    """The walk by integer keys against the reference walk keyed by the nodes themselves.
+
+    Both must return the same node objects in the same order, and ``count_nodes`` must
+    count every occurrence, over a seeded corpus, the corpus with shared operands, and
+    every ``provability`` and ``small_batch`` formula the benchmark can draw.
+    """
+
+    @staticmethod
+    def check(phi):
+        walked, reference = subformulas(phi), reference_subformulas(phi)
+        assert len(walked) == len(reference), print_formula(phi)
+        assert all(a is b for a, b in zip(walked, reference)), print_formula(phi)
+        occurrences, stack = 0, [phi]
+        while stack:
+            node = stack.pop()
+            occurrences += 1
+            stack += [field for field in vars(node).values() if not isinstance(field, int)]
+        assert count_nodes(phi) == occurrences, print_formula(phi)
+
+    def test_seeded_corpus(self):
+        rng = random.Random(1122)
+        for _ in range(400):
+            phi = random_formula(rng, 30, n_atoms=3, max_box_depth=4, max_distinct_boxes=8)
+            self.check(phi)
+            self.check(And(phi, Box(phi)))  # one operand object reached twice
+
+    def test_every_benchmark_formula(self, workloads):
+        checked = 0
+        for workload in ("provability", "small_batch"):
+            for variant in range(workloads.VARIANTS):
+                for item in workloads.generate(workload, variant=variant):
+                    data = {} if item.command == "logic_text" else json.loads(item.text)
+                    if data and data["kind"] != "logic":
+                        continue
+                    for text in data["payload"]["formulas"] if data else [item.text]:
+                        self.check(parse_formula(text))
+                        checked += 1
+        assert checked == 1720
 
 
 class TestWorldBoundRobustness:

@@ -1,6 +1,5 @@
 """Parser, printer, and structural helpers for modal formulas."""
 
-import builtins
 import copy
 import dataclasses
 import pickle
@@ -24,13 +23,14 @@ from tasklimits.modal import (
     atom_indices,
     box_subformulas,
     count_nodes,
+    gl_decide,
     parse_formula,
     print_formula,
     subformulas,
 )
-from tasklimits.modal import formula
+from tasklimits.cli import main
 from tasklimits.modal.formula import DEFAULT_MAX_NODES
-from support import random_formula
+from support import SCENARIO_DIR, random_formula
 
 
 class TestParsing:
@@ -190,6 +190,7 @@ class TestStructure:
         subs = subformulas(phi)
         assert len(subs) == 2001 and subs[0] == Atom(0) and subs[-1] is phi
         assert count_nodes(phi) == 2001
+        assert print_formula(phi) == "[]" * 2000 + "p0"
 
     def test_count_nodes_counts_shared_subformulas_without_walking_each(self):
         # 23 distinct nodes, 2**23 - 1 occurrences.
@@ -202,21 +203,23 @@ class TestStructure:
 
 
 class TestHashing:
-    """A node's hash is computed on first use and kept; the kept value never leaves the process."""
+    """No walk hashes a node; a node's own hash is the frozen dataclass's, never kept."""
 
-    def test_a_walk_hashes_each_node_once(self, monkeypatch):
-        # A frozen dataclass's own hash rehashed the whole chain below a node on every
-        # dict lookup, without calling the module's hash body at all.
-        phi = parse_formula("~" * (DEFAULT_MAX_NODES - 1) + "p0")
-        bodies = []
+    def test_no_walk_hashes_a_node(self, monkeypatch):
+        def refuse(node):
+            raise AssertionError(f"hashed {node!r}")
 
-        def counted(value):
-            bodies.append(value)
-            return builtins.hash(value)
-
-        monkeypatch.setattr(formula, "hash", counted, raising=False)
-        assert len(subformulas(phi)) == DEFAULT_MAX_NODES
-        assert len(bodies) == DEFAULT_MAX_NODES
+        for cls in (Atom, Not, Box, And, Or, Implies):
+            monkeypatch.setattr(cls, "__hash__", refuse)
+        lob = "[]([]p0 -> p0) -> []p0"
+        phi = parse_formula(f"({lob}) & ([]p1 | ~[]p1)")
+        assert len(subformulas(phi)) == 10 and subformulas(phi)[-1] is phi
+        assert count_nodes(phi) == 15 and atom_indices(phi) == [0, 1]
+        assert len(box_subformulas(phi)) == 3
+        assert print_formula(phi) == "([]([]p0 -> p0) -> []p0) & ([]p1 | ~[]p1)"
+        assert gl_decide(phi).is_valid and not gl_decide(parse_formula("[]p0 -> p0")).is_valid
+        assert main(["logic", str(SCENARIO_DIR / "logic_basics.json")]) == 0
+        assert main(["logic", lob]) == 0
 
     def test_copies_and_replacements_equal_and_hash_as_the_original(self):
         phi = parse_formula("[]([]p0 -> p0) -> []p0")
