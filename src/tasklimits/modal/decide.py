@@ -14,6 +14,10 @@ has a strictly larger box set, so box sets are walked from the largest
 down. The formula is valid iff it holds at every type of every realisable
 box set.
 
+Elimination and the countermodel scan below read the one subformula walk's
+nodes and operand positions: an atom or a box is read off its node, and every
+other connective's cell comes from one table, ``_CONNECTIVES``.
+
 An invalid formula's countermodel comes from a frame sweep: the least
 countermodel of at most ``b + 1`` worlds, for ``b`` distinct boxed
 subformulas. The sweep goes up world counts, one
@@ -70,6 +74,8 @@ from .formula import (
     ModalFormula,
     Not,
     Or,
+    Walk,
+    _node_count,
     _postorder,
 )
 from .kripke import MAX_ENUM_WORLDS, KripkeModel
@@ -97,11 +103,10 @@ class ValidityTrace:
 
     Elimination decides validity with no world bound, so a valid formula holds
     in every finite model; the levels name, world count by world count up to
-    ``world_bound`` (``b + 1``), the frames and valuations the sweep would have
-    covered. No frame is evaluated to produce them.
+    ``b + 1``, the frames and valuations the sweep would have covered. No frame
+    is evaluated to produce them.
     """
 
-    world_bound: int
     levels: tuple[SearchLevel, ...]
 
 
@@ -162,15 +167,13 @@ def _representative_frames(world_count: int) -> tuple[tuple[int, ...], ...]:
     return _REPRESENTATIVE_FRAMES[world_count]
 
 
-_OP_KIND = {Atom: "atom", Not: "not", Box: "box", And: "and", Or: "or", Implies: "implies"}
-
-
-def _postorder_ops(phi: ModalFormula) -> list[tuple]:
-    """Unique subformulas as (kind, operand indices or atom index), children first."""
-    return [
-        (_OP_KIND[type(node)], *((node.index,) if isinstance(node, Atom) else ops))
-        for node, ops in zip(*_postorder(phi))
-    ]
+#: A connective's cell from ``full``, the all-true cell, and its operands' cells.
+_CONNECTIVES = {
+    Not: lambda full, a: full ^ a,
+    And: lambda full, a, b: a & b,
+    Or: lambda full, a, b: a | b,
+    Implies: lambda full, a, b: (full ^ a) | b,
+}
 
 
 def _atom_bit_mask(bit: int, total_bits: int) -> int:
@@ -189,11 +192,11 @@ def _atom_bit_mask(bit: int, total_bits: int) -> int:
     return mask
 
 
-def _valid_by_elimination(ops: list[tuple]) -> bool:
-    """Whether the formula, the last of ``ops``, holds at every realisable Hintikka type.
+def _valid_by_elimination(walk: Walk) -> bool:
+    """Whether the formula, the last node of ``walk``, holds at every realisable Hintikka type.
 
-    Bit ``t`` of a cell is the op's truth at type ``t``: the ``i``-th atom op
-    sets type bit ``i`` and the ``j``-th box op type bit ``atoms + j``, so the
+    Bit ``t`` of a cell is the node's truth at type ``t``: the ``i``-th atom
+    sets type bit ``i`` and the ``j``-th box type bit ``atoms + j``, so the
     types of one box set ``B`` are one run of ``2**atoms`` bits from bit
     ``B << atoms``. A strict superset of ``B`` is a larger integer, so walking
     box sets down from the largest meets every possible witness of ``B`` first.
@@ -201,30 +204,24 @@ def _valid_by_elimination(ops: list[tuple]) -> bool:
     kept for every box set, those cells would take ``2**boxes`` times the
     memory of one.
     """
-    atom_count = sum(op[0] == "atom" for op in ops)
-    type_bits = atom_count + sum(op[0] == "box" for op in ops)
+    nodes, operands = walk
+    atom_count = sum(isinstance(node, Atom) for node in nodes)
+    type_bits = atom_count + sum(isinstance(node, Box) for node in nodes)
     full = (1 << (1 << type_bits)) - 1
     cells: list[int] = []
     keep: list[int] = []  # per box ``[]A_j``: ``[]A_j & A_j``
     wit: list[int] = []  # per box ``[]A_j``: ``[]A_j & ~A_j``
     atoms_seen = 0
-    for kind, *operands in ops:
-        if kind == "atom":
+    for node, ops in zip(nodes, operands):
+        if isinstance(node, Atom):
             cell = _atom_bit_mask(atoms_seen, type_bits)
             atoms_seen += 1
-        elif kind == "box":
+        elif isinstance(node, Box):
             cell = _atom_bit_mask(atom_count + len(keep), type_bits)
-            inner = cells[operands[0]]
-            keep.append(cell & inner)
-            wit.append(cell & ~inner)
-        elif kind == "not":
-            cell = full ^ cells[operands[0]]
-        elif kind == "and":
-            cell = cells[operands[0]] & cells[operands[1]]
-        elif kind == "or":
-            cell = cells[operands[0]] | cells[operands[1]]
-        else:  # implies
-            cell = (full ^ cells[operands[0]]) | cells[operands[1]]
+            keep.append(cell & cells[ops[0]])
+            wit.append(cell & ~cells[ops[0]])
+        else:
+            cell = _CONNECTIVES[type(node)](full, *[cells[i] for i in ops])
         cells.append(cell)
     run = (1 << (1 << atom_count)) - 1
     failing = full ^ cells[-1]
@@ -243,22 +240,21 @@ def _valid_by_elimination(ops: list[tuple]) -> bool:
 
 
 def _frame_cells(
-    ops: list[tuple], succ_masks: tuple[int, ...], atom_rows: dict[int, list[int]], full: int
+    walk: Walk, succ_masks: tuple[int, ...], atom_rows: dict[int, list[int]], full: int
 ) -> list[list[int]]:
-    """Every op's cell at every world of the frame ``succ_masks``, in one postorder pass.
+    """Every node's cell at every world of the frame ``succ_masks``, in one postorder pass.
 
     ``atom_rows`` gives each atom's cells, one per world; ``full`` is the
     all-true cell of the block. A box's cell at a world is the conjunction of
     its operand's cells at the world's successors.
     """
     table: list[list[int]] = []
-    for kind, *operands in ops:
-        if kind == "atom":
-            row = atom_rows[operands[0]]
-        elif kind == "not":
-            row = [full ^ cell for cell in table[operands[0]]]
-        elif kind == "box":
-            child = table[operands[0]]
+    fulls = [full] * len(succ_masks)  # the connectives' first argument, world by world
+    for node, ops in zip(*walk):
+        if isinstance(node, Atom):
+            row = atom_rows[node.index]
+        elif isinstance(node, Box):
+            child = table[ops[0]]
             row = []
             for succ in succ_masks:
                 acc = full
@@ -267,18 +263,14 @@ def _frame_cells(
                     acc &= child[low.bit_length() - 1]
                     succ ^= low
                 row.append(acc)
-        elif kind == "and":
-            row = [a & b for a, b in zip(table[operands[0]], table[operands[1]])]
-        elif kind == "or":
-            row = [a | b for a, b in zip(table[operands[0]], table[operands[1]])]
-        else:  # implies
-            row = [(full ^ a) | b for a, b in zip(table[operands[0]], table[operands[1]])]
+        else:
+            row = list(map(_CONNECTIVES[type(node)], fulls, *[table[i] for i in ops]))
         table.append(row)
     return table
 
 
 def _first_failure(
-    ops: list[tuple], atoms: list[int], frames: tuple[tuple[int, ...], ...]
+    walk: Walk, atoms: list[int], frames: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], int] | None:
     """The first rooted frame where the formula fails at the root, with its lowest failing index.
 
@@ -305,7 +297,7 @@ def _first_failure(
         if masks[root] != (1 << root) - 1:
             continue
         for base, atom_rows in blocks:
-            failing = full ^ _frame_cells(ops, masks, atom_rows, full)[-1][root]
+            failing = full ^ _frame_cells(walk, masks, atom_rows, full)[-1][root]
             if failing:
                 return masks, base | (failing & -failing).bit_length() - 1
     return None
@@ -335,16 +327,14 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
     ``ResourceLimitError``. Node, atom, world and valuation-bit limits are
     all checked before any work.
     """
-    ops = _postorder_ops(phi)
-    sizes: list[int] = []  # per op, its node count with shared subformulas counted per occurrence
-    for kind, *operands in ops:
-        sizes.append(1 if kind == "atom" else 1 + sum(sizes[child] for child in operands))
-    if sizes[-1] > DEFAULT_MAX_NODES:
-        raise ResourceLimitError(f"formula has {sizes[-1]} nodes, limit is {DEFAULT_MAX_NODES}")
-    atoms = sorted(op[1] for op in ops if op[0] == "atom")
+    walk = nodes, operands = _postorder(phi)
+    size = _node_count(operands)
+    if size > DEFAULT_MAX_NODES:
+        raise ResourceLimitError(f"formula has {size} nodes, limit is {DEFAULT_MAX_NODES}")
+    atoms = sorted(node.index for node in nodes if isinstance(node, Atom))
     if len(atoms) > MAX_ATOMS:
         raise ResourceLimitError(f"formula uses {len(atoms)} atoms, limit is {MAX_ATOMS}")
-    bound = sum(op[0] == "box" for op in ops) + 1
+    bound = sum(isinstance(node, Box) for node in nodes) + 1
     if bound > MAX_ENUM_WORLDS:
         raise ResourceLimitError(
             f"needs frames of up to {bound} worlds; enumeration is capped at {MAX_ENUM_WORLDS}"
@@ -355,20 +345,15 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
             f"limit is {MAX_VALUATION_BITS}"
         )
 
-    if _valid_by_elimination(ops):
+    if _valid_by_elimination(walk):
         levels = tuple(
-            SearchLevel(
-                world_count=world_count,
-                frames_checked=len(_representative_frames(world_count)),
-                valuations_per_frame=1 << (len(atoms) * world_count),
-            )
-            for world_count in range(1, bound + 1)
+            SearchLevel(k, len(_representative_frames(k)), 1 << (len(atoms) * k))
+            for k in range(1, bound + 1)
         )
-        trace = ValidityTrace(world_bound=bound, levels=levels)
-        return DecisionResult(verdict="valid", trace=trace)
+        return DecisionResult(verdict="valid", trace=ValidityTrace(levels))
 
     for world_count in range(1, bound + 1):
-        failure = _first_failure(ops, atoms, _representative_frames(world_count))
+        failure = _first_failure(walk, atoms, _representative_frames(world_count))
         if failure is not None:
             countermodel = _extract_countermodel(atoms, *failure)
             return DecisionResult(verdict="invalid", countermodel=countermodel)

@@ -68,6 +68,7 @@ class Implies:
 
 
 ModalFormula = Union[Atom, Not, Box, And, Or, Implies]
+Walk = tuple[list[ModalFormula], list[tuple[int, ...]]]
 
 #: Binary connectives by symbol: node class and binding strength. Only ``Implies`` groups right.
 _BINARY = {"->": (Implies, 1), "|": (Or, 2), "&": (And, 3)}
@@ -79,7 +80,7 @@ _SYNTAX = {cls: (symbol, strength) for symbol, (cls, strength) in _BINARY.items(
 _SYNTAX.update((cls, (symbol, len(_BINARY) + 1)) for symbol, cls in _UNARY.items())
 
 
-def _postorder(phi: ModalFormula) -> tuple[list[ModalFormula], list[tuple[int, ...]]]:
+def _postorder(phi: ModalFormula) -> Walk:
     """Distinct subformulas of ``phi`` in postorder, and the positions of each one's operands.
 
     One walk with its own stack opens each node object once, by ``id``. A node's key is
@@ -125,12 +126,17 @@ def atom_indices(phi: ModalFormula) -> list[int]:
     return sorted({f.index for f in subformulas(phi) if isinstance(f, Atom)})
 
 
-def count_nodes(phi: ModalFormula) -> int:
-    """Total AST node count (shared structure counted per occurrence), in one walk."""
+def _node_count(operands: list[tuple[int, ...]]) -> int:
+    """The walked formula's node count, each shared subformula counted per occurrence."""
     sizes: list[int] = []
-    for ops in _postorder(phi)[1]:
+    for ops in operands:
         sizes.append(1 + sum(sizes[i] for i in ops))
     return sizes[-1]
+
+
+def count_nodes(phi: ModalFormula) -> int:
+    """Total AST node count (shared structure counted per occurrence), in one walk."""
+    return _node_count(_postorder(phi)[1])
 
 
 def print_formula(phi: ModalFormula) -> str:

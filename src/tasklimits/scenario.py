@@ -48,6 +48,8 @@ KINDS = ("trajectory", "prediction", "logic")
 MAX_LEVELS = 100_000
 #: A scenario file is read whole, so its size is capped before it is read.
 MAX_SCENARIO_BYTES = 64 * 1024 * 1024
+#: A prediction run stacks one kernel per hypothesis, so hypotheses x contexts x outcomes is capped.
+MAX_STACK_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,8 @@ def _build_prediction_payload(payload: dict) -> PredictionPayload:
     if len(shapes) > 1:
         raise ScenarioError(f"field 'kernels' mixes the shapes {shapes}")
     (rows, outcomes), = shapes
+    if len(hclass.hypotheses) * rows * outcomes > MAX_STACK_CELLS:
+        raise ScenarioError(f"fields 'hypotheses' and 'kernels' stack over {MAX_STACK_CELLS} cells")
     loss = _numeric("loss", _require(payload, "loss"), 2, LossTable)
     if loss.n_outcomes != outcomes:
         raise ScenarioError(

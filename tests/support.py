@@ -20,7 +20,9 @@ writes the text directly. The reference representative frames are marked by
 relabeling orbits over every labelled order, where the library reads a
 literal table, and the reference frame table evaluates every subformula at
 every world over the whole valuation space at once, where the library
-evaluates each frame block by block. The
+evaluates each frame block by block; it reads ``reference_ops``, string-tagged
+ops over the reference walk with its own connective code, where the library
+takes each connective from one table. The
 Hintikka-type reference decides validity by evaluating each type one
 subformula at a time and searching each box set's witnesses type by type,
 where the library computes one bitmask cell per subformula over all types;
@@ -335,6 +337,25 @@ def reference_representative_frames(world_count: int) -> tuple[tuple[int, ...], 
                 relabeled[perm[w]] = mask
             seen.add(tuple(relabeled))
     return tuple(reps)
+
+
+_REFERENCE_KINDS = {Not: "not", Box: "box", And: "and", Or: "or", Implies: "implies"}
+
+
+def reference_ops(phi: ModalFormula) -> list[tuple]:
+    """Distinct subformulas as (kind, atom index or operand positions), children first.
+
+    The nodes come from ``reference_subformulas`` and each operand's position from a dict
+    keyed by the nodes, not from the library walk's operand positions.
+    """
+    nodes = reference_subformulas(phi)
+    position = {node: i for i, node in enumerate(nodes)}
+    return [
+        ("atom", node.index)
+        if isinstance(node, Atom)
+        else (_REFERENCE_KINDS[type(node)], *(position[child] for child in vars(node).values()))
+        for node in nodes
+    ]
 
 
 def reference_frame_table(

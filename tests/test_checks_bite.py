@@ -24,6 +24,7 @@ from tasklimits.modal import (
     DecisionResult,
     Implies,
     KripkeModel,
+    Or,
     SearchLevel,
     ValidityTrace,
     atom_indices,
@@ -124,27 +125,27 @@ def claim_a_countermodel_where_the_formula_holds(monkeypatch):
 
 def call_every_formula_valid(monkeypatch):
     """Every formula is called valid, after a search of one frame at one world."""
-    trace = ValidityTrace(1, (SearchLevel(1, 1, 1),))
+    trace = ValidityTrace((SearchLevel(1, 1, 1),))
     monkeypatch.setattr(runner, "gl_decide", lambda phi: DecisionResult("valid", trace=trace))
 
 
 def eliminate_every_type(monkeypatch):
     """Elimination calls every formula valid; the frame sweep is never asked."""
-    monkeypatch.setattr(decide, "_valid_by_elimination", lambda ops: True)
+    monkeypatch.setattr(decide, "_valid_by_elimination", lambda walk: True)
 
 
 def realise_a_failing_type(monkeypatch):
     """Elimination calls every formula invalid, so the sweep must name a countermodel."""
-    monkeypatch.setattr(decide, "_valid_by_elimination", lambda ops: False)
+    monkeypatch.setattr(decide, "_valid_by_elimination", lambda walk: False)
 
 
 def read_each_atoms_complement(monkeypatch):
     """The frame sweep reads each atom's complement, so it names flipped valuations."""
     frame_cells = decide._frame_cells
 
-    def faulty(ops, succ_masks, atom_rows, full):
+    def faulty(walk, succ_masks, atom_rows, full):
         flipped = {atom: [full ^ cell for cell in row] for atom, row in atom_rows.items()}
-        return frame_cells(ops, succ_masks, flipped, full)
+        return frame_cells(walk, succ_masks, flipped, full)
 
     monkeypatch.setattr(decide, "_frame_cells", faulty)
 
@@ -159,6 +160,14 @@ def swap_each_implications_operands(monkeypatch):
         return nodes, swapped
 
     monkeypatch.setattr(decide, "_postorder", faulty)
+
+
+def read_each_implication_as_a_disjunction(monkeypatch):
+    """The connective table reads ``A -> B`` as ``A | B`` in elimination and in the sweep.
+
+    ``model_check`` and the one-world probe evaluate the nodes themselves, not the table.
+    """
+    monkeypatch.setitem(decide._CONNECTIVES, Implies, decide._CONNECTIVES[Or])
 
 
 @dataclass(frozen=True)
@@ -204,6 +213,10 @@ CASES = {
     # The same formula, decided as ``p0 -> []p0``: refuted where p0 holds and []p0 fails.
     "implication-operands": Case(
         "logic_basics.json", "witness_ok", 3, swap_each_implications_operands
+    ),
+    # Formula 1, Löb's, decided as ``[]([]p0 | p0) | []p0``: refuted where Löb's holds.
+    "connective-table": Case(
+        "logic_basics.json", "witness_ok", 1, read_each_implication_as_a_disjunction
     ),
 }
 

@@ -39,6 +39,7 @@ from support import (
     hintikka_type_reference,
     random_formula,
     reference_frame_table,
+    reference_ops,
     reference_representative_frames,
     reference_subformulas,
 )
@@ -52,7 +53,7 @@ class TestNamedFormulas:
     def test_lob_axiom_is_valid(self):
         result = decide("[]([]p0 -> p0) -> []p0")
         assert result.is_valid
-        assert result.trace is not None and result.trace.world_bound == 3
+        assert result.trace is not None and len(result.trace.levels) == 3
 
     def test_distribution_axiom_is_valid(self):
         assert decide("[](p0 -> p1) -> ([]p0 -> []p1)").is_valid
@@ -261,16 +262,16 @@ class TestHintikkaTypeReference:
 
 
 def eliminate(phi):
-    return decide_module._valid_by_elimination(decide_module._postorder_ops(phi))
+    return decide_module._valid_by_elimination(formula_module._postorder(phi))
 
 
 def sweep(text):
     """``_first_failure`` at each world count up to the search bound, smallest first."""
     phi = parse_formula(text)
-    ops = decide_module._postorder_ops(phi)
+    walk = formula_module._postorder(phi)
     atoms = atom_indices(phi)
     return [
-        decide_module._first_failure(ops, atoms, decide_module._representative_frames(k))
+        decide_module._first_failure(walk, atoms, decide_module._representative_frames(k))
         for k in range(1, len(box_subformulas(phi)) + 2)
     ]
 
@@ -356,7 +357,6 @@ class TestProvabilityWorkload:
                     frames = decide_module._representative_frames
                     atoms = len(atom_indices(phi))
                     assert result.trace == ValidityTrace(
-                        len(failures),
                         tuple(
                             SearchLevel(k, len(frames(k)), 1 << (atoms * k))
                             for k in range(1, len(failures) + 1)
@@ -458,9 +458,9 @@ def evaluated_frames(monkeypatch):
     frames = []
     original = decide_module._frame_cells
 
-    def counting(ops, succ_masks, *rest):
+    def counting(walk, succ_masks, *rest):
         frames.append(succ_masks)
-        return original(ops, succ_masks, *rest)
+        return original(walk, succ_masks, *rest)
 
     monkeypatch.setattr(decide_module, "_frame_cells", counting)
     return frames
@@ -477,7 +477,7 @@ class TestSearchWork:
     def test_trace_still_counts_every_frame_covered(self, evaluated_frames):
         result = decide(FOUR_BOX_VALID)
         levels = result.trace.levels
-        assert result.trace.world_bound == 5
+        assert len(levels) == 5
         assert [lvl.world_count for lvl in levels] == [1, 2, 3, 4, 5]
         assert [lvl.frames_checked for lvl in levels] == [1, 2, 5, 16, 63]
         assert [lvl.valuations_per_frame for lvl in levels] == [2 ** (2 * k) for k in range(1, 6)]
@@ -653,7 +653,7 @@ def _whole_space_failures(phi):
     Each frame is evaluated at every world over the whole valuation space at
     once, with ``reference_frame_table``: no blocks and no reuse between frames.
     """
-    ops = decide_module._postorder_ops(phi)
+    ops = reference_ops(phi)
     atoms = atom_indices(phi)
     position = {atom: i for i, atom in enumerate(atoms)}
     for k in range(1, len(box_subformulas(phi)) + 2):

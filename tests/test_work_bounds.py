@@ -1,0 +1,107 @@
+"""Work and memory bounded by what was loaded: one near-worst-case file per kind and rule.
+
+Each case writes its scenario file in the test, about 1 MB but for the prediction just
+under the bound, and runs ``tasklimits`` on it in a child process. Only the child's address
+space is capped (``RLIMIT_AS``), and the run has a wall-clock timeout. It must exit 0, or exit 2 with exactly one ``error:`` line, and
+never print a traceback. A prediction run stacks one kernel per hypothesis, hypotheses x
+contexts x outcomes cells, so a file over the load-time bound must be refused.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tasklimits
+
+ADDRESS_SPACE = 512 << 20
+TIMEOUT_S = 120
+
+LAUNCHER = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))
+sys.path[:0] = [{str(Path(tasklimits.__file__).parents[1])!r}]
+from tasklimits.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(command: str, scenario: dict, tmp_path) -> subprocess.CompletedProcess:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario, separators=(",", ":")))
+    done = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, command, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=TIMEOUT_S,
+    )
+    assert "Traceback" not in done.stderr, done.stderr[-2000:]
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert (done.returncode, len(errors)) in ((0, 0), (2, 1)), done.stderr[-2000:]
+    return done
+
+
+def prediction(hypotheses: int, code_lengths: range) -> dict:
+    """``hypotheses`` naming one 500-context, 20-outcome kernel, code lengths in turn."""
+    return {
+        "name": "one-kernel-stack",
+        "kind": "prediction",
+        "seed": 0,
+        "n_max": code_lengths.stop,
+        "payload": {
+            "hypotheses": [
+                {"id": i, "code_length": code_lengths[i % len(code_lengths)], "kernel": "k"}
+                for i in range(hypotheses)
+            ],
+            "kernels": {"k": [[0.05] * 20] * 500},
+            "loss": [[float(a != y) for y in range(20)] for a in range(20)],
+            "context_weights": [0.002] * 500,
+        },
+    }
+
+
+def trajectory(tasks: int, n_max: int, kind: str, **rule) -> dict:
+    return {
+        "name": kind,
+        "kind": "trajectory",
+        "seed": 0,
+        "n_max": n_max,
+        "epsilon": 0.1,
+        "payload": {"task_weights": [1 / tasks] * tasks, "rule": {"kind": kind, **rule}},
+    }
+
+
+def test_a_stack_over_the_bound_is_refused_at_load_time(tmp_path):
+    # 20 000 hypotheses over one kernel: 2e8 cells, a 1.49 GiB float64 stack.
+    scenario = prediction(20_000, range(15, 16))
+    done = run_capped("predict", scenario, tmp_path)
+    assert done.returncode == 2
+    assert "'hypotheses' and 'kernels'" in done.stderr
+    assert (tmp_path / "scenario.json").stat().st_size > 900_000
+
+
+def test_the_largest_stack_within_the_bound_is_answered(tmp_path):
+    # 1 600 hypotheses over 30 code lengths: 1.6e7 cells, just under the bound of 2**24.
+    assert run_capped("predict", prediction(1_600, range(11, 41)), tmp_path).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        # 62 500 tasks spread over the most levels a file may ask for: O(T + N).
+        trajectory(
+            62_500,
+            100_000,
+            "difficulty_threshold",
+            difficulties=[t * 8 // 5 + 1 for t in range(62_500)],
+        ),
+        # A nested chain of 700 sets over 700 tasks, 245 350 members: O(sum of set sizes).
+        trajectory(700, 700, "explicit_sets", sets=[list(range(n)) for n in range(1, 701)]),
+    ],
+    ids=["difficulty-threshold", "explicit-sets"],
+)
+def test_a_linear_trajectory_file_is_answered(scenario, tmp_path):
+    assert run_capped("simulate", scenario, tmp_path).returncode == 0
+    assert (tmp_path / "scenario.json").stat().st_size > 800_000
