@@ -18,19 +18,24 @@ Elimination and the countermodel scan below read the one subformula walk's
 nodes and operand positions: an atom or a box is read off its node, and every
 other connective's cell comes from one table, ``_CONNECTIVES``.
 
-An invalid formula's countermodel comes from a frame sweep: the least
-countermodel of at most ``b + 1`` worlds, for ``b`` distinct boxed
-subformulas. The sweep goes up world counts, one
-representative frame per relabeling class. The representatives are a
-literal table, the first frame of each class in ``successor_mask_orders``
-order; the tests check it against orbit marking over every labelled order,
-so no process enumerates orders or relabelings to decide a formula.
-Valuations are batched as bitmasks: the truth of a subformula at a world is
-one integer whose bit ``v`` says whether the subformula holds at that world
-under valuation ``v`` of the current block. That ``b + 1`` worlds suffice is
-not proven, only seen on every input tried; an invalid formula with no
-countermodel that small is refused with a ``ResourceLimitError``, never
-called valid.
+Only the limits on nodes, atoms and boxes refuse a formula, and all are
+checked before any work. Every invalid verdict carries a concrete
+countermodel, re-checkable with ``model_check``, from one of two routes:
+
+* The frame sweep names the least countermodel of at most ``b + 1`` worlds,
+  for ``b`` distinct boxed subformulas, when the valuation space of that
+  many worlds fits ``MAX_VALUATION_BITS``. The sweep goes up world counts,
+  one representative frame per relabeling class. The representatives are a
+  literal table, the first frame of each class in ``successor_mask_orders``
+  order; the tests check it against orbit marking over every labelled
+  order, so no process enumerates orders or relabelings to decide a
+  formula. Valuations are batched as bitmasks: the truth of a subformula at
+  a world is one integer whose bit ``v`` says whether the subformula holds
+  at that world under valuation ``v`` of the current block.
+* Any other invalid formula, past that cap or with no countermodel within
+  ``b + 1`` worlds, gets the witness DAG of the types elimination kept:
+  the least failing type, and below it, per missing box, the least type
+  that witnesses it. No input has yet been seen to need it within the cap.
 
 Only rooted frames are evaluated, and only at their root. A world's truth
 depends only on the subframe it generates (the generated-subframe lemma,
@@ -49,20 +54,16 @@ whose root fails, with its lowest failing index, is the answer: the frame,
 world and valuation index that a sweep of every frame at every world over
 the whole space would find first.
 
-The caps on atoms, worlds and valuation bits (``MAX_VALUATION_BITS`` bounds
-the blocks a sweep takes, not its memory) keep every formula the sweep
-could be asked to refute within reach; each is checked before any work.
-
-An invalid verdict carries a concrete countermodel, re-checkable with
-``model_check``. A valid verdict carries a ``ValidityTrace`` whose levels
-name the frames and valuations of up to ``b + 1`` worlds that its validity
-covers: the text a ``searched m worlds`` report line gives. No frame is
-evaluated for a valid formula.
+A valid verdict carries a ``ValidityTrace`` whose levels name the frames
+and valuations of up to ``b + 1`` worlds that its validity covers: the text
+a ``searched m worlds`` report line gives. No frame is evaluated for a
+valid formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ResourceLimitError
 from .formula import (
@@ -81,7 +82,9 @@ from .formula import (
 from .kripke import MAX_ENUM_WORLDS, KripkeModel
 
 MAX_ATOMS = 8
-#: atoms * worlds may not exceed this; the valuation space has 2**(atoms*worlds) points.
+#: The sweep names an invalid formula's countermodel only when atoms * (boxes + 1), the bits
+#: of its valuation space, is at most this; past it the witness DAG names one. No formula is
+#: refused for it.
 MAX_VALUATION_BITS = 24
 #: Valuations are swept in blocks of at most ``2**_BLOCK_BITS`` indices, so no
 #: cell is an integer of more than 8 KiB.
@@ -192,8 +195,25 @@ def _atom_bit_mask(bit: int, total_bits: int) -> int:
     return mask
 
 
-def _valid_by_elimination(walk: Walk) -> bool:
-    """Whether the formula, the last node of ``walk``, holds at every realisable Hintikka type.
+class _Types(NamedTuple):
+    """What elimination keeps: the realisable types and the cells a witness is read from."""
+
+    realized: int  # bit ``t``: type ``t`` is realisable
+    failing: int  # bit ``t``: type ``t`` is realisable and the formula fails there
+    keep: list[int]  # per box ``[]A_j``: ``[]A_j & A_j``
+    wit: list[int]  # per box ``[]A_j``: ``[]A_j & ~A_j``
+
+
+def _keeping(keep: list[int], box_set: int, cell: int) -> int:
+    """``cell`` and the ``keep`` cell of every box in ``box_set``."""
+    for k, kept in enumerate(keep):
+        if box_set >> k & 1:
+            cell &= kept
+    return cell
+
+
+def _eliminate(walk: Walk) -> _Types:
+    """Every realisable Hintikka type of the formula, the last node of ``walk``.
 
     Bit ``t`` of a cell is the node's truth at type ``t``: the ``i``-th atom
     sets type bit ``i`` and the ``j``-th box type bit ``atoms + j``, so the
@@ -202,15 +222,15 @@ def _valid_by_elimination(walk: Walk) -> bool:
     box sets down from the largest meets every possible witness of ``B`` first.
     The conjunction of the ``keep`` cells of ``B`` is recomputed per box set:
     kept for every box set, those cells would take ``2**boxes`` times the
-    memory of one.
+    memory of one. The formula is valid iff no realisable type fails it.
     """
     nodes, operands = walk
     atom_count = sum(isinstance(node, Atom) for node in nodes)
     type_bits = atom_count + sum(isinstance(node, Box) for node in nodes)
     full = (1 << (1 << type_bits)) - 1
     cells: list[int] = []
-    keep: list[int] = []  # per box ``[]A_j``: ``[]A_j & A_j``
-    wit: list[int] = []  # per box ``[]A_j``: ``[]A_j & ~A_j``
+    keep: list[int] = []
+    wit: list[int] = []
     atoms_seen = 0
     for node, ops in zip(nodes, operands):
         if isinstance(node, Atom):
@@ -224,19 +244,50 @@ def _valid_by_elimination(walk: Walk) -> bool:
             cell = _CONNECTIVES[type(node)](full, *[cells[i] for i in ops])
         cells.append(cell)
     run = (1 << (1 << atom_count)) - 1
-    failing = full ^ cells[-1]
     realized = 0
     for box_set in range((1 << len(keep)) - 1, -1, -1):
-        seen = realized
-        for k, kept in enumerate(keep):
-            if box_set >> k & 1:
-                seen &= kept
+        seen = _keeping(keep, box_set, realized)
         if all(seen & wit[j] for j in range(len(wit)) if not box_set >> j & 1):
-            types = run << (box_set << atom_count)
-            if types & failing:
-                return False
-            realized |= types
-    return True
+            realized |= run << (box_set << atom_count)
+    return _Types(realized, realized & ~cells[-1], keep, wit)
+
+
+def _witness_dag(types: _Types, atoms: list[int]) -> Countermodel:
+    """The least failing realisable type, refuted at the root of its witness DAG.
+
+    ``atoms`` are the formula's atom indices in type-bit order, the walk's. A
+    world is a realisable type, whose true atoms are those of its set atom
+    bits. For each box ``[]A_j`` outside its box set ``B``, a type sees its
+    least witness: the least realisable type that keeps ``B`` and holds
+    ``[]A_j`` but fails ``A_j``. Witnesses are memoised by type. The relation
+    is the transitive closure of the witness edges, irreflexive because box
+    sets strictly grow along it. A witness's larger box set makes it a larger
+    integer, so the worlds are numbered from the largest type down: every
+    world's successors carry lower labels, and the root is the last world.
+    """
+    witnesses: dict[int, list[int]] = {}
+    stack = [(types.failing & -types.failing).bit_length() - 1]
+    while stack:
+        t = stack.pop()
+        if t in witnesses:
+            continue
+        box_set = t >> len(atoms)
+        kept = _keeping(types.keep, box_set, types.realized)
+        cells = [kept & cell for j, cell in enumerate(types.wit) if not box_set >> j & 1]
+        witnesses[t] = [(cell & -cell).bit_length() - 1 for cell in cells]
+        stack += witnesses[t]
+    label = {t: w for w, t in enumerate(sorted(witnesses, reverse=True))}
+    below: dict[int, set[int]] = {}  # world -> the worlds it sees
+    for t, w in label.items():
+        below[w] = set()
+        for u in witnesses[t]:
+            below[w] |= below[label[u]] | {label[u]}
+    model = KripkeModel(
+        range(len(label)),
+        ((w, v) for w, seen in below.items() for v in seen),
+        {w: {a for i, a in enumerate(atoms) if t >> i & 1} for t, w in label.items()},
+    )
+    return Countermodel(model=model, world=len(label) - 1)
 
 
 def _frame_cells(
@@ -320,43 +371,38 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
     Elimination of Hintikka types decides validity, complete by construction.
     A valid verdict's trace names the frames of up to ``b + 1`` worlds
     (``b`` = distinct boxed subformulas) and the valuations its validity
-    covers; no frame is evaluated for it. For an invalid formula the frame
-    sweep names the least countermodel within ``b + 1`` worlds, so
-    countermodels never exceed the formula's subformula count in worlds; if
-    the sweep finds none, the formula is refused with a
-    ``ResourceLimitError``. Node, atom, world and valuation-bit limits are
-    all checked before any work.
+    covers; no frame is evaluated for it. An invalid formula whose sweep fits
+    ``MAX_VALUATION_BITS`` gets the sweep's least countermodel within ``b + 1``
+    worlds, if it finds one; any other gets the witness DAG of the types
+    elimination kept. Only the node, atom and box limits refuse a formula,
+    with a ``ResourceLimitError``, and all are checked before any work.
     """
     walk = nodes, operands = _postorder(phi)
     size = _node_count(operands)
     if size > DEFAULT_MAX_NODES:
         raise ResourceLimitError(f"formula has {size} nodes, limit is {DEFAULT_MAX_NODES}")
-    atoms = sorted(node.index for node in nodes if isinstance(node, Atom))
-    if len(atoms) > MAX_ATOMS:
-        raise ResourceLimitError(f"formula uses {len(atoms)} atoms, limit is {MAX_ATOMS}")
+    walk_atoms = [node.index for node in nodes if isinstance(node, Atom)]
+    if len(walk_atoms) > MAX_ATOMS:
+        raise ResourceLimitError(f"formula uses {len(walk_atoms)} atoms, limit is {MAX_ATOMS}")
     bound = sum(isinstance(node, Box) for node in nodes) + 1
     if bound > MAX_ENUM_WORLDS:
         raise ResourceLimitError(
             f"needs frames of up to {bound} worlds; enumeration is capped at {MAX_ENUM_WORLDS}"
         )
-    if len(atoms) * bound > MAX_VALUATION_BITS:
-        raise ResourceLimitError(
-            f"valuation space needs {len(atoms) * bound} bits per world set, "
-            f"limit is {MAX_VALUATION_BITS}"
-        )
 
-    if _valid_by_elimination(walk):
+    types = _eliminate(walk)
+    atoms = sorted(walk_atoms)
+    if not types.failing:
         levels = tuple(
             SearchLevel(k, len(_representative_frames(k)), 1 << (len(atoms) * k))
             for k in range(1, bound + 1)
         )
         return DecisionResult(verdict="valid", trace=ValidityTrace(levels))
 
-    for world_count in range(1, bound + 1):
-        failure = _first_failure(walk, atoms, _representative_frames(world_count))
-        if failure is not None:
-            countermodel = _extract_countermodel(atoms, *failure)
-            return DecisionResult(verdict="invalid", countermodel=countermodel)
-    raise ResourceLimitError(
-        f"formula is invalid, but no countermodel has at most {bound} worlds, the search bound"
-    )
+    if len(atoms) * bound <= MAX_VALUATION_BITS:
+        for world_count in range(1, bound + 1):
+            failure = _first_failure(walk, atoms, _representative_frames(world_count))
+            if failure is not None:
+                countermodel = _extract_countermodel(atoms, *failure)
+                return DecisionResult(verdict="invalid", countermodel=countermodel)
+    return DecisionResult(verdict="invalid", countermodel=_witness_dag(types, walk_atoms))

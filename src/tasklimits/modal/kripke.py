@@ -7,7 +7,7 @@ frame class whose validities this package decides.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Generator, Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,33 +69,53 @@ class KripkeModel:
 
 
 def model_check(phi: ModalFormula, model: KripkeModel, world: int) -> bool:
-    """Evaluate ``phi`` at ``world``; a boxed formula holds iff it holds at every successor."""
+    """Evaluate ``phi`` at ``world``; a boxed formula holds iff it holds at every successor.
+
+    Each (subformula, world) pair is evaluated at most once, operands left to
+    right, stopping as soon as the value is known. An evaluation is a
+    generator that yields each operand it needs, and one loop with its own
+    stack sends the operand's value back, so no nesting depth recurses.
+    """
     if world not in model.worlds:
         raise ValidationError(f"world {world} not in the model")
-    memo: dict[tuple[int, int], bool] = {}
 
-    def ev(node: ModalFormula, w: int) -> bool:
-        key = (id(node), w)
-        if key in memo:
-            return memo[key]
+    def ev(node: ModalFormula, w: int) -> Generator[tuple[ModalFormula, int], bool, bool]:
+        if isinstance(node, Not):
+            return not (yield node.operand, w)
+        if isinstance(node, And):
+            return (yield node.left, w) and (yield node.right, w)
+        if isinstance(node, Or):
+            return (yield node.left, w) or (yield node.right, w)
+        if isinstance(node, Implies):
+            return not (yield node.left, w) or (yield node.right, w)
+        if isinstance(node, Box):
+            for v in model.successors(w):
+                if not (yield node.operand, v):
+                    return False
+            return True
+        raise ValidationError(f"unknown formula node {type(node).__name__}")
+
+    memo: dict[tuple[int, int], bool] = {}
+    stack: list[tuple[tuple[int, int], Generator]] = []  # evaluations waiting on an operand
+    node, w = phi, world
+    while True:
         if isinstance(node, Atom):
             value = node.index in model.true_atoms(w)
-        elif isinstance(node, Not):
-            value = not ev(node.operand, w)
-        elif isinstance(node, And):
-            value = ev(node.left, w) and ev(node.right, w)
-        elif isinstance(node, Or):
-            value = ev(node.left, w) or ev(node.right, w)
-        elif isinstance(node, Implies):
-            value = (not ev(node.left, w)) or ev(node.right, w)
-        elif isinstance(node, Box):
-            value = all(ev(node.operand, v) for v in model.successors(w))
         else:
-            raise ValidationError(f"unknown formula node {type(node).__name__}")
-        memo[key] = value
-        return value
-
-    return ev(phi, world)
+            key = (id(node), w)
+            value = memo.get(key)
+            if value is None:
+                stack.append((key, ev(node, w)))
+        while stack:
+            key, evaluation = stack[-1]
+            try:
+                node, w = evaluation.send(value)
+                break
+            except StopIteration as done:
+                stack.pop()
+                value = memo[key] = done.value
+        else:
+            return value
 
 
 @lru_cache(maxsize=None)

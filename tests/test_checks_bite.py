@@ -3,9 +3,9 @@
 A case injects one fault into one route of one check and runs a bundled
 scenario: that check's record must fail, and ``verify`` on a copy of the
 scenario must exit 1. Its control runs the same scenario unpatched and
-passes, so the fault, not the scenario, is what makes the check fail. A
-fault that a decision refuses to answer, rather than answers wrongly, is
-pinned at the end: the run raises and ``verify`` exits 2.
+passes, so the fault, not the scenario, is what makes the check fail. The
+witness DAG, which no bundled scenario reaches unpatched, has one more
+control: with the sweep patched to find nothing, ``logic_basics`` passes.
 """
 
 import shutil
@@ -18,7 +18,6 @@ import pytest
 import tasklimits.modal.decide as decide
 from tasklimits import prediction, runner, trajectory
 from tasklimits.cli import main
-from tasklimits.errors import ResourceLimitError
 from tasklimits.modal import (
     Countermodel,
     DecisionResult,
@@ -131,12 +130,41 @@ def call_every_formula_valid(monkeypatch):
 
 def eliminate_every_type(monkeypatch):
     """Elimination calls every formula valid; the frame sweep is never asked."""
-    monkeypatch.setattr(decide, "_valid_by_elimination", lambda walk: True)
+    eliminate = decide._eliminate
+    monkeypatch.setattr(decide, "_eliminate", lambda walk: eliminate(walk)._replace(failing=0))
 
 
 def realise_a_failing_type(monkeypatch):
-    """Elimination calls every formula invalid, so the sweep must name a countermodel."""
-    monkeypatch.setattr(decide, "_valid_by_elimination", lambda walk: False)
+    """Elimination calls every realisable type failing, so every formula invalid.
+
+    No frame of the sweep refutes a valid formula, so the witness DAG names one
+    whose root, the least realisable type, holds the formula.
+    """
+    eliminate = decide._eliminate
+
+    def faulty(walk):
+        types = eliminate(walk)
+        return types._replace(failing=types.realized)
+
+    monkeypatch.setattr(decide, "_eliminate", faulty)
+
+
+def refute_nothing_by_sweep(monkeypatch):
+    """The sweep finds no countermodel, so every invalid formula gets the witness DAG."""
+    monkeypatch.setattr(decide, "_first_failure", lambda *args: None)
+
+
+def flip_each_witness_dag_valuation(monkeypatch):
+    """Every invalid formula gets the witness DAG, with every atom flipped at every world."""
+    refute_nothing_by_sweep(monkeypatch)
+    witness_dag = decide._witness_dag
+
+    def faulty(types, atoms):
+        cm = witness_dag(types, atoms)
+        flipped = {w: set(atoms) - cm.model.true_atoms(w) for w in cm.model.worlds}
+        return Countermodel(KripkeModel(cm.model.worlds, cm.model.relation, flipped), cm.world)
+
+    monkeypatch.setattr(decide, "_witness_dag", faulty)
 
 
 def read_each_atoms_complement(monkeypatch):
@@ -210,6 +238,10 @@ CASES = {
     "elimination-valid": Case("logic_basics.json", "witness_ok", 3, eliminate_every_type),
     # The same formula, refuted by the sweep at a lone world where p0 is true.
     "sweep-valuation": Case("logic_basics.json", "witness_ok", 3, read_each_atoms_complement),
+    # The same formula, refuted by the witness DAG at a lone world where p0 is true.
+    "witness-dag-valuation": Case(
+        "logic_basics.json", "witness_ok", 3, flip_each_witness_dag_valuation
+    ),
     # The same formula, decided as ``p0 -> []p0``: refuted where p0 holds and []p0 fails.
     "implication-operands": Case(
         "logic_basics.json", "witness_ok", 3, swap_each_implications_operands
@@ -218,6 +250,8 @@ CASES = {
     "connective-table": Case(
         "logic_basics.json", "witness_ok", 1, read_each_implication_as_a_disjunction
     ),
+    # The same formula, called invalid by elimination: the witness DAG's root holds it.
+    "elimination-invalid": Case("logic_basics.json", "witness_ok", 1, realise_a_failing_type),
 }
 
 
@@ -251,17 +285,9 @@ def test_fault_fails_the_check(case, monkeypatch, tmp_path, capsys):
     assert verify_copy(case, tmp_path, capsys) == 1
 
 
-# Formula 1 of ``logic_basics`` is Löb's, valid: no frame of the sweep refutes it.
-LOB = Case("logic_basics.json", "witness_ok", 1, realise_a_failing_type)
-
-
-def test_lob_is_decided_valid(tmp_path, capsys):
-    assert check_passed(LOB)
-    assert verify_copy(LOB, tmp_path, capsys) == 0
-
-
-def test_lob_called_invalid_is_refused(monkeypatch, tmp_path, capsys):
-    LOB.inject(monkeypatch)
-    with pytest.raises(ResourceLimitError, match="no countermodel has at most 3 worlds"):
-        check_passed(LOB)
-    assert verify_copy(LOB, tmp_path, capsys) == 2
+def test_witness_dag_alone_passes(monkeypatch, tmp_path, capsys):
+    """The control of ``witness-dag-valuation``: the witness DAG with no fault in it."""
+    refute_nothing_by_sweep(monkeypatch)
+    scenario = parse_scenario(SCENARIO_DIR / "logic_basics.json")
+    assert run_experiment(scenario).passed
+    assert verify_copy(CASES["witness-dag-valuation"], tmp_path, capsys) == 0

@@ -262,7 +262,14 @@ class TestHintikkaTypeReference:
 
 
 def eliminate(phi):
-    return decide_module._valid_by_elimination(formula_module._postorder(phi))
+    return not decide_module._eliminate(formula_module._postorder(phi)).failing
+
+
+def witness_dag(phi):
+    """The witness-DAG countermodel of an invalid ``phi``, built straight from elimination."""
+    walk = formula_module._postorder(phi)
+    atoms = [node.index for node in walk[0] if isinstance(node, Atom)]
+    return decide_module._witness_dag(decide_module._eliminate(walk), atoms)
 
 
 def sweep(text):
@@ -296,27 +303,53 @@ class TestCellElimination:
             seen[valid] += 1
         assert seen[True] > 50 and seen[False] > 50
 
+    def test_witness_dag_on_random_corpus(self):
+        """Every invalid formula's witness DAG fails at its root, as large as the reference's."""
+        rng = random.Random(1993)
+        built = largest = 0
+        for _ in range(1000):
+            phi = random_formula(rng, n_atoms=rng.randint(1, 3), max_distinct_boxes=4)
+            valid, reference = hintikka_type_reference(phi)
+            if valid:
+                continue
+            cm = witness_dag(phi)
+            worlds = len(cm.model.worlds)
+            assert not model_check(phi, cm.model, cm.world), print_formula(phi)
+            assert worlds == len(reference[0].worlds) <= 1 + 4 + 12 + 24 + 24, print_formula(phi)
+            assert cm.world == worlds - 1
+            assert all(v < w for w, v in cm.model.relation)
+            built += 1
+            largest = max(largest, worlds)
+        assert built > 500 and largest > 5
+
     @pytest.mark.parametrize(
         "text, cap",
         [
             # Ten boxes: eleven-world frames.
             (" & ".join(lob(f"p{i}") for i in range(5)), "worlds"),
-            # Four boxes over five atoms: 25 valuation bits.
-            (lob("(p0 | (p1 & p2))") + " & " + lob("(p3 -> p4)"), "bits"),
+            # Four boxes over five atoms: 25 valuation bits, past the sweep but not the decision.
+            (lob("(p0 | (p1 & p2))") + " & " + lob("(p3 -> p4)"), None),
         ],
+        ids=["worlds", "bits"],
     )
     def test_five_atom_lob_conjunctions_are_valid_past_the_caps(self, text, cap):
         phi = parse_formula(text)
         assert len(atom_indices(phi)) == 5
         assert eliminate(phi)
-        with pytest.raises(ResourceLimitError, match=cap):
-            gl_decide(phi)
+        if cap is not None:
+            with pytest.raises(ResourceLimitError, match=cap):
+                gl_decide(phi)
+        else:
+            levels = gl_decide(phi).trace.levels
+            assert [lvl.valuations_per_frame for lvl in levels] == [2 ** (5 * k) for k in range(1, 6)]
 
-    def test_an_invalid_formula_the_sweep_cannot_refute_is_refused(self, monkeypatch):
+    def test_an_invalid_formula_the_sweep_cannot_refute_gets_the_witness_dag(self, monkeypatch):
+        swept = decide("[]p0 -> p0").countermodel
         monkeypatch.setattr(decide_module, "_first_failure", lambda *args: None)
-        refusal = "formula is invalid, but no countermodel has at most 2 worlds, the search bound"
-        with pytest.raises(ResourceLimitError, match=refusal):
-            decide("[]p0 -> p0")
+        result = decide("[]p0 -> p0")
+        # One world where p0 is false: the least failing type has every box, so no witness.
+        assert result.verdict == "invalid"
+        assert result.countermodel == witness_dag(parse_formula("[]p0 -> p0")) == swept
 
 
 @pytest.fixture
@@ -338,32 +371,31 @@ class TestProvabilityWorkload:
     """
 
     def test_elimination_and_sweep_agree_on_every_variant(self, workloads):
-        answered = refused = 0
+        answered = past_the_sweep = 0
         for variant in range(workloads.VARIANTS):
             for item in workloads.generate("provability", variant=variant):
                 [text] = json.loads(item.text)["payload"]["formulas"]
                 phi = parse_formula(text)
-                try:
-                    result = gl_decide(phi)
-                except ResourceLimitError:
+                result = gl_decide(phi)
+                atoms = len(atom_indices(phi))
+                world_counts = range(1, len(box_subformulas(phi)) + 2)
+                if atoms * world_counts[-1] > decide_module.MAX_VALUATION_BITS:
+                    # The 25-bit 5-atom class, past the sweep: checked against the reference.
                     assert item.id.startswith("provability/refused5-"), item.id
-                    assert eliminate(phi), text
-                    refused += 1
-                    continue
-                failures = sweep(text)
-                swept_valid = failures == [None] * len(failures)
-                assert eliminate(phi) == result.is_valid == swept_valid, text
+                    assert hintikka_type_reference(phi) == (True, None), text
+                    valid = True
+                    past_the_sweep += 1
+                else:
+                    failures = sweep(text)
+                    valid = failures == [None] * len(failures)
+                assert eliminate(phi) == result.is_valid == valid, text
                 if result.is_valid:
                     frames = decide_module._representative_frames
-                    atoms = len(atom_indices(phi))
                     assert result.trace == ValidityTrace(
-                        tuple(
-                            SearchLevel(k, len(frames(k)), 1 << (atoms * k))
-                            for k in range(1, len(failures) + 1)
-                        ),
+                        tuple(SearchLevel(k, len(frames(k)), 1 << (atoms * k)) for k in world_counts),
                     ), text
                 answered += 1
-        assert (answered, refused) == (98 * workloads.VARIANTS, 2 * workloads.VARIANTS)
+        assert (answered, past_the_sweep) == (100 * workloads.VARIANTS, 2 * workloads.VARIANTS)
 
 
 class TestSubformulaWalk:
@@ -488,24 +520,24 @@ class TestSearchWork:
         assert evaluated_frames == []
 
     @pytest.mark.parametrize(
-        "text",
+        "text, verdict",
         [
-            # valid, so no smaller world count stops the search early
-            FOUR_BOX_VALID + " & (p2 | p3 | p4 | ~p2)",
-            # refuted by one world, yet refused before any frame is evaluated
-            FOUR_BOX_VALID + " & (p2 | p3 | p4)",
+            # 25 valuation bits, valid
+            (FOUR_BOX_VALID + " & (p2 | p3 | p4 | ~p2)", "valid"),
+            # 25 bits, refuted by one world, yet the sweep does not run
+            (FOUR_BOX_VALID + " & (p2 | p3 | p4)", "invalid"),
+            # 35 bits
+            (FOUR_BOX_VALID + " & (p2 | p3 | p4 | p5 | p6)", "invalid"),
         ],
     )
-    def test_valuation_limit_refuses_before_any_evaluation(self, evaluated_frames, text):
-        with pytest.raises(
-            ResourceLimitError, match="valuation space needs 25 bits per world set, limit is 24"
-        ):
-            decide(text)
-        assert evaluated_frames == []
-
-    def test_valuation_limit_names_the_full_bound(self, evaluated_frames):
-        with pytest.raises(ResourceLimitError, match="needs 35 bits"):
-            decide(FOUR_BOX_VALID + " & (p2 | p3 | p4 | p5 | p6)")
+    def test_past_the_valuation_cap_no_frame_is_evaluated(self, evaluated_frames, text, verdict):
+        phi = parse_formula(text)
+        result = gl_decide(phi)
+        assert result.verdict == verdict
+        if verdict == "invalid":
+            cm = result.countermodel
+            assert cm == witness_dag(phi)
+            assert not model_check(phi, cm.model, cm.world)
         assert evaluated_frames == []
 
     def test_search_enumerates_no_labelled_orders(self):

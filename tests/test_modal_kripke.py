@@ -5,7 +5,16 @@ import time
 import pytest
 
 from tasklimits.errors import ResourceLimitError, ValidationError
-from tasklimits.modal import KripkeModel, enumerate_frames, model_check, parse_formula
+from tasklimits.modal import (
+    And,
+    Atom,
+    Box,
+    KripkeModel,
+    Not,
+    enumerate_frames,
+    model_check,
+    parse_formula,
+)
 
 
 def chain_model(p_true_at=(1,)):
@@ -100,6 +109,22 @@ class TestModelCheck:
         model = chain_model()
         with pytest.raises(ValidationError, match="^world 7 not in the model$"):
             model_check(parse_formula("p0"), model, 7)
+
+    @pytest.mark.parametrize("depth, expected", [(2000, True), (2001, False)])
+    def test_a_chain_deeper_than_the_recursion_limit_is_evaluated(self, depth, expected):
+        phi = Box(Atom(0))
+        for _ in range(depth):
+            phi = Not(phi)
+        assert model_check(phi, chain_model(p_true_at=(1,)), 0) is expected
+
+    def test_a_shared_subformula_is_evaluated_once_per_world(self):
+        # 2**40 occurrences of p0 under one box: evaluating each occurrence would not finish.
+        phi = Atom(0)
+        for _ in range(40):
+            phi = And(phi, phi)
+        model = chain_model(p_true_at=(1,))
+        assert model_check(Box(phi), model, 0)
+        assert not model_check(phi, model, 0)
 
     def test_lob_axiom_true_on_every_small_frame(self):
         lob = parse_formula("[]([]p0 -> p0) -> []p0")

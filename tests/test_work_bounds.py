@@ -1,13 +1,15 @@
 """Work and memory bounded by what was loaded: one near-worst-case file per kind and rule.
 
 Each case writes its scenario file in the test, about 1 MB but for the prediction just
-under the bound, and runs ``tasklimits`` on it in a child process. Only the child's address
-space is capped (``RLIMIT_AS``), and the run has a wall-clock timeout. It must exit 0, or exit 2 with exactly one ``error:`` line, and
-never print a traceback. A prediction run stacks one kernel per hypothesis, hypotheses x
+under the bound and the logic file, and runs ``tasklimits`` on it in a child process.
+Only the child's address space is capped (``RLIMIT_AS``), and the run has a wall-clock
+timeout. It must exit 0, or exit 2 with exactly one ``error:`` line, and never print a
+traceback. A prediction run stacks one kernel per hypothesis, hypotheses x
 contexts x outcomes cells, so a file over the load-time bound must be refused.
 """
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -105,3 +107,34 @@ def test_the_largest_stack_within_the_bound_is_answered(tmp_path):
 def test_a_linear_trajectory_file_is_answered(scenario, tmp_path):
     assert run_capped("simulate", scenario, tmp_path).returncode == 0
     assert (tmp_path / "scenario.json").stat().st_size > 800_000
+
+
+def combination(rng: random.Random, atoms: list[int]) -> str:
+    """The atoms, each once, joined in a random order by random binary connectives."""
+    leaves = [f"p{a}" for a in atoms]
+    while len(leaves) > 1:
+        i = rng.randrange(len(leaves) - 1)
+        leaves[i : i + 2] = [f"({leaves[i]} {rng.choice(('&', '|', '->'))} {leaves[i + 1]})"]
+    return leaves[0]
+
+
+def past_the_valuation_cap(formulas: int) -> dict:
+    """Four-box formulas over 5 to 8 atoms, at least 25 valuation bits each, alternately
+    valid (two Löb instances) and invalid (a Löb instance and ``[][]B -> []B``)."""
+    rng = random.Random(1979)
+    texts = []
+    for i in range(formulas):
+        atoms = rng.sample(range(8), rng.randint(5, 8))
+        cut = rng.randint(1, len(atoms) - 1)
+        a, b = combination(rng, atoms[:cut]), combination(rng, atoms[cut:])
+        second = f"([]([]{b} -> {b}) -> []{b})" if i % 2 == 0 else f"([][]{b} -> []{b})"
+        texts.append(f"([]([]{a} -> {a}) -> []{a}) & {second}")
+    return {"name": "past-the-cap", "kind": "logic", "seed": 0, "payload": {"formulas": texts}}
+
+
+def test_formulas_past_the_valuation_cap_are_answered(tmp_path):
+    done = run_capped("logic", past_the_valuation_cap(1_800), tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.count("verdict: valid (witness ok)") == 900
+    assert done.stdout.count("verdict: invalid (witness ok)") == 900
+    assert (tmp_path / "scenario.json").stat().st_size > 200_000
