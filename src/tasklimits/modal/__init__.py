@@ -21,4 +21,4 @@ from .formula import (
     subformulas,
 )
 from .kripke import KripkeModel, enumerate_frames, model_check
-from .decide import Countermodel, DecisionResult, SearchLevel, ValidityTrace, gl_decide
+from .decide import Countermodel, DecisionResult, SearchLevel, ValidityTrace, check_limits, gl_decide

@@ -18,8 +18,8 @@ Elimination and the countermodel scan below read the one subformula walk's
 nodes and operand positions: an atom or a box is read off its node, and every
 other connective's cell comes from one table, ``_CONNECTIVES``.
 
-Only the limits on nodes, atoms and boxes refuse a formula, and all are
-checked before any work. Every invalid verdict carries a concrete
+Only the limits on nodes, atoms and boxes refuse a formula, all checked by
+``check_limits`` before any work. Every invalid verdict carries a concrete
 countermodel, re-checkable with ``model_check``, from one of two routes:
 
 * The frame sweep names the least countermodel of at most ``b + 1`` worlds,
@@ -31,11 +31,10 @@ countermodel, re-checkable with ``model_check``, from one of two routes:
   order, so no process enumerates orders or relabelings to decide a
   formula. Valuations are batched as bitmasks: the truth of a subformula at
   a world is one integer whose bit ``v`` says whether the subformula holds
-  at that world under valuation ``v`` of the current block.
+  at that world under valuation ``v``.
 * Any other invalid formula, past that cap or with no countermodel within
-  ``b + 1`` worlds, gets the witness DAG of the types elimination kept:
-  the least failing type, and below it, per missing box, the least type
-  that witnesses it. No input has yet been seen to need it within the cap.
+  ``b + 1`` worlds, gets the witness DAG of the types elimination kept: the
+  failing type, and per missing box a witness, of the highest box set.
 
 Only rooted frames are evaluated, and only at their root. A world's truth
 depends only on the subframe it generates (the generated-subframe lemma,
@@ -46,13 +45,11 @@ a frame already swept, so it cannot fail. Only a root, the one world that
 sees every other, can. Every world's successors carry lower labels, so a
 root is the last world.
 
-The scan is frame-major: rooted frames in table order, and for each frame
-its valuations in ascending blocks of at most ``2**16`` indices, so a cell
-is an integer of at most 8 KiB however large the space. Each block of a
-frame is evaluated whole, every subformula at every world. The first frame
-whose root fails, with its lowest failing index, is the answer: the frame,
-world and valuation index that a sweep of every frame at every world over
-the whole space would find first.
+The scan is frame-major: rooted frames in table order, each evaluated whole
+over every valuation, every subformula at every world. The first frame whose
+root fails, with its lowest failing index, is the answer: the frame, world
+and valuation index that a sweep of every frame at every world would find
+first.
 
 A valid verdict carries a ``ValidityTrace`` whose levels name the frames
 and valuations of up to ``b + 1`` worlds that its validity covers: the text
@@ -83,12 +80,9 @@ from .kripke import MAX_ENUM_WORLDS, KripkeModel
 
 MAX_ATOMS = 8
 #: The sweep names an invalid formula's countermodel only when atoms * (boxes + 1), the bits
-#: of its valuation space, is at most this; past it the witness DAG names one. No formula is
-#: refused for it.
-MAX_VALUATION_BITS = 24
-#: Valuations are swept in blocks of at most ``2**_BLOCK_BITS`` indices, so no
-#: cell is an integer of more than 8 KiB.
-_BLOCK_BITS = 16
+#: of its valuation space, is at most this, so no cell is an integer of more than 8 KiB; past
+#: it the witness DAG names one. No formula is refused for it.
+MAX_VALUATION_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -252,21 +246,30 @@ def _eliminate(walk: Walk) -> _Types:
     return _Types(realized, realized & ~cells[-1], keep, wit)
 
 
+def _highest(cell: int, atom_count: int) -> int:
+    """The type of ``cell`` whose box set is highest, and within it the lowest atom bits."""
+    top = (cell.bit_length() - 1) >> atom_count
+    run = cell >> (top << atom_count)
+    return top << atom_count | (run & -run).bit_length() - 1
+
+
 def _witness_dag(types: _Types, atoms: list[int]) -> Countermodel:
-    """The least failing realisable type, refuted at the root of its witness DAG.
+    """A failing realisable type, refuted at the root of its witness DAG.
 
     ``atoms`` are the formula's atom indices in type-bit order, the walk's. A
     world is a realisable type, whose true atoms are those of its set atom
-    bits. For each box ``[]A_j`` outside its box set ``B``, a type sees its
-    least witness: the least realisable type that keeps ``B`` and holds
-    ``[]A_j`` but fails ``A_j``. Witnesses are memoised by type. The relation
-    is the transitive closure of the witness edges, irreflexive because box
-    sets strictly grow along it. A witness's larger box set makes it a larger
-    integer, so the worlds are numbered from the largest type down: every
-    world's successors carry lower labels, and the root is the last world.
+    bits. Each pick takes the highest box set, which needs the fewest
+    witnesses, and in it the lowest atom bits: the root among the failing
+    types and, per box ``[]A_j`` outside a type's box set ``B``, its witness
+    among the realisable types that keep ``B``, hold ``[]A_j`` and fail
+    ``A_j``. Witnesses are memoised by type. The relation is the transitive
+    closure of the witness edges, irreflexive because box sets strictly grow
+    along it. A witness's larger box set makes it a larger integer, so the
+    worlds are numbered from the largest type down: every world's successors
+    carry lower labels, and the root is the last world.
     """
     witnesses: dict[int, list[int]] = {}
-    stack = [(types.failing & -types.failing).bit_length() - 1]
+    stack = [_highest(types.failing, len(atoms))]
     while stack:
         t = stack.pop()
         if t in witnesses:
@@ -274,7 +277,7 @@ def _witness_dag(types: _Types, atoms: list[int]) -> Countermodel:
         box_set = t >> len(atoms)
         kept = _keeping(types.keep, box_set, types.realized)
         cells = [kept & cell for j, cell in enumerate(types.wit) if not box_set >> j & 1]
-        witnesses[t] = [(cell & -cell).bit_length() - 1 for cell in cells]
+        witnesses[t] = [_highest(cell, len(atoms)) for cell in cells]
         stack += witnesses[t]
     label = {t: w for w, t in enumerate(sorted(witnesses, reverse=True))}
     below: dict[int, set[int]] = {}  # world -> the worlds it sees
@@ -296,8 +299,8 @@ def _frame_cells(
     """Every node's cell at every world of the frame ``succ_masks``, in one postorder pass.
 
     ``atom_rows`` gives each atom's cells, one per world; ``full`` is the
-    all-true cell of the block. A box's cell at a world is the conjunction of
-    its operand's cells at the world's successors.
+    all-true cell of the valuation space. A box's cell at a world is the
+    conjunction of its operand's cells at the world's successors.
     """
     table: list[list[int]] = []
     fulls = [full] * len(succ_masks)  # the connectives' first argument, world by world
@@ -325,32 +328,21 @@ def _first_failure(
 ) -> tuple[tuple[int, ...], int] | None:
     """The first rooted frame where the formula fails at the root, with its lowest failing index.
 
-    Frames go in the order of ``frames``, and each frame's valuations in
-    ascending blocks of ``2**_BLOCK_BITS`` indices: index bits at or past
-    ``_BLOCK_BITS`` are constant within a block, so their atom cells are
-    ``0`` or ``full``. Returns ``None`` if no rooted frame fails.
+    Frames go in the order of ``frames``, each evaluated once over every
+    valuation. Returns ``None`` if no rooted frame fails.
     """
     world_count = len(frames[0])
     root = world_count - 1
     total_bits = len(atoms) * world_count
-    block_bits = min(total_bits, _BLOCK_BITS)
-    full = (1 << (1 << block_bits)) - 1
-    low_masks = [_atom_bit_mask(bit, block_bits) for bit in range(block_bits)]
-    blocks = []
-    for base in range(0, 1 << total_bits, 1 << block_bits):
-        cells = [
-            low_masks[bit] if bit < block_bits else full if base >> bit & 1 else 0
-            for bit in range(total_bits)
-        ]
-        rows = {atom: cells[i * world_count : (i + 1) * world_count] for i, atom in enumerate(atoms)}
-        blocks.append((base, rows))
+    full = (1 << (1 << total_bits)) - 1
+    cells = [_atom_bit_mask(bit, total_bits) for bit in range(total_bits)]
+    atom_rows = {atom: cells[i * world_count : (i + 1) * world_count] for i, atom in enumerate(atoms)}
     for masks in frames:
         if masks[root] != (1 << root) - 1:
             continue
-        for base, atom_rows in blocks:
-            failing = full ^ _frame_cells(walk, masks, atom_rows, full)[-1][root]
-            if failing:
-                return masks, base | (failing & -failing).bit_length() - 1
+        failing = full ^ _frame_cells(walk, masks, atom_rows, full)[-1][root]
+        if failing:
+            return masks, (failing & -failing).bit_length() - 1
     return None
 
 
@@ -365,6 +357,23 @@ def _extract_countermodel(atoms: list[int], succ_masks: tuple[int, ...], index: 
     return Countermodel(model=model, world=len(worlds) - 1)
 
 
+def check_limits(phi: ModalFormula) -> Walk:
+    """The walk of ``phi``; a ``ResourceLimitError`` names a node, atom or box limit it breaks."""
+    walk = nodes, operands = _postorder(phi)
+    size = _node_count(operands)
+    if size > DEFAULT_MAX_NODES:
+        raise ResourceLimitError(f"formula has {size} nodes, limit is {DEFAULT_MAX_NODES}")
+    atom_count = sum(isinstance(node, Atom) for node in nodes)
+    if atom_count > MAX_ATOMS:
+        raise ResourceLimitError(f"formula uses {atom_count} atoms, limit is {MAX_ATOMS}")
+    bound = sum(isinstance(node, Box) for node in nodes) + 1
+    if bound > MAX_ENUM_WORLDS:
+        raise ResourceLimitError(
+            f"needs frames of up to {bound} worlds; enumeration is capped at {MAX_ENUM_WORLDS}"
+        )
+    return walk
+
+
 def gl_decide(phi: ModalFormula) -> DecisionResult:
     """Decide validity of ``phi`` over finite transitive irreflexive frames.
 
@@ -374,24 +383,14 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
     covers; no frame is evaluated for it. An invalid formula whose sweep fits
     ``MAX_VALUATION_BITS`` gets the sweep's least countermodel within ``b + 1``
     worlds, if it finds one; any other gets the witness DAG of the types
-    elimination kept. Only the node, atom and box limits refuse a formula,
-    with a ``ResourceLimitError``, and all are checked before any work.
+    elimination kept. Only the node, atom and box limits of ``check_limits``
+    refuse a formula, with a ``ResourceLimitError``, before any work.
     """
-    walk = nodes, operands = _postorder(phi)
-    size = _node_count(operands)
-    if size > DEFAULT_MAX_NODES:
-        raise ResourceLimitError(f"formula has {size} nodes, limit is {DEFAULT_MAX_NODES}")
+    walk = nodes, _ = check_limits(phi)
     walk_atoms = [node.index for node in nodes if isinstance(node, Atom)]
-    if len(walk_atoms) > MAX_ATOMS:
-        raise ResourceLimitError(f"formula uses {len(walk_atoms)} atoms, limit is {MAX_ATOMS}")
-    bound = sum(isinstance(node, Box) for node in nodes) + 1
-    if bound > MAX_ENUM_WORLDS:
-        raise ResourceLimitError(
-            f"needs frames of up to {bound} worlds; enumeration is capped at {MAX_ENUM_WORLDS}"
-        )
-
     types = _eliminate(walk)
     atoms = sorted(walk_atoms)
+    bound = len(types.keep) + 1
     if not types.failing:
         levels = tuple(
             SearchLevel(k, len(_representative_frames(k)), 1 << (len(atoms) * k))

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from .errors import FormulaSyntaxError, ResourceLimitError, ScenarioError, TaskLimitsError
-from .modal import ModalFormula, parse_formula
+from .modal import ModalFormula, check_limits, parse_formula
 from .prediction import ConditionalKernel, LossTable
 from .prior import HypothesisClass, HypothesisDescriptor
 from .taskspace import TaskMeasure
@@ -223,6 +223,7 @@ def _build_logic_payload(payload: dict) -> LogicPayload:
     for number, text in enumerate(texts, 1):
         try:
             formulas.append(parse_formula(text))
+            check_limits(formulas[-1])
         except (FormulaSyntaxError, ResourceLimitError) as exc:
             raise ScenarioError(f"field 'formulas', formula {number}: {exc}") from exc
     return LogicPayload(texts=tuple(texts), formulas=tuple(formulas))

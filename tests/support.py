@@ -18,12 +18,7 @@ reference utilities re-sum every prefix of the solved weights with one
 reference structured report goes through ``json.dumps``, where the library
 writes the text directly. The reference representative frames are marked by
 relabeling orbits over every labelled order, where the library reads a
-literal table, and the reference frame table evaluates every subformula at
-every world over the whole valuation space at once, where the library
-evaluates each frame block by block; it reads ``reference_ops``, string-tagged
-ops over the reference walk with its own connective code, where the library
-takes each connective from one table. The
-Hintikka-type reference decides validity by evaluating each type one
+literal table. The Hintikka-type reference decides validity by evaluating each type one
 subformula at a time and searching each box set's witnesses type by type,
 where the library computes one bitmask cell per subformula over all types;
 it builds its countermodels from witness types, not from any frame the
@@ -252,9 +247,10 @@ def hintikka_type_reference(phi: ModalFormula) -> tuple[bool, tuple[KripkeModel,
     a world that fails ``[]A_j`` sees a last world that fails ``A_j``. Witnesses
     have strictly larger box sets, so types go from the largest box set down.
     ``phi`` is valid iff it holds at every realisable type. Otherwise the
-    countermodel's worlds are the least failing type and the types reachable
-    from it through each type's least witnesses; its relation is the transitive
-    closure of the witness edges, and ``phi`` fails at the returned root.
+    countermodel's worlds are a failing type and the types reachable from it
+    through each type's witnesses, where each pick takes the highest box set
+    and within it the lowest atom bits; its relation is the transitive closure
+    of the witness edges, and ``phi`` fails at the returned root.
     """
     atoms = atom_indices(phi)
     boxes = {box: j for j, box in enumerate(box_subformulas(phi))}
@@ -274,6 +270,9 @@ def hintikka_type_reference(phi: ModalFormula) -> tuple[bool, tuple[KripkeModel,
             return holds(node.left, t) or holds(node.right, t)
         return not holds(node.left, t) or holds(node.right, t)
 
+    def highest_box_set_first(t: int) -> tuple[int, int]:
+        return -(t >> n_atoms), t
+
     types = range(1 << (n_atoms + len(boxes)))
     # Bit j of inner[t]: the operand A_j of the j-th box holds at t.
     inner = {t: sum(holds(box.operand, t) << j for box, j in boxes.items()) for t in types}
@@ -292,6 +291,7 @@ def hintikka_type_reference(phi: ModalFormula) -> tuple[bool, tuple[KripkeModel,
                     if u >> n_atoms & need == need and inner[u] & kept == kept
                     and not inner[u] >> j & 1
                 ),
+                key=highest_box_set_first,
                 default=None,
             )
             if witness is None:
@@ -299,7 +299,7 @@ def hintikka_type_reference(phi: ModalFormula) -> tuple[bool, tuple[KripkeModel,
             reach |= below[witness] | {witness}
         else:
             below[t] = frozenset(reach)
-    root = min((t for t in below if not holds(phi, t)), default=None)
+    root = min((t for t in below if not holds(phi, t)), key=highest_box_set_first, default=None)
     if root is None:
         return True, None
     worlds = below[root] | {root}
@@ -337,66 +337,6 @@ def reference_representative_frames(world_count: int) -> tuple[tuple[int, ...], 
                 relabeled[perm[w]] = mask
             seen.add(tuple(relabeled))
     return tuple(reps)
-
-
-_REFERENCE_KINDS = {Not: "not", Box: "box", And: "and", Or: "or", Implies: "implies"}
-
-
-def reference_ops(phi: ModalFormula) -> list[tuple]:
-    """Distinct subformulas as (kind, atom index or operand positions), children first.
-
-    The nodes come from ``reference_subformulas`` and each operand's position from a dict
-    keyed by the nodes, not from the library walk's operand positions.
-    """
-    nodes = reference_subformulas(phi)
-    position = {node: i for i, node in enumerate(nodes)}
-    return [
-        ("atom", node.index)
-        if isinstance(node, Atom)
-        else (_REFERENCE_KINDS[type(node)], *(position[child] for child in vars(node).values()))
-        for node in nodes
-    ]
-
-
-def reference_frame_table(
-    ops: list[tuple],
-    atom_position: dict[int, int],
-    succ_masks: tuple[int, ...],
-    world_count: int,
-    atom_masks: list[list[int]],
-    full: int,
-) -> list[list[int]]:
-    """Truth bitmask of every subformula at every world, batched over valuations."""
-    table: list[list[int]] = []
-    for op in ops:
-        kind = op[0]
-        if kind == "atom":
-            row = atom_masks[atom_position[op[1]]]
-        elif kind == "not":
-            child = table[op[1]]
-            row = [full ^ child[w] for w in range(world_count)]
-        elif kind == "box":
-            child = table[op[1]]
-            row = []
-            for w in range(world_count):
-                acc = full
-                succ = succ_masks[w]
-                while succ:
-                    low = succ & -succ
-                    acc &= child[low.bit_length() - 1]
-                    succ ^= low
-                row.append(acc)
-        elif kind == "and":
-            a, b = table[op[1]], table[op[2]]
-            row = [a[w] & b[w] for w in range(world_count)]
-        elif kind == "or":
-            a, b = table[op[1]], table[op[2]]
-            row = [a[w] | b[w] for w in range(world_count)]
-        else:  # implies
-            a, b = table[op[1]], table[op[2]]
-            row = [(full ^ a[w]) | b[w] for w in range(world_count)]
-        table.append(row)
-    return table
 
 
 def explicit_chain_dict(sets, n_max: int, mu: TaskMeasure) -> dict:

@@ -3,14 +3,18 @@
 A case injects one fault into one route of one check and runs a bundled
 scenario: that check's record must fail, and ``verify`` on a copy of the
 scenario must exit 1. Its control runs the same scenario unpatched and
-passes, so the fault, not the scenario, is what makes the check fail. The
-witness DAG, which no bundled scenario reaches unpatched, has one more
-control: with the sweep patched to find nothing, ``logic_basics`` passes.
+passes, so the fault, not the scenario, is what makes the check fail. A case
+may put its own formulas in the bundled scenario's place. No bundled scenario
+reaches the witness DAG unpatched: one case takes a formula past the sweep's
+cap, and one patches the sweep to find nothing, with one more control: with
+only that patch, ``logic_basics`` passes.
 """
 
+import json
 import shutil
 from dataclasses import dataclass
 from types import SimpleNamespace
+from pathlib import Path
 from typing import Callable
 
 import pytest
@@ -138,7 +142,7 @@ def realise_a_failing_type(monkeypatch):
     """Elimination calls every realisable type failing, so every formula invalid.
 
     No frame of the sweep refutes a valid formula, so the witness DAG names one
-    whose root, the least realisable type, holds the formula.
+    whose root, a realisable type, holds the formula.
     """
     eliminate = decide._eliminate
 
@@ -163,6 +167,17 @@ def flip_each_witness_dag_valuation(monkeypatch):
         cm = witness_dag(types, atoms)
         flipped = {w: set(atoms) - cm.model.true_atoms(w) for w in cm.model.worlds}
         return Countermodel(KripkeModel(cm.model.worlds, cm.model.relation, flipped), cm.world)
+
+    monkeypatch.setattr(decide, "_witness_dag", faulty)
+
+
+def pick_witnesses_outside_the_keep_cells(monkeypatch):
+    """The witness DAG picks each witness among all realisable types that hold ``[]A_j`` and
+    fail ``A_j``, not only those that keep the box set of the type it witnesses for."""
+    witness_dag = decide._witness_dag
+
+    def faulty(types, atoms):
+        return witness_dag(types._replace(keep=[-1] * len(types.keep)), atoms)
 
     monkeypatch.setattr(decide, "_witness_dag", faulty)
 
@@ -206,6 +221,8 @@ class Case:
     level: int
     inject: Callable[[pytest.MonkeyPatch], None]
     epsilon: float | None = None
+    #: Formulas in place of the scenario's own, if any.
+    formulas: tuple[str, ...] = ()
 
 
 CASES = {
@@ -242,6 +259,16 @@ CASES = {
     "witness-dag-valuation": Case(
         "logic_basics.json", "witness_ok", 3, flip_each_witness_dag_valuation
     ),
+    # 6 atoms over 3 worlds, 18 valuation bits: past the sweep's cap, so the witness DAG
+    # refutes it. Its root holds []p0 and its one witness must keep p0 true, where the
+    # fault picks the witness with no atom true: []p0 then fails at the root.
+    "witness-dag-keep": Case(
+        "logic_basics.json",
+        "witness_ok",
+        1,
+        pick_witnesses_outside_the_keep_cells,
+        formulas=("[]p0 -> []p1 | (p2 & p3 & p4 & p5 & ~p2)",),
+    ),
     # The same formula, decided as ``p0 -> []p0``: refuted where p0 holds and []p0 fails.
     "implication-operands": Case(
         "logic_basics.json", "witness_ok", 3, swap_each_implications_operands
@@ -255,8 +282,20 @@ CASES = {
 }
 
 
-def check_passed(case: Case) -> bool:
-    scenario = parse_scenario(SCENARIO_DIR / case.scenario, epsilon=case.epsilon)
+def scenario_copy(case: Case, directory) -> Path:
+    """The case's scenario file, written into ``directory``."""
+    path = directory / case.scenario
+    if case.formulas:
+        data = json.loads((SCENARIO_DIR / case.scenario).read_text())
+        data["payload"]["formulas"] = list(case.formulas)
+        path.write_text(json.dumps(data))
+    else:
+        shutil.copy(SCENARIO_DIR / case.scenario, path)
+    return path
+
+
+def check_passed(case: Case, directory) -> bool:
+    scenario = parse_scenario(scenario_copy(case, directory), epsilon=case.epsilon)
     report = run_experiment(scenario)
     if case.check == "witness_ok":
         return report.verdicts[case.level - 1].witness_ok
@@ -265,7 +304,7 @@ def check_passed(case: Case) -> bool:
 
 
 def verify_copy(case: Case, tmp_path, capsys) -> int:
-    shutil.copy(SCENARIO_DIR / case.scenario, tmp_path)
+    scenario_copy(case, tmp_path)
     flags = [] if case.epsilon is None else ["--epsilon", repr(case.epsilon)]
     code = main(["verify", str(tmp_path), *flags])
     capsys.readouterr()
@@ -274,14 +313,14 @@ def verify_copy(case: Case, tmp_path, capsys) -> int:
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 def test_control_passes(case, tmp_path, capsys):
-    assert check_passed(case)
+    assert check_passed(case, tmp_path)
     assert verify_copy(case, tmp_path, capsys) == 0
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 def test_fault_fails_the_check(case, monkeypatch, tmp_path, capsys):
     case.inject(monkeypatch)
-    assert not check_passed(case)
+    assert not check_passed(case, tmp_path)
     assert verify_copy(case, tmp_path, capsys) == 1
 
 

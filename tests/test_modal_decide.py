@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import time
-from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
@@ -38,8 +37,6 @@ from support import (
     frame_validity_oracle,
     hintikka_type_reference,
     random_formula,
-    reference_frame_table,
-    reference_ops,
     reference_representative_frames,
     reference_subformulas,
 )
@@ -255,9 +252,10 @@ class TestHintikkaTypeReference:
         with pytest.raises(ResourceLimitError):
             gl_decide(lob)
         assert hintikka_type_reference(lob) == (True, None)
+        # Refuted where no []p_i holds: one witness, with every box and no atom true, serves all.
         boxes = parse_formula(" | ".join(f"[]p{i}" for i in range(5)))
         valid, (model, root) = hintikka_type_reference(boxes)
-        assert not valid and len(model.worlds) == 81
+        assert not valid and len(model.worlds) == 2
         assert not model_check(boxes, model, root)
 
 
@@ -347,7 +345,8 @@ class TestCellElimination:
         swept = decide("[]p0 -> p0").countermodel
         monkeypatch.setattr(decide_module, "_first_failure", lambda *args: None)
         result = decide("[]p0 -> p0")
-        # One world where p0 is false: the least failing type has every box, so no witness.
+        # One world where p0 is false: the failing type of the highest box set has every
+        # box, so no witness.
         assert result.verdict == "invalid"
         assert result.countermodel == witness_dag(parse_formula("[]p0 -> p0")) == swept
 
@@ -365,7 +364,8 @@ def workloads(monkeypatch):
 
 
 class TestProvabilityWorkload:
-    """Every ``provability`` formula the benchmark can draw, elimination against the sweep.
+    """Every ``provability`` formula the benchmark can draw, elimination against the sweep
+    within its cap and against the type reference past it.
 
     A verdict or a trace that moved here would move the benchmark's digests.
     """
@@ -380,8 +380,8 @@ class TestProvabilityWorkload:
                 atoms = len(atom_indices(phi))
                 world_counts = range(1, len(box_subformulas(phi)) + 2)
                 if atoms * world_counts[-1] > decide_module.MAX_VALUATION_BITS:
-                    # The 25-bit 5-atom class, past the sweep: checked against the reference.
-                    assert item.id.startswith("provability/refused5-"), item.id
+                    # The 20-bit valid4 and 25-bit refused5 classes: all valid, so no
+                    # workload formula reaches the witness DAG.
                     assert hintikka_type_reference(phi) == (True, None), text
                     valid = True
                     past_the_sweep += 1
@@ -395,7 +395,7 @@ class TestProvabilityWorkload:
                         tuple(SearchLevel(k, len(frames(k)), 1 << (atoms * k)) for k in world_counts),
                     ), text
                 answered += 1
-        assert (answered, past_the_sweep) == (100 * workloads.VARIANTS, 2 * workloads.VARIANTS)
+        assert (answered, past_the_sweep) == (100 * workloads.VARIANTS, 4 * workloads.VARIANTS)
 
 
 class TestSubformulaWalk:
@@ -486,7 +486,7 @@ LOB_24_BITS = "[]([]A -> A) -> []A".replace("A", "((p0 & p1) | (p2 & p3) | (p4 &
 
 @pytest.fixture
 def evaluated_frames(monkeypatch):
-    """Successor masks of every frame ``gl_decide`` evaluates, once per block, in order."""
+    """Successor masks of every frame ``gl_decide`` evaluates, in order."""
     frames = []
     original = decide_module._frame_cells
 
@@ -672,67 +672,12 @@ class TestCountermodelOrder:
         assert (result.countermodel.model, result.countermodel.world) == (model, world)
 
 
-@lru_cache(maxsize=128)
-def _index_bit_mask(bit, total_bits):
-    """Bitmask over all valuation indices whose ``bit`` is set, written out as text."""
-    period = "1" * (1 << bit) + "0" * (1 << bit)
-    return int(period * (1 << (total_bits - bit - 1)), 2)
-
-
-def _whole_space_failures(phi):
-    """(worlds, frame, root, least failing index) per failing rooted frame, in search order.
-
-    Each frame is evaluated at every world over the whole valuation space at
-    once, with ``reference_frame_table``: no blocks and no reuse between frames.
-    """
-    ops = reference_ops(phi)
-    atoms = atom_indices(phi)
-    position = {atom: i for i, atom in enumerate(atoms)}
-    for k in range(1, len(box_subformulas(phi)) + 2):
-        total_bits = len(atoms) * k
-        full = (1 << (1 << total_bits)) - 1
-        atom_masks = [
-            [_index_bit_mask(i * k + w, total_bits) for w in range(k)]
-            for i in range(len(atoms))
-        ]
-        everyone = (1 << k) - 1
-        for masks in decide_module._representative_frames(k):
-            roots = [w for w in range(k) if masks[w] | 1 << w == everyone]
-            if not roots:
-                continue
-            (root,) = roots
-            table = reference_frame_table(ops, position, masks, k, atom_masks, full)
-            failing = full ^ table[-1][root]
-            if failing:
-                yield k, masks, root, (failing & -failing).bit_length() - 1
-
-
-def _decided_failure(phi):
-    """``gl_decide``'s countermodel as (worlds, frame, world, valuation index), or ``None``."""
-    countermodel = gl_decide(phi).countermodel
-    if countermodel is None:
-        return None
-    model = countermodel.model
-    k = len(model.worlds)
-    masks = [0] * k
-    for a, b in model.relation:
-        masks[a] |= 1 << b
-    atoms = atom_indices(phi)
-    index = sum(
-        1 << (i * k + w)
-        for i, atom in enumerate(atoms)
-        for w in range(k)
-        if atom in model.true_atoms(w)
-    )
-    return k, tuple(masks), countermodel.world, index
-
-
-def _block_corpus(rng, count):
-    """Formulas over 17 to 21 valuation bits that often reach the last world count.
+def _past_the_sweep_corpus(rng, count):
+    """Formulas over 17 to 21 valuation bits, past the sweep's cap, often invalid.
 
     A random formula over two atoms is moved to the two highest atoms and
-    joined with a contradiction over the rest, so its failures land in the
-    high index bits. A whole-space scan past 21 bits needs hundreds of MB.
+    joined with a contradiction over the rest: its verdict is the random
+    formula's, over a valuation space of every atom.
     """
     atoms_for_bound = {3: (6, 7), 4: (5,), 5: (4,)}
     corpus = []
@@ -748,59 +693,36 @@ def _block_corpus(rng, count):
     return corpus
 
 
-class TestValuationBlocks:
-    def test_first_failure_past_block_zero(self):
-        # Fails only at the root of the five-world chain, the last rooted
-        # five-world frame, with p3 true there: index bit 3 * 5 + 4 = 19.
-        phi = parse_formula("[][][][](p0 & ~p0) | ~p3 | (p1 & p2 & ~p1)")
-        expected = (5, (0, 1, 3, 7, 15), 4, 1 << 19)
-        assert next(_whole_space_failures(phi)) == expected
-        assert _decided_failure(phi) == expected
-        cm = gl_decide(phi).countermodel
-        assert [cm.model.true_atoms(w) for w in range(5)] == [frozenset()] * 4 + [{3}]
-
-    def test_earlier_frame_failing_in_a_later_block_comes_first(self):
-        # Fails where the root sees b, d and an a-world that sees a c-world,
-        # four distinct worlds. The a-world is never world 0, which has no
-        # successors, and d needs p3, whose bits past world 0 are 16 and up.
-        # In (0,0,0,1,15) a is world 3, so d is world 1 or 2: block 1 or
-        # later. In (0,0,0,3,15), later in the table, d can be world 0: block 0.
-        phi = parse_formula(
-            "[]((p0 & ~p1) -> []~(~p0 & p1)) | []~(p0 & p1) | []~(~p0 & ~p1 & p3) | (p2 & ~p2)"
-        )
-        failures = list(_whole_space_failures(phi))
-        first = failures[0]
-        assert first[1] == (0, 0, 0, 1, 15) and first[3] >> 16 == 1
-        assert ((0, 0, 0, 3, 15), 32972) in [(masks, index) for _, masks, _, index in failures]
-        assert _decided_failure(phi) == first
-
-    def test_seeded_corpus_matches_the_whole_space_scan(self):
-        past_block_zero = reached = 0
-        for phi in _block_corpus(random.Random(1717), 60):
+class TestPastTheSweep:
+    def test_seeded_corpus_gets_the_witness_dag(self, evaluated_frames):
+        built = largest = 0
+        for phi in _past_the_sweep_corpus(random.Random(1717), 60):
             bits = len(atom_indices(phi)) * (len(box_subformulas(phi)) + 1)
             assert 17 <= bits <= 21
-            expected = next(_whole_space_failures(phi), None)
-            assert _decided_failure(phi) == expected, print_formula(phi)
-            worlds = expected[0] if expected else len(box_subformulas(phi)) + 1
-            reached += len(atom_indices(phi)) * worlds > 16
-            past_block_zero += expected is not None and expected[3] >> 16 > 0
-        assert reached > 10 and past_block_zero > 3
+            result = gl_decide(phi)
+            valid, reference = hintikka_type_reference(phi)
+            assert result.is_valid == valid, print_formula(phi)
+            if valid:
+                continue
+            cm = result.countermodel
+            assert cm == witness_dag(phi)
+            assert not model_check(phi, cm.model, cm.world), print_formula(phi)
+            assert len(cm.model.worlds) == len(reference[0].worlds), print_formula(phi)
+            built += 1
+            largest = max(largest, len(cm.model.worlds))
+        assert evaluated_frames == []
+        assert built > 40 and largest > 3
 
-    def test_small_blocks_match_the_whole_space_scan(self, monkeypatch):
-        # Blocks of four valuations, so even small formulas span many.
-        monkeypatch.setattr(decide_module, "_BLOCK_BITS", 2)
-        rng = random.Random(3030)
-        deeper = 0
-        for _ in range(500):
-            phi = random_formula(rng, n_atoms=3, max_distinct_boxes=3)
-            expected = next(_whole_space_failures(phi), None)
-            assert _decided_failure(phi) == expected, print_formula(phi)
-            deeper += expected is not None and expected[3] >> 2 > 0
-        assert deeper > 15
+
+# Invalid over 4 atoms and 3 boxes, 16 valuation bits: refuted only at the root of the
+# four-world chain, where every atom is true, so the sweep evaluates every rooted frame.
+CHAIN_16_BITS = "[][][](p0 & ~p0) | ~(p0 & p1 & p2 & p3)"
+# The same shape over 6 atoms: 24 valuation bits, past the sweep's cap.
+CHAIN_24_BITS = "[][][](p0 & ~p0) | ~(p0 & p1 & p2 & p3 & p4 & p5)"
 
 
 class TestBoundedCells:
-    def test_no_cell_exceeds_one_block(self, monkeypatch):
+    def test_no_cell_exceeds_8_kib(self, monkeypatch):
         widest = []
         original = decide_module._frame_cells
 
@@ -810,14 +732,19 @@ class TestBoundedCells:
             return table
 
         monkeypatch.setattr(decide_module, "_frame_cells", measuring)
-        assert sweep(LOB_24_BITS) == [None] * 3
+        cm = decide(CHAIN_16_BITS).countermodel
+        assert len(cm.model.worlds) == 4 and len(widest) == 1 + 1 + 2 + 5
+        assert max(widest) == 1 << 16
+        widest.clear()
+        cm = decide(CHAIN_24_BITS).countermodel
+        assert not model_check(parse_formula(CHAIN_24_BITS), cm.model, cm.world)
+        assert len(cm.model.worlds) == 4 and widest == []
         result = decide(LOB_24_BITS)
-        assert result.is_valid
         assert [
             (lvl.world_count, lvl.frames_checked, lvl.valuations_per_frame)
             for lvl in result.trace.levels
         ] == [(1, 1, 256), (2, 2, 65536), (3, 5, 16777216)]
-        assert max(widest) == 1 << 16
+        assert widest == []
 
     def test_the_24_bit_lob_instance_peaks_below_64_mb(self):
         # Linux carries a process's peak RSS over exec into the program it

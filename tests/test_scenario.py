@@ -132,6 +132,13 @@ class TestParseScenario:
         [
             ("p0 &", "expected a formula (position 4)"),
             ("~" * 201 + "p0", "formula nests deeper than 200 levels (position 200)"),
+            # The decision's own limits, checked by the loader through ``check_limits``.
+            (" & ".join(["p0"] * 101), "formula has 201 nodes, limit is 200"),
+            (" & ".join(f"p{i}" for i in range(9)), "formula uses 9 atoms, limit is 8"),
+            (
+                " | ".join(f"[]p{i}" for i in range(5)),
+                "needs frames of up to 6 worlds; enumeration is capped at 5",
+            ),
         ],
     )
     def test_bad_formula_names_the_field_and_the_formula(self, text, message):

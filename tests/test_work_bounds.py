@@ -1,7 +1,7 @@
 """Work and memory bounded by what was loaded: one near-worst-case file per kind and rule.
 
 Each case writes its scenario file in the test, about 1 MB but for the prediction just
-under the bound and the logic file, and runs ``tasklimits`` on it in a child process.
+under the bound and the logic files, and runs ``tasklimits`` on it in a child process.
 Only the child's address space is capped (``RLIMIT_AS``), and the run has a wall-clock
 timeout. It must exit 0, or exit 2 with exactly one ``error:`` line, and never print a
 traceback. A prediction run stacks one kernel per hypothesis, hypotheses x
@@ -138,3 +138,22 @@ def test_formulas_past_the_valuation_cap_are_answered(tmp_path):
     assert done.stdout.count("verdict: valid (witness ok)") == 900
     assert done.stdout.count("verdict: invalid (witness ok)") == 900
     assert (tmp_path / "scenario.json").stat().st_size > 200_000
+
+
+def chains_to_the_box_cap(formulas: int) -> dict:
+    """``[][][](a & ~a) | ~...~(a & ... & f)`` over six atoms, padded with 179 negations to
+    198 nodes: three boxes and 24 valuation bits, refuted only at the root of the four-world
+    chain with every atom true."""
+    rng = random.Random(2023)
+    texts = []
+    for _ in range(formulas):
+        atoms = [f"p{a}" for a in rng.sample(range(8), 6)]
+        texts.append(f"[][][]({atoms[0]} & ~{atoms[0]}) | {'~' * 179}({' & '.join(atoms)})")
+    return {"name": "box-chains", "kind": "logic", "seed": 0, "payload": {"formulas": texts}}
+
+
+def test_formulas_refuted_only_at_the_root_of_a_chain_are_answered(tmp_path):
+    done = run_capped("logic", chains_to_the_box_cap(1_100), tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.count("verdict: invalid (witness ok)") == 1_100
+    assert (tmp_path / "scenario.json").stat().st_size > 240_000
