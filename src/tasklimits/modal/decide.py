@@ -85,9 +85,11 @@ MAX_ATOMS = 8
 MAX_VALUATION_BITS = 16
 
 
-@dataclass(frozen=True)
-class SearchLevel:
-    """Every representative frame of one size, with every valuation of the formula's atoms."""
+class SearchLevel(NamedTuple):
+    """Every representative frame of one size, with every valuation of the formula's atoms.
+
+    A valid verdict's report keeps it as its ``(world_count, frames, valuations)`` triple.
+    """
 
     world_count: int
     frames_checked: int

@@ -1,4 +1,4 @@
-"""Experiment reports: typed records, CSV emission, and lossless JSON round-trip.
+"""Experiment reports: typed records, CSV emission, and lossless structured emission.
 
 The CSV schema is fixed: ``n,utility,delta,tau,bound_lhs,bound_rhs,slack,pass``
 with one row per step (trajectory level, prediction truncation level, or
@@ -10,7 +10,6 @@ every inequality record and every logic witness.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass, fields, is_dataclass
@@ -85,26 +84,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-#: The record type held by each field that holds records, to rebuild them from JSON.
-_RECORD_FIELDS = {
-    "steps": StepRecord,
-    "bounds": BoundRecord,
-    "verdicts": VerdictRecord,
-    "countermodel": CountermodelRecord,
-}
-
-
-def _from_json(value, record=None):
-    """Invert the structured writer: lists become tuples and objects become ``record``."""
-    if isinstance(value, list):
-        return tuple(_from_json(item, record) for item in value)
-    if isinstance(value, dict):
-        return record(
-            **{name: _from_json(item, _RECORD_FIELDS.get(name)) for name, item in value.items()}
-        )
-    return value
-
-
 #: The text ``json`` writes for the two infinities; any other non-finite float is NaN.
 _NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
@@ -162,9 +141,3 @@ def emit_report(report: Report, format: str) -> bytes:
         return (_text(report) + "\n").encode("utf-8")
     raise ValidationError(f"unknown report format {format!r}; expected one of {FORMATS}")
 
-
-def report_from_json(data: bytes | str) -> Report:
-    """Rebuild a :class:`Report` from its structured emission (lossless)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return _from_json(json.loads(data), Report)

@@ -23,6 +23,7 @@ from .report import CountermodelRecord, Report, StepRecord, VerdictRecord
 from .scenario import LogicPayload, PredictionPayload, Scenario, TrajectoryPayload
 from .taskspace import TOLERANCE
 from .trajectory import (
+    DifficultyThreshold,
     build_trajectory,
     limit_diagnostics,
     marginal_gains,
@@ -45,11 +46,13 @@ def _run_trajectory(scenario: Scenario, payload: TrajectoryPayload) -> Report:
         weights, first_level = traj.mu.weights, traj.first_level
         u_first = math.fsum(itertools.compress(weights, map((1).__eq__, first_level)))
         u_last = math.fsum(itertools.compress(weights, first_level))
-        residual = max(
-            telescoping_residual(utilities, gains),
-            abs(u_first - utilities[0]),
-            abs(u_last - utilities[-1]),
-        )
+        ends = [abs(u_first - utilities[0]), abs(u_last - utilities[-1])]
+        if isinstance(payload.rule, DifficultyThreshold):
+            # U(N) once more, from the rule's own difficulties rather than the first levels.
+            solved = map(traj.levels.__ge__, payload.rule.difficulties)
+            u_rule = math.fsum(itertools.compress(weights, solved))
+            ends.append(abs(u_rule - utilities[-1]))
+        residual = max(telescoping_residual(utilities, gains), *ends)
         bounds.append(
             BoundRecord.check("telescoping_residual", traj.levels, residual, TOLERANCE)
         )
@@ -143,10 +146,7 @@ def _run_logic(scenario: Scenario, payload: LogicPayload) -> Report:
             model = KripkeModel(true, (), true)
             witness_ok = all(model_check(phi, model, w) for w in true)
             countermodel = None
-            search_levels = tuple(
-                (lvl.world_count, lvl.frames_checked, lvl.valuations_per_frame)
-                for lvl in result.trace.levels
-            )
+            search_levels = result.trace.levels
         else:
             cm = result.countermodel
             # The witness is good iff the formula really is false at the named world.

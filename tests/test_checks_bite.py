@@ -12,7 +12,7 @@ only that patch, ``logic_basics`` passes.
 
 import json
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from pathlib import Path
 from typing import Callable
@@ -69,6 +69,21 @@ def book_every_task_a_level_late(monkeypatch):
     monkeypatch.setattr(
         trajectory, "_weights_first_solved", lambda traj: [[], *weights_first_solved(traj)[:-1]]
     )
+
+
+def solve_the_tasks_past_the_horizon_first(monkeypatch):
+    """A task whose difficulty is past ``n_max`` is booked at level 1, not left unsolved.
+
+    Both sequences and both endpoint sums read the same first levels, so they agree.
+    """
+    build_trajectory = runner.build_trajectory
+
+    def faulty(rule, n_max, mu):
+        traj = build_trajectory(rule, n_max, mu)
+        pairs = zip(rule.difficulties, traj.first_level)
+        return replace(traj, first_level=tuple(1 if d > n_max else n for d, n in pairs))
+
+    monkeypatch.setattr(runner, "build_trajectory", faulty)
 
 
 def inflate_the_gains(monkeypatch):
@@ -221,6 +236,7 @@ class Case:
     level: int
     inject: Callable[[pytest.MonkeyPatch], None]
     epsilon: float | None = None
+    n_max: int | None = None
     #: Formulas in place of the scenario's own, if any.
     formulas: tuple[str, ...] = ()
 
@@ -235,6 +251,14 @@ CASES = {
     ),
     "utility-endpoints-late": Case(
         "uniform_threshold.json", "telescoping_residual", 5, book_every_task_a_level_late
+    ),
+    # At n_max 3 the tasks of difficulty 4 and 5, mass 0.4, lie past the horizon.
+    "horizon": Case(
+        "uniform_threshold.json",
+        "telescoping_residual",
+        3,
+        solve_the_tasks_past_the_horizon_first,
+        n_max=3,
     ),
     # At epsilon 0.5 at most two gains may reach epsilon; the scenario has four.
     "epsilon-count": Case(
@@ -295,7 +319,9 @@ def scenario_copy(case: Case, directory) -> Path:
 
 
 def check_passed(case: Case, directory) -> bool:
-    scenario = parse_scenario(scenario_copy(case, directory), epsilon=case.epsilon)
+    scenario = parse_scenario(
+        scenario_copy(case, directory), n_max=case.n_max, epsilon=case.epsilon
+    )
     report = run_experiment(scenario)
     if case.check == "witness_ok":
         return report.verdicts[case.level - 1].witness_ok
@@ -306,6 +332,7 @@ def check_passed(case: Case, directory) -> bool:
 def verify_copy(case: Case, tmp_path, capsys) -> int:
     scenario_copy(case, tmp_path)
     flags = [] if case.epsilon is None else ["--epsilon", repr(case.epsilon)]
+    flags += [] if case.n_max is None else ["--n-max", str(case.n_max)]
     code = main(["verify", str(tmp_path), *flags])
     capsys.readouterr()
     return code

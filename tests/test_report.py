@@ -1,5 +1,5 @@
 """Report emission: CSV schema golden test, the structured writer against
-``json.dumps`` and lossless structured round-trip."""
+``json.dumps`` and deterministic structured emission."""
 
 import math
 from dataclasses import dataclass, fields
@@ -18,7 +18,6 @@ from tasklimits.report import (
     StepRecord,
     VerdictRecord,
     emit_report,
-    report_from_json,
 )
 from tasklimits.runner import run_experiment
 from tasklimits.scenario import parse_scenario
@@ -84,21 +83,6 @@ class TestCsv:
 
 
 class TestStructuredRoundTrip:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "uniform_threshold.json",
-            "geometric_difficulty.json",
-            "random_coverage.json",
-            "bernoulli_pair.json",
-            "logic_basics.json",
-        ],
-    )
-    def test_bundled_scenarios_round_trip_losslessly(self, name):
-        report = run_experiment(parse_scenario(SCENARIO_DIR / name))
-        payload = emit_report(report, "structured")
-        assert report_from_json(payload) == report
-
     def test_emission_is_deterministic(self):
         scenario = parse_scenario(SCENARIO_DIR / "bernoulli_pair.json")
         first = emit_report(run_experiment(scenario), "structured")
