@@ -433,16 +433,16 @@ def reference_utilities(traj: SystemTrajectory) -> list[float]:
     ]
 
 
-def _to_json(value):
+def plain_form(value):
     """Records become objects of their fields, tuples and lists become lists; the rest stays."""
     if isinstance(value, (tuple, list)):
-        return [_to_json(item) for item in value]
+        return [plain_form(item) for item in value]
     if is_dataclass(value):
-        return {name: _to_json(item) for name, item in vars(value).items()}
+        return {name: plain_form(item) for name, item in vars(value).items()}
     return value
 
 
 def reference_structured(report) -> bytes:
     """The structured report as ``json.dumps`` writes it, with a trailing newline."""
-    text = json.dumps(_to_json(report), sort_keys=True, indent=2, ensure_ascii=False)
+    text = json.dumps(plain_form(report), sort_keys=True, indent=2, ensure_ascii=False)
     return (text + "\n").encode("utf-8")

@@ -1,6 +1,7 @@
 """Report emission: CSV schema golden test, the structured writer against
-``json.dumps`` and deterministic structured emission."""
+``json.dumps``, and structured emission that ``json`` reads back to every field."""
 
+import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -21,7 +22,7 @@ from tasklimits.report import (
 )
 from tasklimits.runner import run_experiment
 from tasklimits.scenario import parse_scenario
-from support import SCENARIO_DIR, reference_structured
+from support import SCENARIO_DIR, plain_form, reference_structured
 
 GOLDEN_SCENARIOS = sorted((Path(__file__).resolve().parent / "golden").glob("*.scenario.json"))
 
@@ -83,6 +84,21 @@ class TestCsv:
 
 
 class TestStructuredRoundTrip:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "uniform_threshold.json",
+            "geometric_difficulty.json",
+            "random_coverage.json",
+            "bernoulli_pair.json",
+            "logic_basics.json",
+        ],
+    )
+    def test_bundled_scenarios_round_trip_losslessly(self, name):
+        report = run_experiment(parse_scenario(SCENARIO_DIR / name))
+        payload = emit_report(report, "structured")
+        assert json.loads(payload) == plain_form(report)
+
     def test_emission_is_deterministic(self):
         scenario = parse_scenario(SCENARIO_DIR / "bernoulli_pair.json")
         first = emit_report(run_experiment(scenario), "structured")
