@@ -25,9 +25,9 @@ countermodel, re-checkable with ``model_check``, from one of two routes:
 * The frame sweep names the least countermodel of at most ``b + 1`` worlds,
   for ``b`` distinct boxed subformulas, when the valuation space of that
   many worlds fits ``MAX_VALUATION_BITS``. The sweep goes up world counts,
-  one representative frame per relabeling class. The representatives are a
-  literal table, the first frame of each class in ``successor_mask_orders``
-  order; the tests check it against orbit marking over every labelled
+  one rooted frame per relabeling class, built from a literal table of 0 to
+  4 worlds: the first frame of each class in ``successor_mask_orders``
+  order. The tests check it against orbit marking over every labelled
   order, so no process enumerates orders or relabelings to decide a
   formula. Valuations are batched as bitmasks: the truth of a subformula at
   a world is one integer whose bit ``v`` says whether the subformula holds
@@ -43,9 +43,11 @@ every valuation, a world of a ``k``-world frame that does not see every
 other world generates a subframe of fewer than ``k`` worlds, isomorphic to
 a frame already swept, so it cannot fail. Only a root, the one world that
 sees every other, can. Every world's successors carry lower labels, so a
-root is the last world.
+root is the last world, and a rooted frame of ``k`` worlds is a table frame
+of ``k - 1`` worlds under that root: the table's rooted frames of ``k``
+worlds are exactly these, in the order of the row of ``k - 1`` worlds.
 
-The scan is frame-major: rooted frames in table order, each evaluated whole
+The scan is frame-major: rooted frames in that order, each evaluated whole
 over every valuation, every subformula at every world. The first frame whose
 root fails, with its lowest failing index, is the answer: the frame, world
 and valuation index that a sweep of every frame at every world would find
@@ -53,8 +55,8 @@ first.
 
 A valid verdict carries a ``ValidityTrace`` whose levels name the frames
 and valuations of up to ``b + 1`` worlds that its validity covers: the text
-a ``searched m worlds`` report line gives. No frame is evaluated for a
-valid formula.
+a ``searched m worlds`` report line gives. Its frame counts come from a
+tuple of the class counts, and no frame is evaluated for a valid formula.
 """
 
 from __future__ import annotations
@@ -128,10 +130,14 @@ class DecisionResult:
         return self.verdict == "valid"
 
 
-#: The first frame of each relabeling class per world count, 1..``MAX_ENUM_WORLDS``,
-#: in ``successor_mask_orders`` order: 1, 2, 5, 16 and 63 frames, one per
-#: unlabeled strict partial order.
+#: Relabeling classes (unlabeled strict partial orders) per world count, 1..``MAX_ENUM_WORLDS``.
+_FRAME_COUNTS = (1, 2, 5, 16, 63)
+
+#: The first frame of each relabeling class per world count, 0..``MAX_ENUM_WORLDS - 1``,
+#: in ``successor_mask_orders`` order. The rooted frames of ``k`` worlds are, in the same
+#: order, those of ``k - 1`` worlds under a last world that sees every other.
 _REPRESENTATIVE_FRAMES: dict[int, tuple[tuple[int, ...], ...]] = {
+    0: ((),),
     1: ((0,),),
     2: ((0, 0), (0, 1)),
     3: ((0, 0, 0), (0, 0, 1), (0, 0, 3), (0, 1, 1), (0, 1, 3)),
@@ -139,21 +145,6 @@ _REPRESENTATIVE_FRAMES: dict[int, tuple[tuple[int, ...], ...]] = {
         (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 3), (0, 0, 0, 7), (0, 0, 1, 1), (0, 0, 1, 2),
         (0, 0, 1, 3), (0, 0, 1, 5), (0, 0, 1, 7), (0, 0, 3, 3), (0, 0, 3, 7), (0, 1, 1, 1),
         (0, 1, 1, 3), (0, 1, 1, 7), (0, 1, 3, 3), (0, 1, 3, 7),
-    ),
-    5: (
-        (0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 3), (0, 0, 0, 0, 7), (0, 0, 0, 0, 15),
-        (0, 0, 0, 1, 1), (0, 0, 0, 1, 2), (0, 0, 0, 1, 3), (0, 0, 0, 1, 6), (0, 0, 0, 1, 7),
-        (0, 0, 0, 1, 9), (0, 0, 0, 1, 11), (0, 0, 0, 1, 15), (0, 0, 0, 3, 3), (0, 0, 0, 3, 5),
-        (0, 0, 0, 3, 7), (0, 0, 0, 3, 11), (0, 0, 0, 3, 15), (0, 0, 0, 7, 7), (0, 0, 0, 7, 15),
-        (0, 0, 1, 1, 1), (0, 0, 1, 1, 2), (0, 0, 1, 1, 3), (0, 0, 1, 1, 5), (0, 0, 1, 1, 7),
-        (0, 0, 1, 1, 13), (0, 0, 1, 1, 15), (0, 0, 1, 2, 3), (0, 0, 1, 2, 5), (0, 0, 1, 2, 7),
-        (0, 0, 1, 2, 15), (0, 0, 1, 3, 3), (0, 0, 1, 3, 5), (0, 0, 1, 3, 7), (0, 0, 1, 3, 11),
-        (0, 0, 1, 3, 15), (0, 0, 1, 5, 5), (0, 0, 1, 5, 7), (0, 0, 1, 5, 13), (0, 0, 1, 5, 15),
-        (0, 0, 1, 7, 7), (0, 0, 1, 7, 15), (0, 0, 3, 3, 3), (0, 0, 3, 3, 7), (0, 0, 3, 3, 15),
-        (0, 0, 3, 7, 7), (0, 0, 3, 7, 15), (0, 1, 1, 1, 1), (0, 1, 1, 1, 3), (0, 1, 1, 1, 7),
-        (0, 1, 1, 1, 15), (0, 1, 1, 3, 3), (0, 1, 1, 3, 5), (0, 1, 1, 3, 7), (0, 1, 1, 3, 11),
-        (0, 1, 1, 3, 15), (0, 1, 1, 7, 7), (0, 1, 1, 7, 15), (0, 1, 3, 3, 3), (0, 1, 3, 3, 7),
-        (0, 1, 3, 3, 15), (0, 1, 3, 7, 7), (0, 1, 3, 7, 15),
     ),
 }
 
@@ -325,38 +316,35 @@ def _frame_cells(
     return table
 
 
-def _first_failure(
-    walk: Walk, atoms: list[int], frames: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], int] | None:
-    """The first rooted frame where the formula fails at the root, with its lowest failing index.
+def _least_countermodel(walk: Walk, atoms: list[int], bound: int) -> Countermodel | None:
+    """The sweep's least countermodel of at most ``bound`` worlds, refuted at its root.
 
-    Frames go in the order of ``frames``, each evaluated once over every
-    valuation. Returns ``None`` if no rooted frame fails.
+    Returns ``None`` past ``MAX_VALUATION_BITS`` or if no rooted frame fails.
+    World counts go up; the rooted frames of ``k`` worlds are the frames of
+    ``k - 1`` worlds in table order under a last world that sees them all,
+    each evaluated once over every valuation. The first frame whose root
+    fails is the answer, under its lowest failing valuation index.
     """
-    world_count = len(frames[0])
-    root = world_count - 1
-    total_bits = len(atoms) * world_count
-    full = (1 << (1 << total_bits)) - 1
-    cells = [_atom_bit_mask(bit, total_bits) for bit in range(total_bits)]
-    atom_rows = {atom: cells[i * world_count : (i + 1) * world_count] for i, atom in enumerate(atoms)}
-    for masks in frames:
-        if masks[root] != (1 << root) - 1:
-            continue
-        failing = full ^ _frame_cells(walk, masks, atom_rows, full)[-1][root]
-        if failing:
-            return masks, (failing & -failing).bit_length() - 1
+    if len(atoms) * bound > MAX_VALUATION_BITS:
+        return None
+    for k in range(1, bound + 1):
+        worlds = range(k)
+        total_bits = len(atoms) * k
+        full = (1 << (1 << total_bits)) - 1
+        cells = [_atom_bit_mask(bit, total_bits) for bit in range(total_bits)]
+        atom_rows = {atom: cells[i * k : (i + 1) * k] for i, atom in enumerate(atoms)}
+        for frame in _representative_frames(k - 1):
+            masks = (*frame, (1 << k - 1) - 1)
+            failing = full ^ _frame_cells(walk, masks, atom_rows, full)[-1][k - 1]
+            if failing:
+                index = (failing & -failing).bit_length() - 1
+                model = KripkeModel(
+                    worlds,
+                    ((w, v) for w in worlds for v in worlds if masks[w] >> v & 1),
+                    {w: {a for a in atoms if atom_rows[a][w] >> index & 1} for w in worlds},
+                )
+                return Countermodel(model=model, world=k - 1)
     return None
-
-
-def _extract_countermodel(atoms: list[int], succ_masks: tuple[int, ...], index: int) -> Countermodel:
-    """The rooted frame ``succ_masks`` under valuation ``index``, refuted at its root."""
-    worlds = range(len(succ_masks))
-    model = KripkeModel(
-        worlds,
-        ((w, v) for w in worlds for v in worlds if succ_masks[w] >> v & 1),
-        {w: {a for i, a in enumerate(atoms) if index >> (i * len(worlds) + w) & 1} for w in worlds},
-    )
-    return Countermodel(model=model, world=len(worlds) - 1)
 
 
 def check_limits(phi: ModalFormula) -> Walk:
@@ -382,11 +370,12 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
     Elimination of Hintikka types decides validity, complete by construction.
     A valid verdict's trace names the frames of up to ``b + 1`` worlds
     (``b`` = distinct boxed subformulas) and the valuations its validity
-    covers; no frame is evaluated for it. An invalid formula whose sweep fits
-    ``MAX_VALUATION_BITS`` gets the sweep's least countermodel within ``b + 1``
-    worlds, if it finds one; any other gets the witness DAG of the types
-    elimination kept. Only the node, atom and box limits of ``check_limits``
-    refuse a formula, with a ``ResourceLimitError``, before any work.
+    covers, counted by ``_FRAME_COUNTS``; no frame is evaluated for it. An invalid
+    formula whose sweep fits ``MAX_VALUATION_BITS`` gets the sweep's least
+    countermodel within ``b + 1`` worlds, over rooted frames built from the
+    table row of one world fewer, if it finds one; any other gets the witness
+    DAG of the types elimination kept. Only the node, atom and box limits of
+    ``check_limits`` refuse a formula, by ``ResourceLimitError`` before any work.
     """
     walk = nodes, _ = check_limits(phi)
     walk_atoms = [node.index for node in nodes if isinstance(node, Atom)]
@@ -395,15 +384,8 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
     bound = len(types.keep) + 1
     if not types.failing:
         levels = tuple(
-            SearchLevel(k, len(_representative_frames(k)), 1 << (len(atoms) * k))
-            for k in range(1, bound + 1)
+            SearchLevel(k, _FRAME_COUNTS[k - 1], 1 << (len(atoms) * k)) for k in range(1, bound + 1)
         )
         return DecisionResult(verdict="valid", trace=ValidityTrace(levels))
-
-    if len(atoms) * bound <= MAX_VALUATION_BITS:
-        for world_count in range(1, bound + 1):
-            failure = _first_failure(walk, atoms, _representative_frames(world_count))
-            if failure is not None:
-                countermodel = _extract_countermodel(atoms, *failure)
-                return DecisionResult(verdict="invalid", countermodel=countermodel)
-    return DecisionResult(verdict="invalid", countermodel=_witness_dag(types, walk_atoms))
+    countermodel = _least_countermodel(walk, atoms, bound) or _witness_dag(types, walk_atoms)
+    return DecisionResult(verdict="invalid", countermodel=countermodel)

@@ -66,10 +66,6 @@ class ConditionalKernel:
     def n_contexts(self) -> int:
         return self.table.shape[0]
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.table.shape[1]
-
     def row(self, context: int) -> np.ndarray:
         return self.table[context]
 

@@ -120,12 +120,26 @@ def _run_prediction(scenario: Scenario, payload: PredictionPayload, slack: float
             )
         )
 
+    # The records' layout, from the code lengths and n_max alone rather than the sweep's loop.
+    lengths = [h.code_length for h in payload.hypotheses.hypotheses]
+    levels = range(min(lengths), scenario.n_max + 1)
+    layout = [(name, n) for n in levels for name in ("tv_vs_tail", "risk_vs_tail")]
+    layout += [("gain_vs_tails", n) for n in levels[:-1]]
+    layout += [("decomposition_residual", n) for n in levels if n < max(lengths)]
+    pairs = list(itertools.zip_longest([(r.name, r.level) for r in result.records], layout))
+    wrong = [i for i, (got, want) in enumerate(pairs) if got != want]
+    bounds = list(result.records)
+    if wrong:
+        got, want = pairs[wrong[0]]
+        bounds.append(BoundRecord.check("record_layout", (want or got)[1], float(len(wrong)), 0.0))
+        notes.append(f"record layout: record {wrong[0]} is {got}, expected {want}")
+
     return Report(
         scenario=scenario.name,
         kind=scenario.kind,
-        passed=result.all_passed,
+        passed=all(b.passed for b in bounds),
         steps=tuple(steps),
-        bounds=result.records,
+        bounds=tuple(bounds),
         notes=tuple(notes),
     )
 

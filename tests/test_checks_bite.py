@@ -1,8 +1,8 @@
 """Each report check fails when one route it compares is broken.
 
-A case injects one fault into one route of one check and runs a bundled
-scenario: that check's record must fail, and ``verify`` on a copy of the
-scenario must exit 1. Its control runs the same scenario unpatched and
+A case injects one fault into one route of one check and runs a bundled or
+golden scenario: that check's record must fail, and ``verify`` on a copy of
+the scenario must exit 1. Its control runs the same scenario unpatched and
 passes, so the fault, not the scenario, is what makes the check fail. A case
 may put its own formulas in the bundled scenario's place. No bundled scenario
 reaches the witness DAG unpatched: one case takes a formula past the sweep's
@@ -36,6 +36,8 @@ from tasklimits.prior import MAX_CODE_LENGTH, TruncatedPrior
 from tasklimits.runner import run_experiment
 from tasklimits.scenario import parse_scenario
 from support import SCENARIO_DIR
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def drop_a_weight_at_the_last_level(monkeypatch):
@@ -128,6 +130,34 @@ def perturb_one_tail_cell(monkeypatch):
     monkeypatch.setattr(prediction, "_mix", faulty)
 
 
+def write_the_residuals_at_the_empty_tail_levels(monkeypatch):
+    """The decomposition residual records go to the levels whose tail is empty, not the others.
+
+    Each carries the residual of the last level with a non-empty tail, as the sweep
+    does when its ``tau_n != 0.0`` guard before the residual records is negated.
+    """
+    verify_prediction_bounds = runner.verify_prediction_bounds
+
+    def faulty(*args, **kwargs):
+        result = verify_prediction_bounds(*args, **kwargs)
+        kept = [r for r in result.records if r.name != "decomposition_residual"]
+        last = [r for r in result.records if r.name == "decomposition_residual"][-1]
+        moved = [replace(last, level=s.level) for s in result.levels if s.tau_n == 0.0]
+        return replace(result, records=tuple(kept + moved))
+
+    monkeypatch.setattr(runner, "verify_prediction_bounds", faulty)
+
+
+def stop_the_sweep_two_levels_short(monkeypatch):
+    """The sweep runs ``range(n_max - 1)``: its last two levels have no records at all."""
+    verify_prediction_bounds = runner.verify_prediction_bounds
+
+    def faulty(hclass, kernels, loss, pi, n_max, **kwargs):
+        return verify_prediction_bounds(hclass, kernels, loss, pi, n_max - 2, **kwargs)
+
+    monkeypatch.setattr(runner, "verify_prediction_bounds", faulty)
+
+
 def claim_a_countermodel_where_the_formula_holds(monkeypatch):
     """Every formula is called invalid, at a lone world where every atom is true.
 
@@ -170,7 +200,7 @@ def realise_a_failing_type(monkeypatch):
 
 def refute_nothing_by_sweep(monkeypatch):
     """The sweep finds no countermodel, so every invalid formula gets the witness DAG."""
-    monkeypatch.setattr(decide, "_first_failure", lambda *args: None)
+    monkeypatch.setattr(decide, "_least_countermodel", lambda *args: None)
 
 
 def flip_each_witness_dag_valuation(monkeypatch):
@@ -239,6 +269,8 @@ class Case:
     n_max: int | None = None
     #: Formulas in place of the scenario's own, if any.
     formulas: tuple[str, ...] = ()
+    #: Where the scenario file is read from.
+    directory: Path = SCENARIO_DIR
 
 
 CASES = {
@@ -269,6 +301,22 @@ CASES = {
     "gain": Case("bernoulli_pair.json", "gain_vs_tails", 1, halve_the_tail_mass),
     "decomposition": Case(
         "bernoulli_pair.json", "decomposition_residual", 1, perturb_one_tail_cell
+    ),
+    # Levels 12-14 have an empty tail; the layout wants residual records at 1-11.
+    "layout-residuals": Case(
+        "spread_prediction.scenario.json",
+        "record_layout",
+        1,
+        write_the_residuals_at_the_empty_tail_levels,
+        directory=GOLDEN_DIR,
+    ),
+    # The first record missing is level 13's tv record.
+    "layout-levels": Case(
+        "spread_prediction.scenario.json",
+        "record_layout",
+        13,
+        stop_the_sweep_two_levels_short,
+        directory=GOLDEN_DIR,
     ),
     "witness": Case(
         "logic_basics.json", "witness_ok", 1, claim_a_countermodel_where_the_formula_holds
@@ -310,11 +358,11 @@ def scenario_copy(case: Case, directory) -> Path:
     """The case's scenario file, written into ``directory``."""
     path = directory / case.scenario
     if case.formulas:
-        data = json.loads((SCENARIO_DIR / case.scenario).read_text())
+        data = json.loads((case.directory / case.scenario).read_text())
         data["payload"]["formulas"] = list(case.formulas)
         path.write_text(json.dumps(data))
     else:
-        shutil.copy(SCENARIO_DIR / case.scenario, path)
+        shutil.copy(case.directory / case.scenario, path)
     return path
 
 
@@ -325,7 +373,11 @@ def check_passed(case: Case, directory) -> bool:
     report = run_experiment(scenario)
     if case.check == "witness_ok":
         return report.verdicts[case.level - 1].witness_ok
-    [record] = [r for r in report.bounds if (r.name, r.level) == (case.check, case.level)]
+    records = [r for r in report.bounds if (r.name, r.level) == (case.check, case.level)]
+    if case.check == "record_layout":
+        # The layout record is written only where the layout differs.
+        return not records
+    [record] = records
     return record.passed
 
 

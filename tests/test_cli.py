@@ -361,6 +361,10 @@ class TestBenchmarkTracer:
             ["logic", str(SCENARIO_DIR / "logic_basics.json")],
             ["logic", "p0 &"],
             ["predict", str(SCENARIO_DIR / "bernoulli_pair.json")],
+            # Sweep countermodels of 2, 3 and 4 worlds, whose frames the tracer looks up.
+            ["logic", "[][](p0 & ~p0) -> [](p0 & ~p0)"],
+            ["logic", "[][][](p0 & ~p0) -> [][](p0 & ~p0)"],
+            ["logic", "[][][][](p0 & ~p0) -> [][][](p0 & ~p0)"],
         ]
         script = f"""
 import contextlib, io, json, sys
@@ -381,7 +385,7 @@ print(json.dumps({{"statuses": statuses, "counts": tracer.counts, "missing": tra
         )
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout)
-        assert result["statuses"] == [0, 0, 2, 0]
+        assert result["statuses"] == [0, 0, 2, 0, 0, 0, 0]
         # The sites the library no longer calls through; any other missing
         # site is one a refactor untraced.
         assert result["missing"] == [

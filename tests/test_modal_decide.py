@@ -271,14 +271,11 @@ def witness_dag(phi):
 
 
 def sweep(text):
-    """``_first_failure`` at each world count up to the search bound, smallest first."""
+    """The sweep's least countermodel within the search bound, or ``None``."""
     phi = parse_formula(text)
     walk = formula_module._postorder(phi)
-    atoms = atom_indices(phi)
-    return [
-        decide_module._first_failure(walk, atoms, decide_module._representative_frames(k))
-        for k in range(1, len(box_subformulas(phi)) + 2)
-    ]
+    bound = len(box_subformulas(phi)) + 1
+    return decide_module._least_countermodel(walk, atom_indices(phi), bound)
 
 
 def lob(a):
@@ -343,7 +340,7 @@ class TestCellElimination:
 
     def test_an_invalid_formula_the_sweep_cannot_refute_gets_the_witness_dag(self, monkeypatch):
         swept = decide("[]p0 -> p0").countermodel
-        monkeypatch.setattr(decide_module, "_first_failure", lambda *args: None)
+        monkeypatch.setattr(decide_module, "_least_countermodel", lambda *args: None)
         result = decide("[]p0 -> p0")
         # One world where p0 is false: the failing type of the highest box set has every
         # box, so no witness.
@@ -386,16 +383,30 @@ class TestProvabilityWorkload:
                     valid = True
                     past_the_sweep += 1
                 else:
-                    failures = sweep(text)
-                    valid = failures == [None] * len(failures)
+                    valid = sweep(text) is None
                 assert eliminate(phi) == result.is_valid == valid, text
                 if result.is_valid:
-                    frames = decide_module._representative_frames
+                    counts = decide_module._FRAME_COUNTS
                     assert result.trace == ValidityTrace(
-                        tuple(SearchLevel(k, len(frames(k)), 1 << (atoms * k)) for k in world_counts),
+                        tuple(SearchLevel(k, counts[k - 1], 1 << (atoms * k)) for k in world_counts),
                     ), text
                 answered += 1
         assert (answered, past_the_sweep) == (100 * workloads.VARIANTS, 4 * workloads.VARIANTS)
+
+    def test_no_countermodel_has_more_than_four_worlds(self, workloads):
+        """The benchmark's tracer finds a sweep countermodel's frame in the table's 4-world row."""
+        worlds = set()
+        for name in ("provability", "small_batch"):
+            for variant in range(workloads.VARIANTS):
+                for item in workloads.generate(name, variant=variant):
+                    if not item.is_file:
+                        texts = [item.text]
+                    else:
+                        data = json.loads(item.text)
+                        texts = data["payload"]["formulas"] if data["kind"] == "logic" else []
+                    results = [decide(text) for text in texts]
+                    worlds |= {len(r.countermodel.model.worlds) for r in results if not r.is_valid}
+        assert max(worlds) <= 4, worlds
 
 
 class TestSubformulaWalk:
@@ -500,7 +511,7 @@ def evaluated_frames(monkeypatch):
 
 class TestSearchWork:
     def test_valid_four_box_formula_evaluates_only_rooted_frames(self, evaluated_frames):
-        assert sweep(FOUR_BOX_VALID) == [None] * 5
+        assert sweep(FOUR_BOX_VALID) is None
         assert len(evaluated_frames) == 1 + 1 + 2 + 5 + 16
         for masks in evaluated_frames:
             everyone = (1 << len(masks)) - 1
@@ -586,21 +597,34 @@ class TestSearchHelpers:
 
     def test_representative_counts(self):
         # Unlabeled strict partial orders on 1..5 points (OEIS A000112).
-        counts = [len(decide_module._representative_frames(k)) for k in range(1, 6)]
-        assert counts == [1, 2, 5, 16, 63]
+        counts = [len(decide_module._representative_frames(k)) for k in range(1, 5)]
+        assert counts == [1, 2, 5, 16]
+        assert decide_module._FRAME_COUNTS == (1, 2, 5, 16, 63)
 
-    @pytest.mark.parametrize("world_count", range(1, MAX_ENUM_WORLDS + 1))
+    @pytest.mark.parametrize("world_count", range(MAX_ENUM_WORLDS))
     def test_table_is_the_orbit_marking_reference(self, world_count):
         assert decide_module._representative_frames(
             world_count
         ) == reference_representative_frames(world_count)
 
-    def test_table_covers_every_enumerable_world_count(self):
-        assert sorted(decide_module._REPRESENTATIVE_FRAMES) == list(
-            range(1, MAX_ENUM_WORLDS + 1)
-        )
-
     @pytest.mark.parametrize("world_count", range(1, MAX_ENUM_WORLDS + 1))
+    def test_rooted_frames_are_the_row_of_one_world_fewer_under_a_root(self, world_count):
+        # The reference's rooted frames, in order, are the table's frames of one world
+        # fewer with the root appended; the count tuple counts every reference frame.
+        reference = reference_representative_frames(world_count)
+        everyone = (1 << world_count) - 1
+        rooted = [m for m in reference if any(s | 1 << w == everyone for w, s in enumerate(m))]
+        root = (1 << world_count - 1) - 1
+        frames = decide_module._representative_frames(world_count - 1)
+        assert rooted == [(*frame, root) for frame in frames]
+        assert decide_module._FRAME_COUNTS[world_count - 1] == len(reference)
+
+    def test_table_covers_every_enumerable_world_count(self):
+        # Rows of 0..4 worlds, from which the sweep builds the rooted frames of 1..5.
+        assert sorted(decide_module._REPRESENTATIVE_FRAMES) == list(range(MAX_ENUM_WORLDS))
+        assert len(decide_module._FRAME_COUNTS) == MAX_ENUM_WORLDS
+
+    @pytest.mark.parametrize("world_count", range(MAX_ENUM_WORLDS))
     def test_successors_carry_lower_labels_and_roots_are_last(self, world_count):
         # Successors carry lower labels, so a rooted frame's one root is its
         # last world, the one world the sweep reads.
