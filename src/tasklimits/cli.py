@@ -29,7 +29,7 @@ from .modal import parse_formula, print_formula
 from .prediction import BOUND_SLACK
 from .report import FORMATS, Report, VerdictRecord, emit_report
 from .runner import run_experiment
-from .scenario import LogicPayload, Scenario, parse_scenario
+from .scenario import Scenario, parse_scenario, scenario_from_dict
 
 #: The scenario kind each run command accepts; ``verify`` and ``emit`` take any.
 COMMAND_KINDS = {"simulate": "trajectory", "predict": "prediction", "logic": "logic"}
@@ -125,7 +125,7 @@ def _print_bare_verdict(v: VerdictRecord) -> None:
 
 
 def _cmd_logic(args: argparse.Namespace) -> int:
-    """Decide text that parses as a formula; read any other target as a scenario file."""
+    """Decide text that parses as a formula, through the loader; read any other as a file."""
     try:
         phi = parse_formula(args.scenario)
     except FormulaSyntaxError as exc:
@@ -134,8 +134,8 @@ def _cmd_logic(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"{args.scenario}: cannot read scenario file: no such file; not a formula either: {exc}"
         ) from exc
-    payload = LogicPayload(texts=(print_formula(phi),), formulas=(phi,))
-    report = run_experiment(Scenario(name="formula", kind="logic", seed=0, payload=payload))
+    data = dict(name="formula", kind="logic", seed=0, payload={"formulas": [print_formula(phi)]})
+    report = run_experiment(scenario_from_dict(data))
     _print_bare_verdict(report.verdicts[0])
     return 0 if report.passed else 1
 

@@ -364,7 +364,7 @@ def check_limits(phi: ModalFormula) -> Walk:
     return walk
 
 
-def gl_decide(phi: ModalFormula) -> DecisionResult:
+def gl_decide(phi: ModalFormula, walk: Walk | None = None) -> DecisionResult:
     """Decide validity of ``phi`` over finite transitive irreflexive frames.
 
     Elimination of Hintikka types decides validity, complete by construction.
@@ -376,8 +376,9 @@ def gl_decide(phi: ModalFormula) -> DecisionResult:
     table row of one world fewer, if it finds one; any other gets the witness
     DAG of the types elimination kept. Only the node, atom and box limits of
     ``check_limits`` refuse a formula, by ``ResourceLimitError`` before any work.
+    A caller that has checked ``phi`` passes ``check_limits(phi)`` as ``walk``.
     """
-    walk = nodes, _ = check_limits(phi)
+    walk = nodes, _ = check_limits(phi) if walk is None else walk
     walk_atoms = [node.index for node in nodes if isinstance(node, Atom)]
     types = _eliminate(walk)
     atoms = sorted(walk_atoms)

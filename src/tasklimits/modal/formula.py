@@ -7,7 +7,7 @@ Grammar::
     ATOM    := 'p' DIGITS                    # ASCII 0-9 only
 
 One table, ``_BINARY`` and ``_UNARY``, spells each connective once; the
-tokenizer, the parser, the printer and every walk read it. Binding strength is
+lexer, the parser, the printer and every walk read it. Binding strength is
 1 for ``->`` (Implies), 2 for ``|`` (Or) and 3 for ``&`` (And); a higher one
 binds tighter, and the unary ``~`` (Not) and ``[]`` (Box) bind tightest. Only
 ``->`` groups to the right. Whitespace is exactly space, tab, CR and LF.
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from ..errors import FormulaSyntaxError, ResourceLimitError, ValidationError
 
-#: Largest formula the decision procedure takes, in AST nodes; also the deepest
-#: nesting the parser follows.
+#: Largest formula the parser builds and the decision procedure takes, in AST nodes;
+#: also the deepest nesting the parser follows.
 DEFAULT_MAX_NODES = 200
 
 
@@ -168,93 +168,90 @@ _PREFIXES = {symbol[0]: symbol for symbol in _SYMBOLS if len(symbol) > 1}
 _LEXEME = re.compile(r"[ \t\r\n]*(p[0-9]*|" + "|".join(map(re.escape, _SYMBOLS)) + r"|.|\Z)")
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """Tokens as (kind, position, atom_index): kind is the symbol, ``"p"`` or ``""`` at the end."""
-    tokens: list[tuple[str, int, int]] = []
+def _tokens(text: str) -> Iterator[tuple[str, int, int]]:
+    """Each token as (kind, position, atom): kind is the symbol, ``"p"`` or ``""`` at the end."""
     for match in _LEXEME.finditer(text):
-        token = match[1]
-        if not token:
-            break
-        position = match.start(1)
-        if token[0] == "p":
+        token, position = match[1], match.start(1)
+        if token[:1] == "p":
             if len(token) == 1:
                 raise FormulaSyntaxError("expected digits after 'p'", position + 1)
             try:
                 index = int(token[1:])
             except ValueError as exc:  # past the int conversion digit limit
                 raise FormulaSyntaxError(f"unreadable atom index: {exc}", position) from exc
-            tokens.append(("p", position, index))
-        elif token in _SYMBOLS:
-            tokens.append((token, position, -1))
+            yield "p", position, index
+        elif token in _SYMBOLS or not token:
+            yield token, position, -1
         elif token in _PREFIXES:
             raise FormulaSyntaxError(f"expected {_PREFIXES[token]!r}", position)
         else:
             raise FormulaSyntaxError(f"unexpected character {token!r}", position)
-    tokens.append(("", len(text), -1))
-    return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
-        self.pos = 0
-        # Levels open on the way down bound the parser's recursion; the height of the node
-        # built last bounds the tree's, which an ``&`` or ``|`` chain grows with no descent.
+    def __init__(self, text: str):
+        self.tokens = _tokens(text)
+        self.token = next(self.tokens)  # one token ahead, no more
+        # Open levels bound the parser's recursion; parentheses open levels but build no node.
         self.depth = 0
-        self.height = 0
+        self.nodes = 0
 
-    def limit(self, levels: int, position: int) -> int:
-        """``levels`` if it is within the nesting limit; refuse before any stack runs out."""
-        if levels > DEFAULT_MAX_NODES:
+    def limit(self, count: int, position: int, unit: str = "levels") -> int:
+        """``count`` levels or nodes if within the limit; refuse before any stack runs out."""
+        if count > DEFAULT_MAX_NODES:
+            excess = "nests deeper than" if unit == "levels" else "has more than"
             raise ResourceLimitError(
-                f"formula nests deeper than {DEFAULT_MAX_NODES} levels (position {position})"
+                f"formula {excess} {DEFAULT_MAX_NODES} {unit} (position {position})"
             )
-        return levels
+        return count
+
+    def take(self) -> tuple[str, int, int]:
+        """The current token, reading the next; a token other than a parenthesis is a node."""
+        token = kind, position, _ = self.token
+        if kind != "(" and kind != ")":
+            self.nodes = self.limit(self.nodes + 1, position, "nodes")
+        self.token = next(self.tokens)
+        return token
 
     def binary(self, minimum: int) -> ModalFormula:
         """Unary formulas joined by binary connectives binding with at least ``minimum``."""
         node = self.unary()
         while True:
-            kind, position, _ = self.tokens[self.pos]
-            cls, strength = _BINARY.get(kind, (None, 0))
+            cls, strength = _BINARY.get(self.token[0], (None, 0))
             if strength < minimum:
                 return node
-            self.pos += 1
+            _, position, _ = self.take()
             # A right-grouping connective opens a level and takes the rest of its chain at once.
             groups_right = cls is Implies
             self.depth = self.limit(self.depth + groups_right, position)
-            height = self.height
             node = cls(node, self.binary(strength + (not groups_right)))
             self.depth -= groups_right
-            self.height = self.limit(1 + max(height, self.height), position)
 
     def unary(self) -> ModalFormula:
-        kind, position, atom = self.tokens[self.pos]
-        self.pos += 1
-        if kind == "p":
-            self.height = 0
-            return Atom(atom)
-        if kind not in _UNARY and kind != "(":
+        kind, position, atom = self.token
+        if kind != "p" and kind != "(" and kind not in _UNARY:
             raise FormulaSyntaxError("expected a formula", position)
+        self.take()
+        if kind == "p":
+            return Atom(atom)
         self.depth = self.limit(self.depth + 1, position)
         if kind in _UNARY:
             node = _UNARY[kind](self.unary())
-            self.height = self.limit(self.height + 1, position)
         else:
             node = self.binary(1)
-            closing, close_pos, _ = self.tokens[self.pos]
-            if closing != ")":
-                raise FormulaSyntaxError("expected ')'", close_pos)
-            self.pos += 1
+            if self.token[0] != ")":
+                raise FormulaSyntaxError("expected ')'", self.token[1])
+            self.take()
         self.depth -= 1
         return node
 
 
 def parse_formula(text: str) -> ModalFormula:
-    """Parse formula text; raises :class:`FormulaSyntaxError` with a position."""
-    parser = _Parser(_tokenize(text))
+    """Parse formula text; raises :class:`FormulaSyntaxError` with a position, and
+    ``ResourceLimitError`` at the 201st node or open level, before reading on."""
+    parser = _Parser(text)
     node = parser.binary(1)
-    kind, position, _ = parser.tokens[parser.pos]
+    kind, position, _ = parser.token
     if kind:
         raise FormulaSyntaxError("unexpected trailing input", position)
     return node

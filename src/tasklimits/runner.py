@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .modal import KripkeModel, atom_indices, gl_decide, model_check
+from .modal import Atom, KripkeModel, gl_decide, model_check
 from .prediction import BOUND_SLACK, BoundRecord, verify_prediction_bounds
 from .report import CountermodelRecord, Report, StepRecord, VerdictRecord
 from .scenario import LogicPayload, PredictionPayload, Scenario, TrajectoryPayload
@@ -147,12 +147,12 @@ def _run_prediction(scenario: Scenario, payload: PredictionPayload, slack: float
 def _run_logic(scenario: Scenario, payload: LogicPayload) -> Report:
     verdicts = []
     steps = []
-    for i, (text, phi) in enumerate(zip(payload.texts, payload.formulas)):
-        result = gl_decide(phi)
+    for i, (text, phi, walk) in enumerate(zip(payload.texts, payload.formulas, payload.walks)):
+        result = gl_decide(phi, walk)
         if result.is_valid:
             # A sound but incomplete probe: a valid formula holds at every one-world model,
             # here world w with no relation, where the atoms of the set bits of w are true.
-            atoms = atom_indices(phi)
+            atoms = [node.index for node in walk[0] if isinstance(node, Atom)]
             true = {
                 w: {atom for bit, atom in enumerate(atoms) if w >> bit & 1}
                 for w in range(1 << len(atoms))

@@ -37,6 +37,7 @@ from typing import Any, Union
 
 from .errors import FormulaSyntaxError, ResourceLimitError, ScenarioError, TaskLimitsError
 from .modal import ModalFormula, check_limits, parse_formula
+from .modal.formula import Walk
 from .prediction import ConditionalKernel, LossTable
 from .prior import HypothesisClass, HypothesisDescriptor
 from .taskspace import TaskMeasure
@@ -68,8 +69,11 @@ class PredictionPayload:
 
 @dataclass(frozen=True)
 class LogicPayload:
+    """Formula texts as given, their trees, and the walks ``check_limits`` returned."""
+
     texts: tuple[str, ...]
     formulas: tuple[ModalFormula, ...]
+    walks: tuple[Walk, ...]
 
 
 Payload = Union[TrajectoryPayload, PredictionPayload, LogicPayload]
@@ -219,14 +223,14 @@ def _build_logic_payload(payload: dict) -> LogicPayload:
     texts = _require(payload, "formulas")
     if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
         raise ScenarioError("'formulas' must be a non-empty list of strings")
-    formulas = []
+    formulas, walks = [], []
     for number, text in enumerate(texts, 1):
         try:
             formulas.append(parse_formula(text))
-            check_limits(formulas[-1])
+            walks.append(check_limits(formulas[-1]))
         except (FormulaSyntaxError, ResourceLimitError) as exc:
             raise ScenarioError(f"field 'formulas', formula {number}: {exc}") from exc
-    return LogicPayload(texts=tuple(texts), formulas=tuple(formulas))
+    return LogicPayload(texts=tuple(texts), formulas=tuple(formulas), walks=tuple(walks))
 
 
 def scenario_from_dict(data: Any) -> Scenario:

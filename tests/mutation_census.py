@@ -50,6 +50,7 @@ FILES = (
     "taskspace.py",
     "modal/decide.py",
     "modal/kripke.py",
+    "modal/formula.py",
 )
 SITES_PER_FILE = 40
 WORKERS = 2

@@ -1,9 +1,12 @@
-"""Re-record ``tests/golden/loader_outcomes.jsonl`` from the code as it stands.
+"""Re-record ``tests/golden/loader_outcomes.jsonl`` and ``parser_outcomes.jsonl``
+from the code as it stands.
 
-Each row is ``[command, text, exit code, error line]``. The command and the
-text are kept; both outcome fields are replaced by what ``cli.main`` makes of
-the text now. Run from the repository root, then review the diff and list the
-moved rows in CHANGES.md::
+A loader row is ``[command, text, exit code, error line]``: the command and the
+text are kept, and both outcome fields are replaced by what ``cli.main`` makes of
+the text now. A parser row is ``[text, outcome]``: the text is kept, and the
+outcome is replaced by what ``parse_outcome`` makes of it now. Each moved row is
+printed with its old and new outcome. Run from the repository root, then review
+the diff and list the moved rows in CHANGES.md::
 
     PYTHONPATH=src python tests/record_loader_outcomes.py
 """
@@ -17,8 +20,21 @@ import tempfile
 from pathlib import Path
 
 from tasklimits.cli import main
+from tasklimits.errors import FormulaSyntaxError, ResourceLimitError
+from tasklimits.modal import parse_formula, print_formula
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "loader_outcomes.jsonl"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def parse_outcome(text: str) -> dict:
+    """The printed form of ``text`` parsed, or its error: class, message and any position."""
+    try:
+        return {"printed": print_formula(parse_formula(text))}
+    except (FormulaSyntaxError, ResourceLimitError) as exc:
+        outcome = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, FormulaSyntaxError):
+            outcome["position"] = exc.position
+        return outcome
 
 
 def replay(command: str, text: str, path: Path) -> tuple[int, str | None]:
@@ -41,20 +57,24 @@ def replay(command: str, text: str, path: Path) -> tuple[int, str | None]:
     return 2, "error: " + err[len(prefix):-1]
 
 
-def record() -> None:
-    rows = [json.loads(line) for line in GOLDEN.read_text(encoding="ascii").splitlines()]
+def record(name: str, kept: int, outcome) -> None:
+    """Keep the first ``kept`` fields of each row of ``name``, and replace the rest with
+    ``outcome(row)``; print each moved row as its kept fields, old outcome and new."""
+    path = GOLDEN / name
+    rows = [json.loads(line) for line in path.read_text(encoding="ascii").splitlines()]
     moved = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scenario.json"
-        for number, row in enumerate(rows, 1):
-            outcome = list(replay(row[0], row[1], path))
-            if outcome != row[2:]:
-                print(f"line {number}: {row[2:]} -> {outcome}")
-                row[2:] = outcome
-                moved += 1
-    GOLDEN.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
-    print(f"{moved} of {len(rows)} rows moved")
+    for number, row in enumerate(rows, 1):
+        new = outcome(row)
+        if new != row[kept:]:
+            print(f"{name} line {number}: {row[:kept]!r}: {row[kept:]} -> {new}")
+            row[kept:] = new
+            moved += 1
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
+    print(f"{name}: {moved} of {len(rows)} rows moved")
 
 
 if __name__ == "__main__":
-    record()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        record("loader_outcomes.jsonl", 2, lambda row: list(replay(row[0], row[1], scenario)))
+    record("parser_outcomes.jsonl", 1, lambda row: [parse_outcome(row[0])])

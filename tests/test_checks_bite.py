@@ -20,6 +20,7 @@ from typing import Callable
 import pytest
 
 import tasklimits.modal.decide as decide
+import tasklimits.scenario as loader
 from tasklimits import prediction, runner, trajectory
 from tasklimits.cli import main
 from tasklimits.modal import (
@@ -164,7 +165,7 @@ def claim_a_countermodel_where_the_formula_holds(monkeypatch):
     Each box holds there vacuously, so each ``logic_basics`` formula holds too.
     """
 
-    def faulty(phi):
+    def faulty(phi, walk):
         model = KripkeModel(frozenset({0}), frozenset(), ((0, frozenset(atom_indices(phi))),))
         return DecisionResult("invalid", countermodel=Countermodel(model, 0))
 
@@ -174,7 +175,7 @@ def claim_a_countermodel_where_the_formula_holds(monkeypatch):
 def call_every_formula_valid(monkeypatch):
     """Every formula is called valid, after a search of one frame at one world."""
     trace = ValidityTrace((SearchLevel(1, 1, 1),))
-    monkeypatch.setattr(runner, "gl_decide", lambda phi: DecisionResult("valid", trace=trace))
+    monkeypatch.setattr(runner, "gl_decide", lambda phi, walk: DecisionResult("valid", trace=trace))
 
 
 def eliminate_every_type(monkeypatch):
@@ -239,7 +240,10 @@ def read_each_atoms_complement(monkeypatch):
 
 
 def swap_each_implications_operands(monkeypatch):
-    """``decide`` reads ``A -> B`` as ``B -> A``; ``model_check`` walks the nodes themselves."""
+    """``decide`` reads ``A -> B`` as ``B -> A``; ``model_check`` walks the nodes themselves.
+
+    The loader's ``check_limits`` takes the swapped walk, and the runner decides from it.
+    """
     walk = decide._postorder
 
     def faulty(phi):
@@ -248,6 +252,16 @@ def swap_each_implications_operands(monkeypatch):
         return nodes, swapped
 
     monkeypatch.setattr(decide, "_postorder", faulty)
+
+
+def pair_each_formula_with_the_next_walk(monkeypatch):
+    """The loader hands each formula the walk of the one after it, the last the first's."""
+    logic_payload = loader.LogicPayload
+
+    def faulty(texts, formulas, walks):
+        return logic_payload(texts, formulas, walks[1:] + walks[:1])
+
+    monkeypatch.setattr(loader, "LogicPayload", faulty)
 
 
 def read_each_implication_as_a_disjunction(monkeypatch):
@@ -348,6 +362,11 @@ CASES = {
     # Formula 1, Löb's, decided as ``[]([]p0 | p0) | []p0``: refuted where Löb's holds.
     "connective-table": Case(
         "logic_basics.json", "witness_ok", 1, read_each_implication_as_a_disjunction
+    ),
+    # Formula 3, ``[]p0 -> p0``, decided from formula 4's walk: called valid, and the
+    # one-world probe finds it false where p0 is false.
+    "walk-pairing": Case(
+        "logic_basics.json", "witness_ok", 3, pair_each_formula_with_the_next_walk
     ),
     # The same formula, called invalid by elimination: the witness DAG's root holds it.
     "elimination-invalid": Case("logic_basics.json", "witness_ok", 1, realise_a_failing_type),

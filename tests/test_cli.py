@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import tasklimits
+import tasklimits.modal.decide as decide_module
+import tasklimits.modal.formula as formula_module
 import tasklimits.scenario as scenario_module
 from tasklimits.cli import build_parser, main
 from tasklimits.scenario import MAX_SCENARIO_BYTES, parse_scenario
@@ -109,6 +111,30 @@ class TestRunCommands:
         err = capsys.readouterr().err
         assert f"{path}: field 'formulas', formula 2: expected a formula (position 4)" in err
 
+    def test_formula_text_over_a_limit_gets_the_loaders_message(self, capsys):
+        text = " & ".join(f"p{i}" for i in range(9))
+        assert main(["logic", text]) == 2
+        assert capsys.readouterr().err == (
+            "error: field 'formulas', formula 1: formula uses 9 atoms, limit is 8\n"
+        )
+
+    def test_each_file_formula_is_walked_once_from_load_to_report(self, monkeypatch, capsys):
+        """The loader's walk is the decision's and the one-world probe's."""
+        path = SCENARIO_DIR / "logic_basics.json"
+        formulas = list(parse_scenario(path).payload.formulas)
+        calls = []
+        walk = formula_module._postorder
+
+        def counted(phi):
+            calls.append(phi)
+            return walk(phi)
+
+        monkeypatch.setattr(formula_module, "_postorder", counted)
+        monkeypatch.setattr(decide_module, "_postorder", counted)
+        assert main(["logic", str(path)]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+        assert calls == formulas
+
     def test_missing_scenario_exits_2(self, capsys):
         assert main(["simulate", "/nonexistent/path.json"]) == 2
         assert "error" in capsys.readouterr().err
@@ -172,11 +198,13 @@ class TestUnusableInput:
         assert "verdict: invalid" in capsys.readouterr().out
 
     def test_deeply_nested_formula_exits_2(self, capsys):
+        assert main(["logic", "(" * 600 + "p0" + ")" * 600]) == 2
+        assert "nests deeper than" in capsys.readouterr().err
+        # A chain builds a node per level, so the node limit refuses it first.
         assert main(["logic", "~" * 600 + "p0"]) == 2
-        assert "nests deeper than" in capsys.readouterr().err
-        # A flat chain nests one level per operator.
+        assert "more than 200 nodes (position 200)" in capsys.readouterr().err
         assert main(["logic", " & ".join(["p0"] * 1500)]) == 2
-        assert "nests deeper than" in capsys.readouterr().err
+        assert "more than 200 nodes (position 500)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "index, message",

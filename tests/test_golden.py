@@ -14,8 +14,8 @@ sets than ``n_max``; in ``parser_outcomes.jsonl``, what the formula parser
 makes of about a thousand texts; and, in ``loader_outcomes.jsonl``, what the
 run commands make of about a thousand malformed scenario files. A change that
 moves any of these bytes must re-record the file and say why;
-``tests/record_loader_outcomes.py`` re-records the loader outcomes from each
-row's command and text.
+``tests/record_loader_outcomes.py`` re-records the loader and parser outcomes
+from each row's command and text.
 """
 
 import json
@@ -24,9 +24,7 @@ from pathlib import Path
 import pytest
 
 from tasklimits.cli import COMMAND_KINDS, main
-from tasklimits.errors import FormulaSyntaxError, ResourceLimitError
-from tasklimits.modal import parse_formula, print_formula
-from record_loader_outcomes import replay
+from record_loader_outcomes import parse_outcome, replay
 from support import SCENARIO_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -97,16 +95,6 @@ def test_explicit_chain_report(format, suffix, tmp_path):
     assert out.read_bytes() == golden(f"explicit_chain.{suffix}")
 
 
-def _parser_outcome(text: str) -> dict:
-    try:
-        return {"printed": print_formula(parse_formula(text))}
-    except (FormulaSyntaxError, ResourceLimitError) as exc:
-        outcome = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, FormulaSyntaxError):
-            outcome["position"] = exc.position
-        return outcome
-
-
 def test_parser_outcomes():
     """Each formula text of ``parser_outcomes.jsonl`` keeps its printed form or its error.
 
@@ -119,7 +107,7 @@ def test_parser_outcomes():
     lines = golden("parser_outcomes.jsonl").decode("ascii").splitlines()
     for line in lines:
         text, expected = json.loads(line)
-        assert _parser_outcome(text) == expected, text
+        assert parse_outcome(text) == expected, text
     assert len(lines) > 900
 
 

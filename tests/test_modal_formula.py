@@ -99,7 +99,8 @@ class TestSyntaxErrors:
 
 
 class TestNestingLimit:
-    """Nesting stops at DEFAULT_MAX_NODES levels, well before the call stack runs out."""
+    """The parser refuses the 201st open level or the 201st node, well before the call
+    stack runs out; a chain builds a node per level, so the node limit refuses it first."""
 
     @pytest.mark.parametrize(
         "opening, closing, levels",
@@ -114,12 +115,22 @@ class TestNestingLimit:
         ],
     )
     def test_nesting_at_the_limit_parses_and_past_it_is_refused(self, opening, closing, levels):
-        repeats = DEFAULT_MAX_NODES // levels
+        repeats, refusal = DEFAULT_MAX_NODES // levels, "nests deeper than 200 levels"
+        nodes = count_nodes(parse_formula(opening + "p0" + closing)) - 1  # per repeat
+        if nodes * repeats >= DEFAULT_MAX_NODES:  # a chain: the node limit comes first
+            repeats, refusal = (DEFAULT_MAX_NODES - 1) // nodes, "more than 200 nodes"
         parse_formula(opening * repeats + "p0" + closing * repeats)
-        with pytest.raises(ResourceLimitError, match="nests deeper than"):
+        with pytest.raises(ResourceLimitError, match=refusal):
             parse_formula(opening * (repeats + 1) + "p0" + closing * (repeats + 1))
-        with pytest.raises(ResourceLimitError, match="nests deeper than"):
+        with pytest.raises(ResourceLimitError, match=refusal):
             parse_formula(opening * 600 + "p0" + closing * 600)
+
+    def test_the_201st_node_is_refused_at_its_position_before_the_rest_is_read(self):
+        # The text after the 201st node is never read, so its bad character is not met.
+        text = " & ".join(["p0"] * 101) + " & $"
+        with pytest.raises(ResourceLimitError) as err:
+            parse_formula(text)
+        assert str(err.value) == "formula has more than 200 nodes (position 500)"
 
 
 class TestPrinting:

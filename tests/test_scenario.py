@@ -131,9 +131,11 @@ class TestParseScenario:
         "text, message",
         [
             ("p0 &", "expected a formula (position 4)"),
-            ("~" * 201 + "p0", "formula nests deeper than 200 levels (position 200)"),
+            # The parser refuses the 201st node, here before the 201st level.
+            ("~" * 201 + "p0", "formula has more than 200 nodes (position 200)"),
+            (" & ".join(["p0"] * 101), "formula has more than 200 nodes (position 500)"),
+            ("(" * 201 + "p0" + ")" * 201, "formula nests deeper than 200 levels (position 200)"),
             # The decision's own limits, checked by the loader through ``check_limits``.
-            (" & ".join(["p0"] * 101), "formula has 201 nodes, limit is 200"),
             (" & ".join(f"p{i}" for i in range(9)), "formula uses 9 atoms, limit is 8"),
             (
                 " | ".join(f"[]p{i}" for i in range(5)),

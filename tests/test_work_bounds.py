@@ -4,14 +4,16 @@ Each case writes its scenario file in the test, about 1 MB but for the predictio
 under the bound and the logic files, and runs ``tasklimits`` on it in a child process.
 Only the child's address space is capped (``RLIMIT_AS``), and the run has a wall-clock
 timeout. It must exit 0, or exit 2 with exactly one ``error:`` line, and never print a
-traceback. A prediction run stacks one kernel per hypothesis, hypotheses x
-contexts x outcomes cells, so a file over the load-time bound must be refused.
+traceback; a formula over the node limit must be refused within a second. A
+prediction run stacks one kernel per hypothesis, hypotheses x contexts x outcomes
+cells, so a file over the load-time bound must be refused.
 """
 
 import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,3 +159,21 @@ def test_formulas_refuted_only_at_the_root_of_a_chain_are_answered(tmp_path):
     assert done.returncode == 0
     assert done.stdout.count("verdict: invalid (witness ok)") == 1_100
     assert (tmp_path / "scenario.json").stat().st_size > 240_000
+
+
+def balanced_conjunction(height: int) -> dict:
+    """One ``&`` tree of ``2 ** (height + 1) - 1`` nodes, every leaf ``p0``: each level is
+    the one below it, ``&`` and the one below it again in parentheses."""
+    text = "p0"
+    for _ in range(height):
+        text = f"{text} & ({text})"
+    return {"name": "balanced-and", "kind": "logic", "seed": 0, "payload": {"formulas": [text]}}
+
+
+def test_a_formula_over_the_node_limit_is_refused_before_the_rest_is_read(tmp_path):
+    start = time.perf_counter()
+    done = run_capped("logic", balanced_conjunction(18), tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 2
+    assert "formula 1: formula has more than 200 nodes (position 697)" in done.stderr
+    assert (tmp_path / "scenario.json").stat().st_size > 1_800_000
